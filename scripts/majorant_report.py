@@ -6,7 +6,9 @@ the majorant, the window moment ratio against (W log R / phi(W))^m, and the
 sensitivity of both to the small-prime cutoff w.  The sweep makes the
 R = N^theta degeneracy visible: below theta ~ 1/3 no divisor coprime to W
 clears the threshold at these N, the divisor sum freezes at log R, and the
-ratio pins to (phi(W)/W) log R instead of drifting to 1.
+ratio pins to (phi(W)/W) log R instead of drifting to 1.  Divisor sums are
+computed on the progression W n + 1 only, so memory is O(window + R) and the
+sweep reaches w = 13 (W = 30030) at N = 10^6.
 
 Usage: python scripts/majorant_report.py [--full]
 """
@@ -34,7 +36,7 @@ def main() -> int:
     print(f"{'N':>8} {'w':>3} {'theta':>7} {'R':>9} {'E(nu)':>8} {'window ratio':>13}")
     for scale in sizes:
         n = PRIMES[scale]
-        for w in (2, 3):
+        for w in (2, 3, 5, 7, 11, 13):
             for theta in (1 / 20, 1 / 8, 1 / 3, 1 / 2):
                 params = MajorantParams(
                     k=3, N=n, w=w, R_exponent=theta, epsilon_k=args.epsilon

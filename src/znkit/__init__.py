@@ -32,6 +32,7 @@ from .arith import (
     SieveTables,
     build_majorant,
     build_sieve,
+    divisor_sums_on_progression,
     euler_phi,
     is_prime_64,
     lambda_r_table,

@@ -12,6 +12,12 @@ N <= 10^6, and then the truncated divisor sum of W n + 1 degenerates to the
 constant log R (no divisor coprime to W fits under the threshold).  theta
 of roughly 1/3 or more is needed before the window averages behave like
 their large-N limits.
+
+Divisor sums are computed on the progression only: each squarefree d <= R
+hits a n + b on one residue class of n, found once, so the work is one
+strided add per d over the window and memory is O(window + R), whatever W
+is.  The full table lambda_r_table (W N entries for the majorant) stays as
+the independent oracle and as the `sieve` command's export.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ __all__ = [
     "euler_phi",
     "lambda_tilde",
     "lambda_r_table",
+    "divisor_sums_on_progression",
     "build_majorant",
     "write_tables_csv",
 ]
@@ -223,6 +230,40 @@ def lambda_r_table(limit: int, R: float) -> np.ndarray:
     return table
 
 
+def divisor_sums_on_progression(a: int, b: int, lo: int, hi: int, R: float) -> np.ndarray:
+    """L_R(a n + b) for lo <= n <= hi, as an array of length hi - lo + 1.
+
+    Walks the squarefree d <= R in increasing order.  d divides a n + b
+    exactly when n solves a n = -b (mod d); that needs g = gcd(a, d) to
+    divide b, and then n runs through one class modulo d / g, found once
+    with Python ints.  Each entry receives the same additions in the same
+    order as in lambda_r_table, so the values are bit-identical to
+    lambda_r_table(a hi + b, R)[a n + b].  An empty window (lo > hi) gives
+    an empty array.
+    """
+    if R < 1:
+        raise ValueError("R must be >= 1")
+    if a < 1:
+        raise ValueError("a must be >= 1")
+    out = np.zeros(max(hi - lo + 1, 0), dtype=np.float64)
+    if out.size == 0:
+        return out
+    if a * lo + b < 1:
+        raise ValueError(f"a n + b = {a * lo + b} at n = {lo}; it must stay >= 1")
+    d_max = min(int(R), a * hi + b)
+    small = build_sieve(max(d_max, 2))
+    log_r = math.log(R)
+    squarefree = np.flatnonzero(small.mobius[: d_max + 1])
+    for d, mu in zip(squarefree.tolist(), small.mobius[squarefree].tolist()):
+        g = math.gcd(a, d)
+        if b % g:
+            continue
+        step = d // g
+        root = -(b // g) * pow(a // g, -1, step) % step
+        out[(root - lo) % step :: step] += mu * (log_r - math.log(d))
+    return out
+
+
 def build_majorant(params: MajorantParams) -> GridFunction:
     """The majorant measure on Z_N: normalized squared truncated divisor sums
     of W n + 1 on the window, and 1 off the window.
@@ -237,10 +278,8 @@ def build_majorant(params: MajorantParams) -> GridFunction:
         return GridFunction(group, values)
     if params.log_R <= 0:
         raise ValueError("R must exceed 1 on a nonempty window")
-    ns = np.arange(lo, hi + 1, dtype=np.int64)
-    table = lambda_r_table(int(params.W * hi + 1), params.R)
-    lam = table[params.W * ns + 1]
-    values[ns] = (params.phi_W / params.W) * lam * lam / params.log_R
+    lam = divisor_sums_on_progression(params.W, 1, lo, hi, params.R)
+    values[lo : hi + 1] = (params.phi_W / params.W) * lam * lam / params.log_R
     return GridFunction(group, values)
 
 

@@ -302,12 +302,17 @@ def _cmd_linforms(args) -> dict:
 
 
 def _cmd_correlation(args) -> dict:
-    nu = _measure_from_args(args)
     rng = substream(args.seed, "correlation_tuples")
     tuples = [
         rng.integers(0, args.n, size=args.m).tolist() for _ in range(args.tuples)
     ]
     tuples = [t for t in tuples if len(set(t)) == len(t)]
+    if not tuples:
+        raise ValueError(
+            f"none of the {args.tuples} drawn tuples has m = {args.m} distinct "
+            f"shifts modulo N = {args.n}"
+        )
+    nu = _measure_from_args(args)
     report = verify_correlation(
         nu, args.m, tuples, c_tau=args.c_tau, a_tau=args.a_tau,
         verdict_threshold=args.threshold,

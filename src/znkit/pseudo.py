@@ -34,7 +34,7 @@ from .core import (
     inner_product,
     substream,
 )
-from .arith import MajorantParams, lambda_r_table
+from .arith import MajorantParams, divisor_sums_on_progression
 from ._primality import is_prime_u64
 
 __all__ = [
@@ -435,16 +435,10 @@ def pairwise_difference_product(h_list: Sequence[int]) -> int:
     return out
 
 
-def _theta_range_over_box(
-    mat: np.ndarray, consts: np.ndarray, W: int, box: Sequence[tuple[int, int]]
-) -> tuple[int, int]:
-    lo_val = math.inf
-    hi_val = -math.inf
-    for corner in itertools.product(*[(lo, hi) for lo, hi in box]):
-        vals = W * (mat @ np.asarray(corner, dtype=np.int64)) + W * consts + 1
-        lo_val = min(lo_val, int(vals.min()))
-        hi_val = max(hi_val, int(vals.max()))
-    return int(lo_val), int(hi_val)
+def _require_nonempty(box: Sequence[tuple[int, int]]) -> None:
+    for lo, hi in box:
+        if lo > hi:
+            raise ValueError(f"box interval [{lo}, {hi}] is empty (lo > hi)")
 
 
 def gy_moment_check(
@@ -463,11 +457,21 @@ def gy_moment_check(
     mode direct-sums (one-variable systems only); sampling covers the rest.
     A box side shorter than R^(10 m) only warns: desk-scale windows are
     routinely shorter, and the ratio is reported either way.
+
+    For each form the divisor sums are computed on the progression
+    W k + W c_i + 1 over the range of k = mat[i] . x across the box, unless
+    a full lambda_table (indexed by the value W psi_i(x) + 1) is supplied.
     """
     mat, consts = system.integer_matrix()
     if len(box) != system.t:
         raise ValueError("box must supply one interval per variable")
+    _require_nonempty(box)
+    if mode not in ("exact", "monte_carlo"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "exact" and system.t != 1:
+        raise ValueError("exact mode handles one-variable systems; use monte_carlo")
     m = system.m
+    W = params.W
     R = params.R
     min_side = min(hi - lo + 1 for lo, hi in box)
     if min_side < R ** (10 * m):
@@ -476,25 +480,30 @@ def gy_moment_check(
             "the ratio is still reported",
             stacklevel=2,
         )
-    theta_lo, theta_hi = _theta_range_over_box(mat, consts, params.W, box)
-    if theta_lo < 1:
+    # per form: the range [k_lo, k_hi] of k = mat[i] . x over the box (its
+    # ends are attained at corners) and the offset b with W psi_i + 1 = W k + b
+    forms = []
+    for row, const in zip(mat.tolist(), consts.tolist()):
+        k_lo = sum(a * (lo if a > 0 else hi) for a, (lo, hi) in zip(row, box))
+        k_hi = sum(a * (hi if a > 0 else lo) for a, (lo, hi) in zip(row, box))
+        forms.append((k_lo, k_hi, W * const + 1))
+    if min(W * k_lo + b for k_lo, _, b in forms) < 1:
         raise OverflowError("forms must stay positive over the box")
     if lambda_table is None:
-        lambda_table = lambda_r_table(theta_hi, R)
-    elif lambda_table.size <= theta_hi:
+        lams = [divisor_sums_on_progression(W, b, k_lo, k_hi, R) for k_lo, k_hi, b in forms]
+    elif lambda_table.size <= max(W * k_hi + b for _, k_hi, b in forms):
         raise ValueError("supplied lambda table does not cover the box")
-    denom = (params.W * params.log_R / params.phi_W) ** m
+    else:
+        lams = [lambda_table[W * np.arange(k_lo, k_hi + 1) + b] for k_lo, k_hi, b in forms]
+    k_min = [k_lo for k_lo, _, _ in forms]
+    denom = (W * params.log_R / params.phi_W) ** m
     if mode == "exact":
-        if system.t != 1:
-            raise ValueError("exact mode handles one-variable systems; use monte_carlo")
         xs = np.arange(box[0][0], box[0][1] + 1, dtype=np.int64)
         prod = np.ones(xs.size)
         for i in range(m):
-            lam = lambda_table[params.W * (mat[i, 0] * xs) + params.W * consts[i] + 1]
+            lam = lams[i][mat[i, 0] * xs - k_min[i]]
             prod *= lam * lam
         return EstimatorResult(float(prod.mean()) / denom, 0.0, int(xs.size), seed)
-    if mode != "monte_carlo":
-        raise ValueError(f"unknown mode {mode!r}")
     total = 0.0
     total_sq = 0.0
     done = 0
@@ -507,7 +516,7 @@ def gy_moment_check(
         )
         prod = np.ones(count)
         for i in range(m):
-            lam = lambda_table[params.W * (mat[i] @ x) + params.W * consts[i] + 1]
+            lam = lams[i][mat[i] @ x - k_min[i]]
             prod *= lam * lam
         total += float(prod.sum())
         total_sq += float((prod * prod).sum())
@@ -530,26 +539,25 @@ def gy2_correlation_check(
 
     Direct-sums E(prod_i lambda_R(W(x+h_i)+1)^2 | x in box) and divides by
     (W log R / phi(W))^m times prod_{p | Delta} (1 + p^(-1/2))^a_tau, where
-    Delta is the pairwise difference product of the shifts.
+    Delta is the pairwise difference product of the shifts.  The divisor
+    sums are computed on the progression W x + W h_i + 1 over the box only,
+    so memory is O(m |box| + R) whatever W and the shifts (|h| <= N^2) are.
     """
     h_list = [int(h) for h in h_list]
     if len(set(h_list)) != len(h_list):
         raise ValueError("shifts must be distinct")
     if any(abs(h) > params.N**2 for h in h_list):
         raise ValueError("shifts must satisfy |h| <= N^2")
+    lo, hi = box
+    _require_nonempty([box])
     m = len(h_list)
     if a_tau is None:
         a_tau = 2.0 * m
-    lo, hi = box
-    theta_lo = params.W * (lo + min(h_list)) + 1
-    theta_hi = params.W * (hi + max(h_list)) + 1
-    if theta_lo < 1:
+    if params.W * (lo + min(h_list)) + 1 < 1:
         raise OverflowError("W (x + h) + 1 must stay positive over the box")
-    table = lambda_r_table(theta_hi, params.R)
-    xs = np.arange(lo, hi + 1, dtype=np.int64)
-    prod = np.ones(xs.size)
+    prod = np.ones(hi - lo + 1)
     for h in h_list:
-        lam = table[params.W * (xs + h) + 1]
+        lam = divisor_sums_on_progression(params.W, params.W * h + 1, lo, hi, params.R)
         prod *= lam * lam
     lhs = float(prod.mean())
     delta = pairwise_difference_product(h_list)
@@ -558,7 +566,7 @@ def gy2_correlation_check(
         for p in _distinct_prime_factors(delta):
             arith_factor *= (1.0 + p**-0.5) ** a_tau
     denom = (params.W * params.log_R / params.phi_W) ** m * arith_factor
-    return EstimatorResult(lhs / denom, 0.0, int(xs.size), 0)
+    return EstimatorResult(lhs / denom, 0.0, hi - lo + 1, 0)
 
 
 def bernoulli_measure(N: int, seed: int) -> GridFunction:

@@ -1,13 +1,17 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from znkit import (
     MajorantParams,
     build_majorant,
     build_sieve,
+    divisor_sums_on_progression,
     euler_phi,
     is_prime_64,
     lambda_r_table,
@@ -203,6 +207,68 @@ class TestLambdaRTable:
             assert table[n] == pytest.approx(divisor_sum_oracle(n, R), abs=1e-9)
 
 
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+@st.composite
+def progression_windows(draw):
+    """(a, b, lo, hi, R) with b coprime to a or sharing a prime with it."""
+    a = draw(st.integers(1, 30030))
+    if a > 1 and draw(st.booleans()):
+        p = draw(st.sampled_from(_prime_factors(a)))
+        b = p * draw(st.integers(1, 3 * a // p))
+    else:
+        b = draw(st.integers(1, 3 * a).filter(lambda b: math.gcd(a, b) == 1))
+    lo = draw(st.integers(0, 20))
+    hi = draw(st.integers(lo - 3, lo + 30))  # lo > hi: empty window
+    R = draw(st.floats(1.0, 300.0))
+    return a, b, lo, hi, R
+
+
+class TestDivisorSumsOnProgression:
+    @settings(max_examples=80, deadline=None)
+    @given(progression_windows())
+    def test_matches_table_bitwise_and_oracle(self, case):
+        a, b, lo, hi, R = case
+        got = divisor_sums_on_progression(a, b, lo, hi, R)
+        assert got.shape == (max(hi - lo + 1, 0),)
+        if lo > hi:
+            return
+        table = lambda_r_table(a * hi + b, R)
+        want = table[a * np.arange(lo, hi + 1) + b]
+        assert got.tobytes() == want.tobytes()
+        for n in range(lo, hi + 1):
+            assert abs(got[n - lo] - divisor_sum_oracle(a * n + b, R)) <= 1e-9
+
+    def test_majorant_progressions_match_table(self):
+        for w in (2, 3, 5, 7):
+            params = MajorantParams(k=3, N=10007, w=w, R_exponent=0.5, epsilon_k=0.25)
+            lo, hi = params.window
+            table = lambda_r_table(params.W * hi + 1, params.R)
+            want = table[params.W * np.arange(lo, hi + 1) + 1]
+            got = divisor_sums_on_progression(params.W, 1, lo, hi, params.R)
+            assert got.tobytes() == want.tobytes()
+
+    def test_nonpositive_values_are_refused(self):
+        with pytest.raises(ValueError, match=">= 1"):
+            divisor_sums_on_progression(6, -11, 1, 5, 10.0)
+        with pytest.raises(ValueError):
+            divisor_sums_on_progression(0, 1, 1, 5, 10.0)
+        with pytest.raises(ValueError):
+            divisor_sums_on_progression(6, 1, 1, 5, 0.5)
+
+
 class TestMajorant:
     def test_paper_style_defaults(self):
         params = MajorantParams(k=3, N=101)
@@ -260,6 +326,26 @@ class TestMajorant:
         assert params.window[0] > params.window[1]
         nu = build_majorant(params)
         assert np.all(nu.values == 1.0)
+
+    def test_memory_does_not_depend_on_w(self):
+        # at w = 13 the full table would hold W N = 1.5e10 floats
+        params = MajorantParams(k=3, N=999983, w=13, R_exponent=0.3333, epsilon_k=0.25)
+        tracemalloc.start()
+        try:
+            nu = build_majorant(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        lo, hi = params.window
+        expected = params.phi_W / params.W * params.log_R
+        hits = 0
+        for n in range(lo, hi + 1, 12):  # a spread-out sample keeps this fast
+            m = params.W * n + 1
+            if m > params.R and is_prime_64(m):
+                assert nu.values[n] == pytest.approx(expected, rel=1e-12)
+                hits += 1
+        assert hits > 1000
 
     def test_mean_near_one_at_desk_scale(self):
         params = MajorantParams(k=3, N=100003, w=2, R_exponent=0.25, epsilon_k=0.25)

@@ -125,6 +125,33 @@ def test_gycheck_moment_and_shifted(capsys):
     assert 0 < shifted["ratio"] < 2
 
 
+@pytest.mark.parametrize("extra", [(), ("--h-list", "0,2")])
+def test_gycheck_empty_box_is_refused(capsys, extra):
+    code, out = run_cli(capsys, "gycheck", "--n", "999983", "--box", "10:5", *extra)
+    assert code == EXIT_INVALID
+    error = json.loads(out)["error"]
+    assert error["type"] == "invalid"
+    assert "[10, 5] is empty" in error["message"]
+
+
+def test_correlation_with_no_distinct_tuple_is_refused(capsys):
+    code, out = run_cli(capsys, "correlation", "--n", "7", "--m", "8", "--tuples", "3")
+    assert code == EXIT_INVALID
+    message = json.loads(out)["error"]["message"]
+    assert "none of the 3 drawn tuples" in message
+    assert "m = 8" in message and "N = 7" in message
+
+
+def test_majorant_reaches_w11(capsys):
+    # the full divisor-sum table would need W N = 2310 * 10^6 floats (8.6 GiB)
+    code, out = run_cli(capsys, "majorant", "--n", "999983", "--w", "11",
+                        "--theta", "0.3333", "--epsilon", "0.25")
+    assert code == EXIT_OK
+    result = json.loads(out)["result"]
+    assert result["W"] == 2310
+    assert 0 < result["mean"] < 2
+
+
 def test_sieve_csv_columns(capsys, tmp_path):
     path = os.path.join(tmp_path, "tables.csv")
     code, _ = run_cli(capsys, "sieve", "--limit", "100", "--r", "10",

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -17,12 +18,15 @@ from znkit import (
     gy2_correlation_check,
     gy_moment_check,
     halfway,
+    lambda_r_table,
     local_factor_omega,
+    substream,
     tau_weight,
     verify_correlation,
     verify_linear_forms,
 )
 from znkit.pseudo import (
+    _MC_CHUNK,
     antiuniform_correlation,
     pairwise_difference_product,
     pseudorandom_condition_parameters,
@@ -303,6 +307,116 @@ class TestWindowMoments:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 gy_moment_check(params, system, [(10, 50), (10, 50)])
+
+
+def _table_moment(params, system, box, mode, samples=0, seed=0):
+    """(value, std error) by the full-table route: lambda_r_table indexed by
+    the value W psi_i(x) + 1, sampled chunk by chunk like gy_moment_check."""
+    mat, consts = system.integer_matrix()
+    W = params.W
+    top = max(
+        W * int(mat[i] @ np.asarray(corner)) + W * int(consts[i]) + 1
+        for i in range(system.m)
+        for corner in itertools.product(*box)
+    )
+    table = lambda_r_table(top, params.R)
+    denom = (W * params.log_R / params.phi_W) ** system.m
+
+    def products(x):
+        prod = np.ones(x.shape[1])
+        for i in range(system.m):
+            lam = table[W * (mat[i] @ x) + W * consts[i] + 1]
+            prod *= lam * lam
+        return prod
+
+    if mode == "exact":
+        xs = np.arange(box[0][0], box[0][1] + 1, dtype=np.int64)[None, :]
+        return float(products(xs).mean()) / denom, 0.0
+    total = total_sq = 0.0
+    done = chunk_idx = 0
+    while done < samples:
+        count = min(_MC_CHUNK, samples - done)
+        rng = substream(seed, "gy_moment", chunk_idx)
+        x = np.stack([rng.integers(lo, hi + 1, size=count) for lo, hi in box], axis=0)
+        prod = products(x)
+        total += float(prod.sum())
+        total_sq += float((prod * prod).sum())
+        done += count
+        chunk_idx += 1
+    mean = total / samples
+    var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
+    return mean / denom, math.sqrt(var / samples) / denom
+
+
+class TestProgressionRouteMatchesTable:
+    """gy_moment_check and gy2_correlation_check evaluate divisor sums on the
+    progression only; they must reproduce the full-table route bit for bit."""
+
+    @pytest.mark.parametrize("w, coeff, const", [(2, 1, 0), (3, 2, 3), (5, 3, -7)])
+    def test_exact_one_variable(self, w, coeff, const):
+        params = MajorantParams(k=3, N=1009, w=w, R_exponent=0.5, epsilon_k=0.25)
+        lo, hi = params.window
+        system = LinearFormSystem.from_rows([(coeff,)], constants=[const])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            est = gy_moment_check(params, system, [(lo, hi)])
+        assert (est.value, est.std_error) == _table_moment(params, system, [(lo, hi)], "exact")
+
+    @pytest.mark.parametrize(
+        "rows, constants, box",
+        [
+            ([(1,)], [0], [(252, 504)]),
+            ([(1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)], None, [(252, 504), (0, 40), (0, 40)]),
+            ([(2, -1), (1, 1)], [1, -4], [(100, 200), (0, 50)]),
+        ],
+    )
+    def test_monte_carlo(self, rows, constants, box):
+        params = MajorantParams(k=3, N=1009, w=3, R_exponent=0.5, epsilon_k=0.25)
+        system = LinearFormSystem.from_rows(rows, constants)
+        samples = 2 * _MC_CHUNK + 1000
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            est = gy_moment_check(
+                params, system, box, mode="monte_carlo", samples=samples, seed=5
+            )
+        want = _table_moment(params, system, box, "monte_carlo", samples, 5)
+        assert (est.value, est.std_error) == want
+
+    @pytest.mark.parametrize(
+        "w, shifts", [(3, [-30, 0, 7]), (2, [-5, 1, 1009**2 - 3])]
+    )
+    def test_shifted(self, w, shifts):
+        params = MajorantParams(k=3, N=1009, w=w, R_exponent=0.5, epsilon_k=0.25)
+        lo, hi = params.window
+        table = lambda_r_table(params.W * (hi + max(shifts)) + 1, params.R)
+        xs = np.arange(lo, hi + 1)
+        prod = np.ones(xs.size)
+        for h in shifts:
+            lam = table[params.W * (xs + h) + 1]
+            prod *= lam * lam
+        denom = (params.W * params.log_R / params.phi_W) ** len(shifts)
+        est = gy2_correlation_check(params, shifts, (lo, hi), a_tau=0.0)
+        assert est.value == float(prod.mean()) / denom
+        assert est.samples == xs.size
+
+
+class TestEmptyBoxes:
+    def test_moment_check_refuses_empty_box(self):
+        params = MajorantParams(k=3, N=1009, w=2, R_exponent=0.3, epsilon_k=0.25)
+        system = LinearFormSystem.from_rows([(1, 0), (1, 1)])
+        for mode in ("exact", "monte_carlo"):
+            with pytest.raises(ValueError, match=r"\[10, 5\] is empty"):
+                gy_moment_check(params, system, [(0, 9), (10, 5)], mode=mode)
+
+    def test_shifted_check_refuses_empty_box(self):
+        params = MajorantParams(k=3, N=1009, w=2, R_exponent=0.3, epsilon_k=0.25)
+        with pytest.raises(ValueError, match=r"\[10, 5\] is empty"):
+            gy2_correlation_check(params, [0, 2], (10, 5))
+
+    def test_shifted_check_refuses_nonpositive_values(self):
+        params = MajorantParams(k=3, N=1009, w=2, R_exponent=0.3, epsilon_k=0.25)
+        with pytest.raises(OverflowError):
+            gy2_correlation_check(params, [-20, 0], (10, 50))
 
 
 class TestShiftedWindowMoments:
