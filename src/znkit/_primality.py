@@ -7,7 +7,8 @@ _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _LIMIT = 1 << 64
 
 
-def is_prime_u64(n: int) -> bool:
+def is_prime_64(n: int) -> bool:
+    """Exact primality for 0 <= n < 2^64 (deterministic Miller-Rabin bases)."""
     if n < 0 or n >= _LIMIT:
         raise ValueError(f"n must lie in [0, 2^64), got {n}")
     if n < 2:

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._primality import is_prime_u64
+from ._primality import is_prime_64
 from .core import CyclicGroup, GridFunction
 
 __all__ = [
@@ -47,11 +47,6 @@ __all__ = [
 
 _SIEVE_LIMIT_CAP = 50_000_000  # ~50M keeps the tables under ~1 GB
 _INT63_MAX = 2**63 - 1
-
-
-def is_prime_64(n: int) -> bool:
-    """Exact primality for 0 <= n < 2^64 (deterministic Miller-Rabin bases)."""
-    return is_prime_u64(n)
 
 
 @dataclass(frozen=True)
@@ -133,7 +128,7 @@ def euler_phi(n: int) -> int:
 def _primorial(w: int) -> int:
     prod = 1
     for p in range(2, w + 1):
-        if is_prime_u64(p):
+        if is_prime_64(p):
             prod *= p
     return prod
 
@@ -157,7 +152,7 @@ class MajorantParams:
     def __post_init__(self) -> None:
         if self.k < 3:
             raise ValueError("k must be >= 3")
-        if not is_prime_u64(self.N):
+        if not is_prime_64(self.N):
             raise ValueError(f"N = {self.N} must be prime")
         if self.w < 2:
             raise ValueError("w must be >= 2")
@@ -202,7 +197,7 @@ def lambda_tilde(n: int, params: MajorantParams) -> float:
     m = params.W * n + 1
     if m >= 1 << 64:
         raise OverflowError(f"W*n+1 = {m} exceeds the 64-bit primality range")
-    if m < 2 or not is_prime_u64(m):
+    if m < 2 or not is_prime_64(m):
         return 0.0
     return params.phi_W / params.W * math.log(m)
 
@@ -271,7 +266,7 @@ def build_majorant(params: MajorantParams) -> GridFunction:
     Deterministic: identical params give bit-identical values.  An empty
     window (possible when epsilon_k N < 1) yields the constant function 1.
     """
-    group = CyclicGroup(params.N, require_prime=True)
+    group = CyclicGroup(params.N)
     values = np.ones(params.N, dtype=np.float64)
     lo, hi = params.window
     if lo > hi:

@@ -25,6 +25,7 @@ from .core import (
     BudgetExceededError,
     CyclicGroup,
     GridFunction,
+    substream,
 )
 from .gowers import (
     dual_function,
@@ -48,7 +49,6 @@ from .transference import (
     gvn_check,
     kvn_decompose,
 )
-from .core import substream
 
 __all__ = ["RunSpec", "run", "emit_report", "main"]
 
@@ -146,21 +146,19 @@ def emit_report(result: dict, fmt: str, path: str | None) -> str:
 
 
 class RunSpec:
-    """A fully-resolved command: name plus validated parameters."""
+    """A fully-resolved command: name, reported parameters and parsed args."""
 
-    def __init__(self, command: str, parameters: dict):
+    def __init__(self, command: str, parameters: dict, args: argparse.Namespace):
         self.command = command
         self.parameters = parameters
+        self.args = args
 
     def to_meta(self) -> dict:
-        params = {
-            k: v for k, v in self.parameters.items() if k not in ("func", "func_args")
-        }
         return {
             "version": __version__,
             "command": self.command,
-            "parameters": params,
-            "seed": params.get("seed"),
+            "parameters": self.parameters,
+            "seed": self.parameters.get("seed"),
         }
 
 
@@ -387,7 +385,7 @@ def _cmd_decompose(args) -> dict:
         "final_uniformity_stderr": result.final_uniformity.std_error,
         "uniformity_threshold": config.uniformity_threshold,
         "atom_count": result.sigma.atom_count,
-        "omega_size": len(result.omega),
+        "omega_size": int(result.omega.sum()),
         "energy_trace": list(result.energy_trace),
         "trace": list(result.iteration_log),
     }
@@ -539,10 +537,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(spec: RunSpec) -> tuple[int, dict]:
     """Dispatch a resolved command; returns (exit_code, report envelope)."""
-    args = spec.parameters["func_args"]
+    args = spec.args
     started = time.monotonic()
     try:
-        result = spec.parameters["func"](args)
+        result = args.func(args)
         code = EXIT_OK
     except VerdictError as exc:
         result = exc.report
@@ -570,7 +568,7 @@ def main(argv: list[str] | None = None) -> int:
         for k, v in vars(args).items()
         if k not in ("func", "format", "report_file", "timing", "command")
     }
-    spec = RunSpec(args.command, {**params, "func": args.func, "func_args": args})
+    spec = RunSpec(args.command, params, args)
     try:
         code, envelope = run(spec)
     except BudgetExceededError as exc:

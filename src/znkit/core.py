@@ -11,11 +11,11 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._primality import is_prime_u64
+from ._primality import is_prime_64
 
 __all__ = [
     "GroupMismatchError",
@@ -31,6 +31,7 @@ __all__ = [
     "join_sigma",
     "atoms_of",
     "substream",
+    "mc_mean",
 ]
 
 
@@ -65,17 +66,14 @@ class CyclicGroup:
     """Z_N with residues identified with {0, ..., N-1}."""
 
     modulus: int
-    require_prime: bool = False
 
     def __post_init__(self) -> None:
         if self.modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {self.modulus}")
-        if self.require_prime and not is_prime_u64(self.modulus):
-            raise ValueError(f"modulus {self.modulus} is not prime")
 
     @property
     def is_prime(self) -> bool:
-        return is_prime_u64(self.modulus)
+        return is_prime_64(self.modulus)
 
     def ensure_prime(self) -> None:
         """Raise unless N is prime (needed wherever small integers get inverted mod N)."""
@@ -229,6 +227,38 @@ class EstimatorResult:
             raise ValueError("std_error must be nonnegative")
         if self.samples < 1:
             raise ValueError("samples must be positive")
+
+
+def mc_mean(
+    draw: Callable[[np.random.Generator, int], np.ndarray],
+    samples: int,
+    seed: int,
+    stream: str,
+    chunk: int,
+) -> EstimatorResult:
+    """Monte Carlo mean of the values draw(rng, count) returns, with its std error.
+
+    Chunk i holds at most `chunk` values drawn from substream(seed, stream, i).
+    The mean is the sum of the chunk sums over `samples`; the spread merges
+    each chunk's (count, mean, M2) by Chan's parallel update, so no sum of
+    squares is ever differenced against n mean^2.
+    """
+    if samples < 2:
+        raise ValueError(f"monte carlo needs at least 2 samples, got {samples}")
+    total = 0.0
+    m2 = 0.0
+    for i, done in enumerate(range(0, samples, chunk)):
+        count = min(chunk, samples - done)
+        vals = draw(substream(seed, stream, i), count)
+        chunk_total = float(vals.sum())
+        dev = vals - chunk_total / count
+        m2 += float((dev * dev).sum())
+        if done:
+            delta = chunk_total / count - total / done
+            m2 += delta * delta * done * count / (done + count)
+        total += chunk_total
+    std_error = math.sqrt(m2 / (samples - 1) / samples)
+    return EstimatorResult(total / samples, std_error, samples, seed)
 
 
 def expectation(f: GridFunction) -> float:

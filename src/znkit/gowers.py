@@ -3,10 +3,15 @@ degree-2 Fourier shortcuts.
 
 The U^d norm of f is the 2^d-th root of the average of the product of f over
 all cubes {x + omega.h : omega in {0,1}^d}, x in Z_N, h in Z_N^d.  Exact
-evaluation enumerates that average, but never literally: averaging over x and
-h_1 independently lets one coordinate be integrated out analytically, a
-second coordinate is vectorized, and only the remaining d-2 run in a loop.
-The result is bit-for-bit a reordering of the defining sum.
+evaluation runs one recursion on the last cube coordinate: for fixed h_d the
+2^d vertex functions pair up into the 2^(d-1) derivatives
+f_(omega',0) f_(omega',1)(. + h_d), and the d-cube average is the average
+over h_d of the (d-1)-cube averages of those derivatives.  The recursion
+stops at d = 2, one vectorized N x N step, and d = 1, a product of two
+means.  A pair that holds the same array twice is multiplied once, so the
+norm (one function at every vertex) costs one derivative per level.  Keeping
+x instead of averaging it, with the constant 1 at vertex 0, gives the dual
+function.  For the norm this is the defining sum in another order.
 
 Cost gating uses the nominal enumeration cost 2^d * N^(d+1) multiply-adds so
 that refusal thresholds are predictable from (N, d) alone, independent of
@@ -16,7 +21,6 @@ evaluation-order tricks.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -27,6 +31,7 @@ from .core import (
     CyclicGroup,
     GridFunction,
     expectation,
+    mc_mean,
     substream,
 )
 
@@ -118,61 +123,55 @@ class GowersEstimate:
         return max(self.raised_value + z * self.std_error, 0.0) ** (1.0 / 2**self.dimension)
 
 
-def _index_matrix(n: int) -> np.ndarray:
-    idx = np.arange(n)
-    return (idx[None, :] + idx[:, None]) % n
+def _cube_average(fs: list[np.ndarray], pointwise: bool = False):
+    """E_(x,h) prod_omega fs[omega](x + omega.h), omega in itertools.product order.
+
+    pointwise keeps x: it returns the array x -> E_h prod_omega fs[omega](x + omega.h).
+    """
+    n = fs[0].size
+    # idx[h, x] = x + h; only the d = 2 step needs it
+    idx = (np.arange(n)[:, None] + np.arange(n)) % n if len(fs) > 2 else None
+
+    def pair_means(a, b):  # h -> E_y a(y) b(y + h)
+        return (a[None, :] * b[idx]).mean(axis=1)
+
+    def average(fs):
+        if len(fs) == 2:
+            return fs[0] * fs[1].mean() if pointwise else float(fs[0].mean() * fs[1].mean())
+        if len(fs) == 4:
+            m1 = pair_means(fs[2], fs[3])
+            if pointwise:
+                return fs[0] * (fs[1][idx] * m1[:, None]).mean(axis=0)
+            shared = fs[0] is fs[2] and fs[1] is fs[3]
+            m0 = m1 if shared else pair_means(fs[0], fs[1])
+            return float((m0 * m1).mean())
+        keys = [(id(a), id(b)) for a, b in zip(fs[0::2], fs[1::2])]
+        pairs = dict(zip(keys, zip(fs[0::2], fs[1::2])))
+        total = 0.0
+        for h in range(n):
+            derivs = {key: a * np.roll(b, -h) for key, (a, b) in pairs.items()}
+            total += average([derivs[key] for key in keys])
+        return total / n
+
+    return average(fs)
 
 
 def gowers_inner(family: CubeFamily, budget: int = DEFAULT_BUDGET) -> float:
     """Multilinear cube average of 2^d functions, one per vertex.  Exact."""
     d = family.dimension
-    n = family.group.modulus
     if d == 0:
         return expectation(family.functions[()])
-    _check_budget(n, d, budget, "cube average")
-    lo = {om[1:]: family.functions[om].values for om in family.functions if om[0] == 0}
-    hi = {om[1:]: family.functions[om].values for om in family.functions if om[0] == 1}
-    if d == 1:
-        # E_{x,h} f0(x) f1(x+h) factors into a product of two means
-        return float(lo[()].mean() * hi[()].mean())
-    x = np.arange(n)
-    h2 = np.arange(n).reshape(n, 1)
-    total = 0.0
-    for rest in itertools.product(range(n), repeat=d - 2):
-        a = np.ones((n, n))
-        b = np.ones((n, n))
-        for om, vals in lo.items():
-            shift = om[0] * h2 + int(np.dot(om[1:], rest))
-            a *= vals[(x + shift) % n]
-        for om, vals in hi.items():
-            shift = om[0] * h2 + int(np.dot(om[1:], rest))
-            b *= vals[(x + shift) % n]
-        total += float((a.mean(axis=1) * b.mean(axis=1)).mean())
-    return total / n ** (d - 2)
-
-
-def _norm_raised(vals: np.ndarray, d: int, n: int) -> float:
-    if d == 1:
-        m = vals.mean()
-        return float(m * m)
-    if d == 2:
-        shifted = vals[_index_matrix(n)]
-        m = (vals[None, :] * shifted).mean(axis=1)
-        return float((m * m).mean())
-    total = 0.0
-    for h in range(n):
-        total += _norm_raised(vals * np.roll(vals, -h), d - 1, n)
-    return total / n
+    _check_budget(family.group.modulus, d, budget, "cube average")
+    verts = itertools.product((0, 1), repeat=d)
+    return _cube_average([family.functions[om].values for om in verts])
 
 
 def gowers_norm(f: GridFunction, d: int, budget: int = DEFAULT_BUDGET) -> GowersEstimate:
     """Exact U^d norm; for d = 1 this is |E(f)|."""
     if d < 1:
         raise ValueError("d must be a positive integer")
-    n = f.group.modulus
-    _check_budget(n, d, budget, "uniformity norm")
-    raised = _norm_raised(f.values, d, n)
-    return GowersEstimate.from_raised(raised, d, "exact")
+    _check_budget(f.group.modulus, d, budget, "uniformity norm")
+    return GowersEstimate.from_raised(_cube_average([f.values] * 2**d), d, "exact")
 
 
 def gowers_norm_u2_fourier(f: GridFunction) -> GowersEstimate:
@@ -200,29 +199,17 @@ def gowers_norm_mc(
         raise ValueError("need at least 100 samples")
     n = f.group.modulus
     vals = f.values
-    omegas = list(itertools.product((0, 1), repeat=d))
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk_idx = 0
-    while done < samples:
-        count = min(_MC_CHUNK, samples - done)
-        rng = substream(seed, "gowers_mc", chunk_idx)
+    omegas = np.asarray(list(itertools.product((0, 1), repeat=d)), dtype=np.int64)
+
+    def draw(rng, count):
         draws = rng.integers(0, n, size=(count, d + 1))
-        x = draws[:, 0]
-        h = draws[:, 1:]
         prod = np.ones(count)
         for om in omegas:
-            shift = h @ np.asarray(om, dtype=np.int64)
-            prod *= vals[(x + shift) % n]
-        total += float(prod.sum())
-        total_sq += float((prod * prod).sum())
-        done += count
-        chunk_idx += 1
-    mean = total / samples
-    var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
-    std_error = math.sqrt(var / samples)
-    return GowersEstimate.from_raised(mean, d, "monte_carlo", std_error)
+            prod *= vals[(draws[:, 0] + draws[:, 1:] @ om) % n]
+        return prod
+
+    est = mc_mean(draw, samples, seed, "gowers_mc", _MC_CHUNK)
+    return GowersEstimate.from_raised(est.value, d, "monte_carlo", est.std_error)
 
 
 def dual_function(
@@ -244,33 +231,13 @@ def dual_function(
     n = F.group.modulus
     if mode == "exact":
         _check_budget(n, d, budget, "dual function")
-        return _dual_exact(F, d)
+        fs = [np.ones(n)] + [F.values] * (2**d - 1)
+        return GridFunction(F.group, _cube_average(fs, pointwise=True))
     if mode == "monte_carlo":
         if samples is None or samples < 100:
             raise ValueError("monte_carlo mode needs samples >= 100")
         return _dual_mc(F, d, samples, seed)
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def _dual_exact(F: GridFunction, d: int) -> GridFunction:
-    n = F.group.modulus
-    vals = F.values
-    if d == 1:
-        return GridFunction.constant(F.group, float(vals.mean()))
-    x = np.arange(n)
-    h2 = np.arange(n).reshape(n, 1)
-    omegas = [om for om in itertools.product((0, 1), repeat=d - 1) if any(om)]
-    acc = np.zeros(n)
-    for rest in itertools.product(range(n), repeat=d - 2):
-        # v[h2, x] = prod over nonzero omega' of F(x + omega'.(h2, rest));
-        # averaging F(x + h1 + omega'.h') over h1 contributes mean(F * v).
-        v = np.ones((n, n))
-        for om in omegas:
-            shift = om[0] * h2 + int(np.dot(om[1:], rest))
-            v *= vals[(x + shift) % n]
-        w_mean = (vals[None, :] * v).mean(axis=1)
-        acc += (v * w_mean[:, None]).mean(axis=0)
-    return GridFunction(F.group, acc / n ** (d - 2))
 
 
 def _dual_mc(F: GridFunction, d: int, samples: int, seed: int) -> GridFunction:

@@ -32,10 +32,11 @@ from .core import (
     EstimatorResult,
     GridFunction,
     inner_product,
+    mc_mean,
     substream,
 )
 from .arith import MajorantParams, divisor_sums_on_progression
-from ._primality import is_prime_u64
+from ._primality import is_prime_64
 
 __all__ = [
     "LinearFormSystem",
@@ -169,7 +170,7 @@ class LinearFormSystem:
 
     def residue_matrix(self, N: int) -> tuple[np.ndarray, np.ndarray]:
         """Coefficients and constants reduced into Z_N (denominators inverted)."""
-        if self.denominator_lcm != 1 and not is_prime_u64(N):
+        if self.denominator_lcm != 1 and not is_prime_64(N):
             raise ValueError("rational coefficients need a prime modulus")
         mat = np.empty((self.m, self.t), dtype=np.int64)
         for i, row in enumerate(self.coefficients):
@@ -269,23 +270,12 @@ def verify_linear_forms(
             prod *= vals[idx]
         est = EstimatorResult(float(prod.mean()), 0.0, int(grid.shape[1]), seed)
     elif mode == "monte_carlo":
-        total = 0.0
-        total_sq = 0.0
-        done = 0
-        chunk_idx = 0
-        while done < samples:
-            count = min(_MC_CHUNK, samples - done)
-            rng = substream(seed, "linforms", chunk_idx)
+
+        def draw(rng, count):
             x = rng.integers(0, N, size=(count, system.t))
-            psi = (x @ mat.T + consts) % N
-            prod = vals[psi].prod(axis=1)
-            total += float(prod.sum())
-            total_sq += float((prod * prod).sum())
-            done += count
-            chunk_idx += 1
-        mean = total / samples
-        var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
-        est = EstimatorResult(mean, math.sqrt(var / samples), samples, seed)
+            return vals[(x @ mat.T + consts) % N].prod(axis=1)
+
+        est = mc_mean(draw, samples, seed, "linforms", _MC_CHUNK)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     deviation = abs(est.value - 1.0)
@@ -399,7 +389,7 @@ def local_factor_omega(
     Denominators are cleared by the substitution x -> D x (D the lcm), which
     is a bijection mod p as long as p does not divide D.
     """
-    if not is_prime_u64(p):
+    if not is_prime_64(p):
         raise ValueError(f"p = {p} must be prime")
     X = sorted(set(X))
     if any(i < 0 or i >= system.m for i in X):
@@ -497,36 +487,23 @@ def gy_moment_check(
         lams = [lambda_table[W * np.arange(k_lo, k_hi + 1) + b] for k_lo, k_hi, b in forms]
     k_min = [k_lo for k_lo, _, _ in forms]
     denom = (W * params.log_R / params.phi_W) ** m
-    if mode == "exact":
-        xs = np.arange(box[0][0], box[0][1] + 1, dtype=np.int64)
-        prod = np.ones(xs.size)
-        for i in range(m):
-            lam = lams[i][mat[i, 0] * xs - k_min[i]]
-            prod *= lam * lam
-        return EstimatorResult(float(prod.mean()) / denom, 0.0, int(xs.size), seed)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk_idx = 0
-    while done < samples:
-        count = min(_MC_CHUNK, samples - done)
-        rng = substream(seed, "gy_moment", chunk_idx)
-        x = np.stack(
-            [rng.integers(lo, hi + 1, size=count) for lo, hi in box], axis=0
-        )
-        prod = np.ones(count)
+
+    def weight(x):  # prod_i lambda_R(W psi_i + 1)^2 at the columns of x
+        prod = np.ones(x.shape[1])
         for i in range(m):
             lam = lams[i][mat[i] @ x - k_min[i]]
             prod *= lam * lam
-        total += float(prod.sum())
-        total_sq += float((prod * prod).sum())
-        done += count
-        chunk_idx += 1
-    mean = total / samples
-    var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
-    return EstimatorResult(
-        mean / denom, math.sqrt(var / samples) / denom, samples, seed
-    )
+        return prod
+
+    if mode == "exact":
+        xs = np.arange(box[0][0], box[0][1] + 1, dtype=np.int64)[None, :]
+        return EstimatorResult(float(weight(xs).mean()) / denom, 0.0, xs.shape[1], seed)
+
+    def draw(rng, count):
+        return weight(np.stack([rng.integers(lo, hi + 1, size=count) for lo, hi in box]))
+
+    est = mc_mean(draw, samples, seed, "gy_moment", _MC_CHUNK)
+    return EstimatorResult(est.value / denom, est.std_error / denom, samples, seed)
 
 
 def gy2_correlation_check(

@@ -19,7 +19,6 @@ import numpy as np
 
 from .core import (
     BudgetExceededError,
-    CyclicGroup,
     GridFunction,
     GroupMismatchError,
     SigmaAlgebra,
@@ -239,33 +238,25 @@ def build_level_sigma(
     return SigmaAlgebra.from_labels(G.group, labels), best_alpha
 
 
-def exceptional_set(
-    sigma: SigmaAlgebra, nu: GridFunction, eta: float
-) -> frozenset[int]:
-    """Union of the atoms whose (nu + 1)-mass is at most sqrt(eta)."""
+def exceptional_set(sigma: SigmaAlgebra, nu: GridFunction, eta: float) -> np.ndarray:
+    """Read-only mask of the union of the atoms whose (nu + 1)-mass is at
+    most sqrt(eta)."""
     sigma._check_same_group(nu)
     n = sigma.group.modulus
     masses = (
         np.bincount(sigma.atom_label, weights=nu.values + 1.0, minlength=sigma.atom_count)
         / n
     )
-    small = masses <= math.sqrt(eta)
-    return frozenset(np.flatnonzero(small[sigma.atom_label]).tolist())
-
-
-def _omega_mask(group: CyclicGroup, omega) -> np.ndarray:
-    mask = np.zeros(group.modulus, dtype=bool)
-    idx = np.asarray(sorted(omega), dtype=np.int64)
-    if idx.size:
-        mask[idx] = True
+    mask = (masses <= math.sqrt(eta))[sigma.atom_label]
+    mask.setflags(write=False)
     return mask
 
 
-def energy(f: GridFunction, sigma: SigmaAlgebra, omega) -> float:
-    """Squared L^2 norm of the conditional expectation outside omega."""
-    proj = conditional_expectation(f, sigma).values.copy()
-    mask = _omega_mask(f.group, omega)
-    proj[mask] = 0.0
+def energy(f: GridFunction, sigma: SigmaAlgebra, omega: np.ndarray) -> float:
+    """Squared L^2 norm of the conditional expectation outside the mask omega."""
+    if omega.dtype != bool or omega.shape != (f.group.modulus,):
+        raise ValueError("omega must be a boolean mask with one entry per residue")
+    proj = np.where(omega, 0.0, conditional_expectation(f, sigma).values)
     return float((proj * proj).mean())
 
 
@@ -320,13 +311,14 @@ class DecompositionConfig:
 class DecompositionResult:
     """Output of the decomposition.
 
-    f_uniform + f_antiuniform reconstructs f off the exceptional set;
+    f_uniform + f_antiuniform reconstructs f off the exceptional set, whose
+    read-only boolean mask is omega;
     energy_trace[i] is the structured energy before refinement i, and
     iteration_log carries one record per loop pass for serialization.
     """
 
     sigma: SigmaAlgebra
-    omega: frozenset[int]
+    omega: np.ndarray
     f_uniform: GridFunction
     f_antiuniform: GridFunction
     energy_trace: tuple[float, ...]
@@ -392,8 +384,7 @@ def kvn_decompose(
     d = config.k - 1
     dual_bound = float(2 ** (2 ** (config.k - 1)))
     sigma = SigmaAlgebra.trivial(group)
-    omega: frozenset[int] = frozenset()
-    omega_arr = _omega_mask(group, omega)
+    omega = np.zeros(group.modulus, dtype=bool)
     nu_plus = nu.values + 1.0
     energies = [energy(f, sigma, omega)]
     log: list[dict] = []
@@ -402,9 +393,8 @@ def kvn_decompose(
     final_est: GowersEstimate
     residual: GridFunction
     while True:
-        keep = ~omega_arr
         proj = conditional_expectation(f, sigma).values
-        residual = GridFunction(group, np.where(keep, f.values - proj, 0.0))
+        residual = GridFunction(group, np.where(omega, 0.0, f.values - proj))
         est = _estimate_uniformity(residual, d, config, iterations)
         record = {
             "K": iterations,
@@ -412,7 +402,7 @@ def kvn_decompose(
             "uniformity": est.norm_value,
             "uniformity_stderr": est.std_error,
             "atom_count": sigma.atom_count,
-            "omega_mass": float(nu_plus[omega_arr].sum() / group.modulus),
+            "omega_mass": float(nu_plus[omega].sum() / group.modulus),
             "chosen_alpha": None,
         }
         log.append(record)
@@ -430,14 +420,13 @@ def kvn_decompose(
         )
         sigma = join_sigma([sigma, level])
         omega = omega | exceptional_set(sigma, nu, config.eta)
-        omega_arr = _omega_mask(group, omega)
         energies.append(energy(f, sigma, omega))
         record["chosen_alpha"] = alpha
         iterations += 1
-    keep = ~omega_arr
     anti = GridFunction(
-        group, np.where(keep, conditional_expectation(f, sigma).values, 0.0)
+        group, np.where(omega, 0.0, conditional_expectation(f, sigma).values)
     )
+    omega.setflags(write=False)
     return DecompositionResult(
         sigma=sigma,
         omega=omega,

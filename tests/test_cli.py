@@ -142,6 +142,21 @@ def test_correlation_with_no_distinct_tuple_is_refused(capsys):
     assert "m = 8" in message and "N = 7" in message
 
 
+@pytest.mark.filterwarnings("ignore:box side")
+@pytest.mark.parametrize("samples", ["0", "1"])
+@pytest.mark.parametrize("argv", [
+    ("linforms", "--n", "101"),
+    ("gycheck", "--n", "1009", "--theta", "0.3", "--epsilon", "0.25",
+     "--mode", "monte_carlo"),
+])
+def test_monte_carlo_needs_two_samples(capsys, argv, samples):
+    code, out = run_cli(capsys, *argv, "--samples", samples)
+    assert code == EXIT_INVALID
+    error = json.loads(out)["error"]
+    assert error["type"] == "invalid"
+    assert f"at least 2 samples, got {samples}" in error["message"]
+
+
 def test_majorant_reaches_w11(capsys):
     # the full divisor-sum table would need W N = 2310 * 10^6 floats (8.6 GiB)
     code, out = run_cli(capsys, "majorant", "--n", "999983", "--w", "11",

@@ -18,6 +18,7 @@ from znkit import (
     lq_norm,
     substream,
 )
+from znkit.core import mc_mean
 from conftest import random_function, random_partition
 
 
@@ -239,9 +240,10 @@ class TestValidation:
             CyclicGroup(1)
 
     def test_prime_flag(self):
-        CyclicGroup(101, require_prime=True)
-        with pytest.raises(ValueError):
-            CyclicGroup(100, require_prime=True)
+        assert CyclicGroup(101).is_prime and not CyclicGroup(100).is_prime
+        CyclicGroup(101).ensure_prime()
+        with pytest.raises(ValueError, match="prime modulus, got 100"):
+            CyclicGroup(100).ensure_prime()
 
     def test_noncanonical_labels_rejected(self):
         with pytest.raises(ValueError):
@@ -254,3 +256,23 @@ def test_substream_is_deterministic_and_keyed():
     c = substream(42, "x", 2).integers(0, 1000, size=5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+class TestMonteCarloEngine:
+    @staticmethod
+    def draw(rng, count):
+        return rng.standard_exponential(count) ** 3  # heavy tailed
+
+    def test_chunks_merge_like_one_two_pass_computation(self):
+        # two full chunks and a partial one, regenerated from their sub-streams
+        samples, chunk, seed = 2 * 1000 + 337, 1000, 5
+        est = mc_mean(self.draw, samples, seed, "engine", chunk)
+        vals = np.concatenate([
+            self.draw(substream(seed, "engine", i), count)
+            for i, count in enumerate((1000, 1000, 337))
+        ])
+        assert est.value == pytest.approx(vals.mean(), rel=1e-14)
+        assert est.std_error == pytest.approx(
+            math.sqrt(np.var(vals, ddof=1) / samples), rel=1e-12
+        )
+        assert (est.samples, est.seed) == (samples, seed)

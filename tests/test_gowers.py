@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from znkit import (
     gowers_norm_mc,
     gowers_norm_u2_fourier,
     inner_product,
+    substream,
 )
 from conftest import random_function
 
@@ -87,7 +89,7 @@ class TestCubeAverage:
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(11)
-        for d, n in ((1, 13), (2, 9), (3, 6)):
+        for d, n in ((1, 13), (2, 9), (3, 6), (4, 5)):
             g = CyclicGroup(n)
             funcs = {
                 om: random_function(g, rng)
@@ -96,6 +98,29 @@ class TestCubeAverage:
             got = gowers_inner(CubeFamily(d, funcs))
             want = brute_cube_average(funcs, d, n)
             assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("d, n", [(2, 7), (3, 6), (4, 5)])
+    @pytest.mark.parametrize(
+        "layout", ["last_digit", "first_and_last", "half_shared", "one_odd_vertex"]
+    )
+    def test_partly_shared_vertices_match_brute_force(self, d, n, layout):
+        # vertices holding the same GridFunction make vertex pairs coincide,
+        # which the evaluation multiplies once; the average must not notice
+        rng = np.random.default_rng(31)
+        g = CyclicGroup(n)
+        pool = {key: random_function(g, rng) for key in itertools.product((0, 1), repeat=2)}
+        funcs = {}
+        for om in itertools.product((0, 1), repeat=d):
+            if layout == "last_digit":
+                funcs[om] = pool[0, om[-1]]
+            elif layout == "first_and_last":
+                funcs[om] = pool[om[0], om[-1]]
+            elif layout == "half_shared":
+                funcs[om] = pool[0, 1] if om[-1] else pool[om[0], 0]
+            else:
+                funcs[om] = random_function(g, rng) if all(om) else pool[0, om[-1]]
+        got = gowers_inner(CubeFamily(d, funcs))
+        assert got == pytest.approx(brute_cube_average(funcs, d, n), abs=1e-12)
 
     def test_budget_refusal_names_the_sampler(self):
         g = CyclicGroup(101)
@@ -128,7 +153,7 @@ class TestNorm:
 
     def test_agrees_with_brute_force(self):
         rng = np.random.default_rng(13)
-        for d, n in ((2, 8), (3, 6)):
+        for d, n in ((2, 8), (3, 6), (4, 5)):
             g = CyclicGroup(n)
             f = random_function(g, rng)
             fam = {om: f for om in itertools.product((0, 1), repeat=d)}
@@ -206,6 +231,22 @@ class TestMonteCarlo:
         else:
             pytest.skip("no negative sample mean found")
 
+    def test_std_error_matches_two_pass_on_tiny_spread(self):
+        # products 1 + O(1e-8): a sum of squares minus n mean^2 cancels to 0
+        n, samples, seed = 101, 300_000, 3
+        vals = 1.0 + 1e-8 * np.random.default_rng(0).random(n)
+        est = gowers_norm_mc(GridFunction(CyclicGroup(n), vals), 1, samples, seed)
+        prods = []
+        for i, start in enumerate(range(0, samples, 1 << 16)):
+            rng = substream(seed, "gowers_mc", i)
+            x, h = rng.integers(0, n, size=(min(1 << 16, samples - start), 2)).T
+            prods.append(vals[x] * vals[(x + h) % n])
+        prods = np.concatenate(prods)
+        want = math.sqrt(np.var(prods, ddof=1) / samples)
+        assert want > 0
+        assert est.std_error == pytest.approx(want, rel=1e-6)
+        assert est.raised_value == pytest.approx(prods.mean(), rel=1e-15)
+
     def test_rejects_tiny_sample_counts(self):
         f = GridFunction.constant(CyclicGroup(11), 1.0)
         with pytest.raises(ValueError):
@@ -219,7 +260,7 @@ class TestDualFunction:
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(18)
-        for d, n in ((1, 11), (2, 9), (3, 6)):
+        for d, n in ((1, 11), (2, 9), (3, 6), (4, 5)):
             g = CyclicGroup(n)
             F = random_function(g, rng)
             assert np.allclose(

@@ -20,11 +20,11 @@ from znkit import (
     halfway,
     lambda_r_table,
     local_factor_omega,
-    substream,
     tau_weight,
     verify_correlation,
     verify_linear_forms,
 )
+from znkit.core import mc_mean
 from znkit.pseudo import (
     _MC_CHUNK,
     antiuniform_correlation,
@@ -311,7 +311,8 @@ class TestWindowMoments:
 
 def _table_moment(params, system, box, mode, samples=0, seed=0):
     """(value, std error) by the full-table route: lambda_r_table indexed by
-    the value W psi_i(x) + 1, sampled chunk by chunk like gy_moment_check."""
+    the value W psi_i(x) + 1.  Monte Carlo goes through the same sampling
+    engine as gy_moment_check: the subject here is the divisor-sum route."""
     mat, consts = system.integer_matrix()
     W = params.W
     top = max(
@@ -332,20 +333,12 @@ def _table_moment(params, system, box, mode, samples=0, seed=0):
     if mode == "exact":
         xs = np.arange(box[0][0], box[0][1] + 1, dtype=np.int64)[None, :]
         return float(products(xs).mean()) / denom, 0.0
-    total = total_sq = 0.0
-    done = chunk_idx = 0
-    while done < samples:
-        count = min(_MC_CHUNK, samples - done)
-        rng = substream(seed, "gy_moment", chunk_idx)
-        x = np.stack([rng.integers(lo, hi + 1, size=count) for lo, hi in box], axis=0)
-        prod = products(x)
-        total += float(prod.sum())
-        total_sq += float((prod * prod).sum())
-        done += count
-        chunk_idx += 1
-    mean = total / samples
-    var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
-    return mean / denom, math.sqrt(var / samples) / denom
+
+    def draw(rng, count):
+        return products(np.stack([rng.integers(lo, hi + 1, size=count) for lo, hi in box]))
+
+    est = mc_mean(draw, samples, seed, "gy_moment", _MC_CHUNK)
+    return est.value / denom, est.std_error / denom
 
 
 class TestProgressionRouteMatchesTable:
