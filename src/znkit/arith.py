@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._primality import is_prime_64
-from .core import CyclicGroup, GridFunction
+from .core import BudgetExceededError, CyclicGroup, GridFunction
 
 __all__ = [
     "SieveTables",
@@ -68,40 +68,52 @@ class SieveTables:
 
 
 def build_sieve(limit: int, limit_cap: int = _SIEVE_LIMIT_CAP) -> SieveTables:
-    """Sieve of Eratosthenes with smallest-factor, Mobius and von Mangoldt tables."""
+    """Sieve of Eratosthenes with smallest-factor, Mobius and von Mangoldt tables.
+
+    Only the primes p <= sqrt(limit) are looped over.  Each one marks the
+    smallest factor of its unmarked multiples from p^2 on, flips the sign of
+    mu on its multiples, zeroes mu on the multiples of p^2 and divides p out
+    once from a remainder array.  A squarefree n <= limit has at most one
+    prime factor above sqrt(limit), and it is exactly what is left in the
+    remainder, so a final sign flip wherever the remainder exceeds 1
+    completes mu.  A limit above limit_cap is refused by the budget before
+    anything is allocated.
+    """
     if limit < 2:
         raise ValueError("limit must be >= 2")
     if limit > limit_cap:
-        raise MemoryError(
+        raise BudgetExceededError(
             f"sieve limit {limit} exceeds the cap {limit_cap}; "
             "raise limit_cap explicitly if you really want this"
         )
+    root = math.isqrt(limit)
     spf = np.zeros(limit + 1, dtype=np.int64)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            seg = spf[p * p :: p]
-            seg[seg == 0] = p
-    untouched = spf == 0
-    untouched[:2] = False
-    spf[untouched] = np.flatnonzero(untouched)
-    primes = np.flatnonzero(spf == np.arange(limit + 1))
-    primes = primes[primes >= 2]
-
     mobius = np.ones(limit + 1, dtype=np.int8)
     mobius[0] = 0
-    for p in primes.tolist():
-        mobius[p::p] *= -1
-        sq = p * p
-        if sq <= limit:
-            mobius[sq::sq] = 0
+    rest = np.arange(limit + 1, dtype=np.int32 if limit < 2**31 else np.int64)
+    for p in range(2, root + 1):
+        if spf[p]:
+            continue
+        seg = spf[p * p :: p]
+        seg[seg == 0] = p
+        signs = mobius[p::p]
+        np.negative(signs, out=signs)
+        mobius[p * p :: p * p] = 0
+        rest[p::p] //= p
+    np.negative(mobius, out=mobius, where=rest > 1)
+    del rest
+    primes = np.flatnonzero(spf[2:] == 0) + 2
+    spf[primes] = primes
 
     von_mangoldt = np.zeros(limit + 1, dtype=np.float64)
-    logs = np.log(primes.astype(np.float64))
+    # math.log, not np.log: the vectorised log may differ in the last bit
+    logs = np.fromiter(map(math.log, primes.tolist()), np.float64, primes.size)
     von_mangoldt[primes] = logs
-    for p in primes[primes <= math.isqrt(limit)].tolist():
+    small = primes[primes <= root]
+    for p, log_p in zip(small.tolist(), logs[: small.size].tolist()):
         pk = p * p
         while pk <= limit:
-            von_mangoldt[pk] = math.log(p)
+            von_mangoldt[pk] = log_p
             pk *= p
 
     return SieveTables(limit, spf, primes, mobius, von_mangoldt)

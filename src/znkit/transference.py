@@ -140,45 +140,79 @@ def gvn_check(
     return GvnReport(k, trials, tuple(pairs), slope, max_residual, seed)
 
 
-def _count_aps_k3_convolution(is_prime: np.ndarray, limit: int) -> int:
-    # pair counts via FFT autoconvolution; values stay far below 2^53 so
-    # rounding the float transform back to integers is exact
-    x = is_prime.astype(np.float64)
-    size = 1
-    while size < 2 * x.size:
-        size *= 2
-    fx = np.fft.rfft(x, n=size)
-    conv = np.fft.irfft(fx * fx, n=size)
-    pair_counts = np.rint(conv).astype(np.int64)
-    total = 0
-    for m in np.flatnonzero(is_prime).tolist():
-        total += (int(pair_counts[2 * m]) - 1) // 2
-    return total
+def _smooth_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: a transform length the FFT handles fast."""
+    top = max(n - 1, 0)
+    best = 1 << top.bit_length()
+    five = 1
+    while five < best:
+        odd = five
+        while odd < best:
+            best = min(best, odd << (top // odd).bit_length())
+            odd *= 3
+        five *= 5
+    return best
+
+
+def _count_aps_k3_convolution(primes: np.ndarray, limit: int) -> int:
+    """3-APs of primes <= limit, counted by an odd-only autoconvolution.
+
+    2 starts no 3-AP (2m - 2 is even), so write each odd prime as
+    p = 2a + 1; the midpoint of p and q = 2b + 1 is m = a + b + 1.  The
+    indicator of a over the (limit + 1) // 2 odd numbers up to limit is
+    squared in Fourier space at a 5-smooth length S >= 2 len - 1, so the
+    cyclic product is the linear one, and entry m - 1 of the inverse
+    transform counts the ordered pairs (p, q) with p + q = 2m, including
+    p = q = m.  Only those entries are read, at the odd prime midpoints m,
+    and (pairs - 1) // 2 of them is the number of 3-APs centred on m.
+    Counts stay far below 2^53, so each entry must land within rounding
+    error of an integer; one that lies more than 0.25 off raises.
+    """
+    half = primes[primes > 2] // 2  # a = (p - 1) / 2
+    if half.size == 0:
+        return 0
+    size = (limit + 1) // 2
+    length = _smooth_length(2 * size - 1)
+    x = np.zeros(size, dtype=np.float64)
+    x[half] = 1.0
+    spectrum = np.fft.rfft(x, n=length)
+    del x
+    spectrum *= spectrum
+    pairs = np.fft.irfft(spectrum, n=length)[2 * half]  # m - 1 = 2a for m = p
+    counts = np.rint(pairs)
+    residue = float(np.abs(pairs - counts).max())
+    if residue > 0.25:
+        raise RuntimeError(
+            f"inexact pair-count transform: an entry lies {residue:.3g} from an integer"
+        )
+    return int(((counts.astype(np.int64) - 1) // 2).sum())
 
 
 def count_prime_aps(k: int, limit: int, budget: int = 10**9) -> int:
     """Exact number of k-term progressions of primes <= limit, difference >= 1.
 
-    k = 3 uses an FFT pair count over midpoints; k = 2 is the closed-form
-    pair count; other k scan starts and differences (budget-gated).
+    k = 2 is the closed-form pair count.  k = 3 squares the spectrum of the
+    odd primes' half-indices (p - 1) / 2, a transform of 5-smooth length
+    about limit, and reads the pair counts at the odd prime midpoints only;
+    of the sieve it keeps just the primes, so the tables are freed before
+    the transform.  Other k scan starts and differences (budget-gated).
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     if limit < 2:
         return 0
-    tables = build_sieve(limit)
-    primes = tables.primes
+    primes = build_sieve(limit).primes
     if k == 2:
         return int(primes.size) * (int(primes.size) - 1) // 2
-    is_prime = np.zeros(limit + 1, dtype=bool)
-    is_prime[primes] = True
     if k == 3:
-        return _count_aps_k3_convolution(is_prime, limit)
+        return _count_aps_k3_convolution(primes, limit)
     if int(primes.size) * limit > budget:
         raise BudgetExceededError(
             f"start/difference scan needs ~{int(primes.size) * limit:.2e} ops "
             f"(> budget {budget:.2e})"
         )
+    is_prime = np.zeros(limit + 1, dtype=bool)
+    is_prime[primes] = True
     count = 0
     for p in primes.tolist():
         max_d = (limit - p) // (k - 1)

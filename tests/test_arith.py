@@ -4,10 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from functools import lru_cache
+
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from znkit import (
+    BudgetExceededError,
     MajorantParams,
     build_majorant,
     build_sieve,
@@ -100,8 +103,64 @@ class TestSieve:
         assert int(sieve_1e4.smallest_prime_factor[97]) == 97
 
     def test_limit_cap(self):
-        with pytest.raises(MemoryError):
+        with pytest.raises(BudgetExceededError, match="cap"):
             build_sieve(10**9)
+
+
+def trial_division_factor(n: int) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of n >= 2, by trial division."""
+    factors = []
+    m, p = n, 2
+    while p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            factors.append((p, e))
+        p += 1
+    if m > 1:
+        factors.append((m, 1))
+    return factors
+
+
+_ORACLE_LIMIT = 5000
+
+
+@lru_cache(maxsize=None)
+def sieve_oracle() -> tuple[list[int], list[int], list[float]]:
+    """Smallest prime factor, mu and Lambda of n <= 5000 from trial division."""
+    spf, mu, lam = [0, 0], [0, 1], [0.0, 0.0]
+    for n in range(2, _ORACLE_LIMIT + 1):
+        factors = trial_division_factor(n)
+        spf.append(factors[0][0])
+        squarefree = all(e == 1 for _, e in factors)
+        mu.append((-1) ** len(factors) if squarefree else 0)
+        lam.append(math.log(factors[0][0]) if len(factors) == 1 else 0.0)
+    return spf, mu, lam
+
+
+# primes, prime squares, prime cubes, powers of two and their neighbours
+_SIEVE_EDGE_LIMITS = (2, 3, 4, 5, 7, 8, 9, 11, 24, 25, 26, 27, 48, 49, 121, 125, 127,
+                      961, 1024, 1331, 2401, 3125, 4096, 4489, 4913, 4999, 5000)
+
+
+class TestSieveAgainstTrialDivision:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.integers(2, _ORACLE_LIMIT), st.sampled_from(_SIEVE_EDGE_LIMITS)))
+    @example(2)
+    @example(4)
+    @example(49)
+    @example(5000)
+    def test_tables_match_oracle(self, limit):
+        spf, mu, lam = sieve_oracle()
+        t = build_sieve(limit)
+        assert t.limit == limit
+        assert t.smallest_prime_factor.tolist() == spf[: limit + 1]
+        assert t.primes.tolist() == [n for n in range(2, limit + 1) if spf[n] == n]
+        assert t.mobius.tolist() == mu[: limit + 1]
+        # bit-equal: the sieve must store math.log(p) itself, not a nearby float
+        assert t.von_mangoldt.tolist() == lam[: limit + 1]
 
 
 class TestPrimality:

@@ -108,6 +108,16 @@ def test_budget_specifically(capsys, tmp_path):
     assert json.loads(out)["error"]["type"] == "budget"
 
 
+@pytest.mark.parametrize("argv", [("apcount", "--k", "3", "--limit", "60000000"),
+                                  ("sieve", "--limit", "60000000")])
+def test_sieve_cap_is_a_budget_refusal(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_BUDGET
+    error = json.loads(out)["error"]
+    assert error["type"] == "budget"
+    assert "exceeds the cap 50000000" in error["message"]
+
+
 def test_gycheck_moment_and_shifted(capsys):
     with pytest.warns(UserWarning, match="below R"):  # desk-scale box is short
         code, out = run_cli(capsys, "gycheck", "--n", "10007", "--k", "3", "--w", "2",

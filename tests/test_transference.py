@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+import hypothesis.strategies as st
 
 from znkit import (
     CyclicGroup,
@@ -21,6 +24,7 @@ from znkit import (
     is_prime_64,
     kvn_decompose,
 )
+from znkit.transference import _smooth_length
 from conftest import random_function, random_partition
 
 
@@ -36,17 +40,36 @@ def brute_ap_expectation(fs, cs, n):
 
 
 def brute_count_aps(k, limit):
-    t = build_sieve(limit)
-    flags = np.zeros(limit + 1, dtype=bool)
-    flags[t.primes] = True
+    """k-APs of primes <= limit, each found once from its first two terms.
+
+    Primality comes from Miller-Rabin, not from the sieve under test.
+    """
+    primes = [n for n in range(limit + 1) if is_prime_64(n)]
+    prime_set = set(primes)
     count = 0
-    for p in t.primes.tolist():
-        d = 1
-        while p + (k - 1) * d <= limit:
-            if all(flags[p + j * d] for j in range(1, k)):
+    for i, p in enumerate(primes):
+        for q in primes[i + 1 :]:
+            d = q - p
+            if p + (k - 1) * d > limit:
+                break
+            if all(p + j * d in prime_set for j in range(2, k)):
                 count += 1
-            d += 1
     return count
+
+
+def _is_5_smooth(n):
+    for q in (2, 3, 5):
+        while n % q == 0:
+            n //= q
+    return n == 1
+
+
+# limits <= 3000 whose odd-only transform length is exactly 2 len - 1, with
+# len = (limit + 1) // 2 half-indices: no slack between the linear
+# convolution and the cyclic one
+_EXACT_LENGTH_LIMITS = tuple(
+    limit for limit in range(2, 3001) if _is_5_smooth(2 * ((limit + 1) // 2) - 1)
+)
 
 
 class TestApExpectation:
@@ -125,6 +148,53 @@ class TestCountPrimeAps:
     def test_budget_gate_on_scans(self):
         with pytest.raises(Exception, match="budget"):
             count_prime_aps(5, 10**6, budget=10**6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.integers(0, 3000), st.sampled_from(_EXACT_LENGTH_LIMITS)))
+    @example(0)
+    @example(1)
+    @example(2)
+    @example(3)
+    @example(4)
+    @example(5)
+    @example(6)
+    @example(7)
+    @example(2187)
+    @example(2188)
+    def test_odd_only_transform_matches_brute_force(self, limit):
+        assert count_prime_aps(3, limit) == brute_count_aps(3, limit)
+
+    def test_smooth_length_is_least_5_smooth(self):
+        assert {15, 16, 2187, 2188} <= set(_EXACT_LENGTH_LIMITS)
+        for n in range(0, 5000):
+            want = max(n, 1)
+            while not _is_5_smooth(want):
+                want += 1
+            assert _smooth_length(n) == want, n
+        assert _smooth_length(2 * 5 * 10**6 - 1) == 10**7
+
+    def test_pinned_counts(self):
+        assert count_prime_aps(3, 10**5) == 2856331
+        assert count_prime_aps(3, 10**6) == 157300309
+
+    def test_k3_memory_follows_the_primes(self):
+        # a 2^21-point float64 transform with its spectrum, its square, the
+        # inverse and an int64 copy peaked near 90 MB in this test; the
+        # 10^6-point odd-only transform and the sieve it starts from stay
+        # near 20 MB
+        tracemalloc.start()
+        try:
+            count_prime_aps(3, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    def test_inexact_transform_raises(self, monkeypatch):
+        real_irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: real_irfft(*a, **kw) + 0.3)
+        with pytest.raises(RuntimeError, match="inexact"):
+            count_prime_aps(3, 1000)
 
 
 class TestLevelSigma:
