@@ -1,5 +1,11 @@
 """Number-theoretic tables and the pseudorandom majorant.
 
+Integers are factored here only: build_sieve for tables over 1..limit (and
+the tau moments of pseudo.verify_correlation), the private trial-division
+helper _distinct_prime_factors for a single integer (euler_phi, tau_weight,
+the GY pairwise-difference product), and is_prime_64 for primality,
+including the primes p <= w behind W and phi(W).
+
 The majorant construction: fix a small-prime cutoff w, let W be the product
 of the primes up to w, and restrict attention to the progression W n + 1 so
 that small-prime biases disappear.  On a short window [eps N, 2 eps N] the
@@ -51,14 +57,14 @@ _INT63_MAX = 2**63 - 1
 
 @dataclass(frozen=True)
 class SieveTables:
-    """Factorization tables for 1..limit.
+    """Tables for 0..limit from one sieve of Eratosthenes.
 
-    smallest_prime_factor[n] is the least prime dividing n (0 for n <= 1);
-    mobius[n] in {-1, 0, 1}; von_mangoldt[n] = log p exactly when n = p^m.
+    primes lists the primes <= limit in increasing order; mobius[n] is in
+    {-1, 0, 1}; von_mangoldt[n] = log p exactly when n = p^m (math.log(p)
+    itself, bit for bit).  Both tables are 0 at n = 0.
     """
 
     limit: int
-    smallest_prime_factor: np.ndarray
     primes: np.ndarray
     mobius: np.ndarray
     von_mangoldt: np.ndarray
@@ -67,43 +73,39 @@ class SieveTables:
         return int(self.primes.size)
 
 
-def build_sieve(limit: int, limit_cap: int = _SIEVE_LIMIT_CAP) -> SieveTables:
-    """Sieve of Eratosthenes with smallest-factor, Mobius and von Mangoldt tables.
+def build_sieve(limit: int) -> SieveTables:
+    """Sieve of Eratosthenes with Mobius and von Mangoldt tables.
 
-    Only the primes p <= sqrt(limit) are looped over.  Each one marks the
-    smallest factor of its unmarked multiples from p^2 on, flips the sign of
-    mu on its multiples, zeroes mu on the multiples of p^2 and divides p out
-    once from a remainder array.  A squarefree n <= limit has at most one
-    prime factor above sqrt(limit), and it is exactly what is left in the
-    remainder, so a final sign flip wherever the remainder exceeds 1
-    completes mu.  A limit above limit_cap is refused by the budget before
-    anything is allocated.
+    Only the primes p <= sqrt(limit) are looped over.  Each one marks its
+    multiples from p^2 on as composite, flips the sign of mu on its
+    multiples, zeroes mu on the multiples of p^2 and divides p out once from
+    a remainder array.  A squarefree n <= limit has at most one prime factor
+    above sqrt(limit), and it is exactly what is left in the remainder, so a
+    final sign flip wherever the remainder exceeds 1 completes mu.  A limit
+    above the cap (50 million) is refused by the budget before anything is
+    allocated.
     """
     if limit < 2:
         raise ValueError("limit must be >= 2")
-    if limit > limit_cap:
-        raise BudgetExceededError(
-            f"sieve limit {limit} exceeds the cap {limit_cap}; "
-            "raise limit_cap explicitly if you really want this"
-        )
+    if limit > _SIEVE_LIMIT_CAP:
+        raise BudgetExceededError(f"sieve limit {limit} exceeds the cap {_SIEVE_LIMIT_CAP}")
     root = math.isqrt(limit)
-    spf = np.zeros(limit + 1, dtype=np.int64)
+    composite = np.zeros(limit + 1, dtype=bool)
     mobius = np.ones(limit + 1, dtype=np.int8)
     mobius[0] = 0
     rest = np.arange(limit + 1, dtype=np.int32 if limit < 2**31 else np.int64)
     for p in range(2, root + 1):
-        if spf[p]:
+        if composite[p]:
             continue
-        seg = spf[p * p :: p]
-        seg[seg == 0] = p
+        composite[p * p :: p] = True
         signs = mobius[p::p]
         np.negative(signs, out=signs)
         mobius[p * p :: p * p] = 0
         rest[p::p] //= p
     np.negative(mobius, out=mobius, where=rest > 1)
     del rest
-    primes = np.flatnonzero(spf[2:] == 0) + 2
-    spf[primes] = primes
+    primes = np.flatnonzero(~composite[2:]) + 2
+    del composite
 
     von_mangoldt = np.zeros(limit + 1, dtype=np.float64)
     # math.log, not np.log: the vectorised log may differ in the last bit
@@ -116,33 +118,33 @@ def build_sieve(limit: int, limit_cap: int = _SIEVE_LIMIT_CAP) -> SieveTables:
             von_mangoldt[pk] = log_p
             pk *= p
 
-    return SieveTables(limit, spf, primes, mobius, von_mangoldt)
+    return SieveTables(limit, primes, mobius, von_mangoldt)
+
+
+def _distinct_prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing |n|, in increasing order, by trial division."""
+    n = abs(n)
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def euler_phi(n: int) -> int:
-    """Euler totient via trial-division factorization."""
+    """Euler totient, from the trial-division factorization of n."""
     if n < 1:
         raise ValueError("n must be >= 1")
     result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            result -= result // p
-            while m % p == 0:
-                m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        result -= result // m
+    for p in _distinct_prime_factors(n):
+        result -= result // p
     return result
-
-
-def _primorial(w: int) -> int:
-    prod = 1
-    for p in range(2, w + 1):
-        if is_prime_64(p):
-            prod *= p
-    return prod
 
 
 @dataclass(frozen=True)
@@ -151,7 +153,8 @@ class MajorantParams:
 
     Defaults follow the asymptotic prescription: epsilon_k = 1/(2^k (k+4)!)
     and R_exponent = 1/(k 2^(k+4)).  Both are knobs; see the module docstring
-    for why experiments need a much larger R_exponent at desk scale.
+    for why experiments need a much larger R_exponent at desk scale.  W and
+    phi_W = phi(W) are computed once, on construction.
     """
 
     k: int
@@ -160,6 +163,7 @@ class MajorantParams:
     R_exponent: float = 0.0
     epsilon_k: float = 0.0
     W: int = field(init=False)
+    phi_W: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.k < 3:
@@ -180,9 +184,15 @@ class MajorantParams:
             )
         if not 0 < self.epsilon_k <= 0.5:
             raise ValueError("epsilon_k must lie in (0, 1/2]")
-        object.__setattr__(self, "W", _primorial(self.w))
-        if self.W * (self.window[1] + 1) + 1 > _INT63_MAX:
-            raise OverflowError("W * (2 epsilon_k N) + 1 does not fit in 63 bits")
+        W = phi_W = 1  # the 63-bit check ends this scan by p = 53, whatever w is
+        for p in range(2, self.w + 1):
+            if is_prime_64(p):
+                W *= p
+                phi_W *= p - 1
+                if W * (self.window[1] + 1) + 1 > _INT63_MAX:
+                    raise OverflowError("W * (2 epsilon_k N) + 1 does not fit in 63 bits")
+        object.__setattr__(self, "W", W)
+        object.__setattr__(self, "phi_W", phi_W)
 
     @property
     def R(self) -> float:
@@ -198,10 +208,6 @@ class MajorantParams:
         lo = math.ceil(self.epsilon_k * self.N)
         hi = math.floor(2 * self.epsilon_k * self.N)
         return lo, hi
-
-    @property
-    def phi_W(self) -> int:
-        return euler_phi(self.W)
 
 
 def lambda_tilde(n: int, params: MajorantParams) -> float:

@@ -175,6 +175,12 @@ def _write_column(values: np.ndarray, path: str) -> None:
             fh.write(_fmt_float(float(v)) + "\n")
 
 
+def _majorant_params(args) -> MajorantParams:
+    return MajorantParams(
+        k=args.k, N=args.n, w=args.w, R_exponent=args.theta, epsilon_k=args.epsilon
+    )
+
+
 def _measure_from_args(args) -> GridFunction:
     kind = args.nu
     n = args.n
@@ -183,10 +189,7 @@ def _measure_from_args(args) -> GridFunction:
     if kind == "bernoulli":
         return bernoulli_measure(n, args.nu_seed)
     if kind == "majorant":
-        params = MajorantParams(
-            k=args.k, N=n, w=args.w, R_exponent=args.theta, epsilon_k=args.epsilon
-        )
-        return build_majorant(params)
+        return build_majorant(_majorant_params(args))
     return _read_column(kind, n)
 
 
@@ -214,9 +217,7 @@ def _cmd_sieve(args) -> dict:
 
 
 def _cmd_majorant(args) -> dict:
-    params = MajorantParams(
-        k=args.k, N=args.n, w=args.w, R_exponent=args.theta, epsilon_k=args.epsilon
-    )
+    params = _majorant_params(args)
     nu = build_majorant(params)
     if args.output:
         _write_column(nu.values, args.output)
@@ -322,9 +323,7 @@ def _cmd_correlation(args) -> dict:
 
 
 def _cmd_gycheck(args) -> dict:
-    params = MajorantParams(
-        k=args.k, N=args.n, w=args.w, R_exponent=args.theta, epsilon_k=args.epsilon
-    )
+    params = _majorant_params(args)
     lo, hi = params.window
     if args.box:
         lo, hi = (int(s) for s in args.box.split(":"))
@@ -410,14 +409,18 @@ def _cmd_gvn(args) -> dict:
     }
 
 
+def _add_majorant_flags(p: argparse.ArgumentParser, w: int = 3) -> None:
+    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--w", type=int, default=w)
+    p.add_argument("--theta", type=float, default=0.0)
+    p.add_argument("--epsilon", type=float, default=0.0)
+
+
 def _add_measure_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nu", default="constant",
                    help="constant | bernoulli | majorant | path to column CSV")
     p.add_argument("--nu-seed", type=int, default=0, dest="nu_seed")
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--w", type=int, default=3)
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--epsilon", type=float, default=0.0)
+    _add_majorant_flags(p)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -441,10 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("majorant", help="build the majorant measure")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--w", type=int, default=3)
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--epsilon", type=float, default=0.0)
+    _add_majorant_flags(p)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_majorant, seed=None)
 
@@ -494,10 +494,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gycheck", help="window moment ratios of divisor sums")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--w", type=int, default=2)
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--epsilon", type=float, default=0.0)
+    _add_majorant_flags(p, w=2)
     p.add_argument("--h-list", default=None, dest="h_list",
                    help="comma-separated shifts; switches to the shifted check")
     p.add_argument("--box", default=None, help="lo:hi overriding the window")

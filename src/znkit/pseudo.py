@@ -35,8 +35,8 @@ from .core import (
     mc_mean,
     substream,
 )
-from .arith import MajorantParams, divisor_sums_on_progression
-from ._primality import is_prime_64
+from .arith import (MajorantParams, _distinct_prime_factors, build_sieve,
+                    divisor_sums_on_progression, is_prime_64)
 
 __all__ = [
     "LinearFormSystem",
@@ -290,30 +290,18 @@ def verify_linear_forms(
     )
 
 
-def _distinct_prime_factors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def tau_weight(
     n: int, m: int, N: int, c_tau: float = 4.0, a_tau: float | None = None
 ) -> float:
-    """Divisor-built weight dominating shifted-product averages.
+    """Divisor-built weight dominating shifted-product averages, at one n.
 
-    tau(n) = c_tau prod_{p | n} (1 + p^(-1/2))^a_tau for n != 0; at n = 0 it
-    is exp(c_tau m log N / log log N), large enough to absorb coincident
-    shifts.  a_tau defaults to 2m.  c_tau and a_tau are calibration knobs
-    (scripts/calibrate_tau.py); the theory fixes their existence, not values.
+    tau(n) = c_tau prod_{p | n} (1 + p^(-1/2))^a_tau for n != 0, multiplied
+    in increasing p; at n = 0 it is exp(c_tau m log N / log log N), large
+    enough to absorb coincident shifts.  a_tau defaults to 2m.  c_tau and
+    a_tau are calibration knobs (scripts/calibrate_tau.py); the theory fixes
+    their existence, not values.  This scalar route factors n by trial
+    division: verify_correlation calls it only for each tuple's pairwise
+    bounds, and the tests use it as the oracle for its sieved moments.
     """
     if abs(n) > N:
         raise ValueError("|n| must be at most N")
@@ -342,11 +330,16 @@ def verify_correlation(
     E(nu(x+h_1) ... nu(x+h_m)) costs N; reported is the max ratio of left
     side to sum_{i<j} tau(h_i - h_j).  Moments E(tau^q) run over the nonzero
     symmetric residue representatives (the weight at 0 is a separate, huge
-    by construction, spike and is reported via tau_weight directly).
+    by construction, spike and is reported via tau_weight directly).  They
+    are filled from the sieve's primes in tau_weight's order, increasing p,
+    so every weight equals tau_weight's bit for bit.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
     N = nu.group.modulus
+    if N < 3:
+        raise ValueError(f"N = {N}: the tau moments need the (N - 1)/2 nonzero "
+                         "residues, so N must be at least 3")
     vals = nu.values
     max_ratio = -math.inf
     for h in h_tuples:
@@ -361,8 +354,10 @@ def verify_correlation(
             bound += tau_weight(int(h[i]) - int(h[j]), m, N, c_tau, a_tau)
         max_ratio = max(max_ratio, lhs / bound)
     half = (N - 1) // 2
-    reps = np.arange(1, half + 1)
-    tau_vals = np.asarray([tau_weight(int(r), m, N, c_tau, a_tau) for r in reps])
+    factor_exponent = 2.0 * m if a_tau is None else a_tau
+    tau_vals = np.full(half, c_tau, dtype=np.float64)  # tau_vals[r - 1] = tau(r)
+    for p in build_sieve(max(half, 2)).primes.tolist():
+        tau_vals[p - 1 :: p] *= (1.0 + p**-0.5) ** factor_exponent
     moments = {float(q): float((tau_vals ** q).mean()) for q in q_list}
     est = EstimatorResult(max_ratio, 0.0, len(h_tuples), 0)
     return PseudorandomnessReport(
@@ -539,9 +534,8 @@ def gy2_correlation_check(
     lhs = float(prod.mean())
     delta = pairwise_difference_product(h_list)
     arith_factor = 1.0
-    if delta > 1:
-        for p in _distinct_prime_factors(delta):
-            arith_factor *= (1.0 + p**-0.5) ** a_tau
+    for p in _distinct_prime_factors(delta):
+        arith_factor *= (1.0 + p**-0.5) ** a_tau
     denom = (params.W * params.log_R / params.phi_W) ** m * arith_factor
     return EstimatorResult(lhs / denom, 0.0, hi - lo + 1, 0)
 

@@ -1,5 +1,6 @@
 import math
 import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -99,8 +100,9 @@ class TestSieve:
         assert sieve_1e4.von_mangoldt[97] == pytest.approx(math.log(97), abs=1e-15)
 
     def test_smallest_prime_factor(self, sieve_1e4):
-        assert int(sieve_1e4.smallest_prime_factor[91]) == 7
-        assert int(sieve_1e4.smallest_prime_factor[97]) == 97
+        primes = sieve_1e4.primes.tolist()
+        assert next(p for p in primes if 91 % p == 0) == 7
+        assert next(p for p in primes if 97 % p == 0) == 97
 
     def test_limit_cap(self):
         with pytest.raises(BudgetExceededError, match="cap"):
@@ -156,7 +158,6 @@ class TestSieveAgainstTrialDivision:
         spf, mu, lam = sieve_oracle()
         t = build_sieve(limit)
         assert t.limit == limit
-        assert t.smallest_prime_factor.tolist() == spf[: limit + 1]
         assert t.primes.tolist() == [n for n in range(2, limit + 1) if spf[n] == n]
         assert t.mobius.tolist() == mu[: limit + 1]
         # bit-equal: the sieve must store math.log(p) itself, not a nearby float
@@ -229,12 +230,12 @@ class TestLambdaTilde:
         mean = total / limit
         assert abs(mean - 1.0) <= 0.1
         # spot agreement between the scalar op and the sieve route
+        odd_primes_set = set(odd_primes.tolist())
         rng = np.random.default_rng(2)
         for n in rng.integers(1, limit, size=50).tolist():
             direct = lambda_tilde(n, params)
-            via_sieve = 0.5 * math.log(2 * n + 1) if bool(
-                big.smallest_prime_factor[2 * n + 1] == 2 * n + 1
-            ) else 0.0
+            is_prime = 2 * n + 1 in odd_primes_set
+            via_sieve = 0.5 * math.log(2 * n + 1) if is_prime else 0.0
             assert direct == pytest.approx(via_sieve, abs=1e-12)
 
 
@@ -339,6 +340,44 @@ class TestMajorant:
         assert MajorantParams(k=3, N=101, w=2).W == 2
         assert MajorantParams(k=3, N=101, w=5).W == 30
         assert MajorantParams(k=3, N=101, w=7).W == 210
+
+    @pytest.mark.parametrize("epsilon_k", [0.0, 0.25])
+    def test_w_and_phi_w_against_oracle(self, epsilon_k):
+        N = 999983
+        hi = MajorantParams(k=3, N=N, w=2, epsilon_k=epsilon_k).window[1]
+        outcomes = set()
+        for w in range(2, 61):
+            W = math.prod(p for p in range(2, w + 1) if trial_division_is_prime(p))
+            overflows = W * (hi + 1) + 1 > 2**63 - 1
+            outcomes.add(overflows)
+            if overflows:
+                with pytest.raises(OverflowError, match="63 bits"):
+                    MajorantParams(k=3, N=N, w=w, epsilon_k=epsilon_k)
+                continue
+            params = MajorantParams(k=3, N=N, w=w, epsilon_k=epsilon_k)
+            assert params.W == W
+            assert params.phi_W == euler_phi(W)
+        assert outcomes == {False, True}  # the 63-bit edge lies inside [2, 60]
+
+    def test_overflow_edge_counts_hi_plus_one(self):
+        # W (hi + 1) + 1 <= 2^63 - 1 must hold; put hi on either side of the edge
+        W = math.prod(p for p in range(2, 32) if trial_division_is_prime(p))
+        edge = (2**63 - 2) // W  # the least hi with W (hi + 1) + 1 > 2^63 - 1
+        N = 100000007
+        for hi in (edge - 1, edge):
+            epsilon_k = (hi + 0.5) / (2 * N)
+            assert MajorantParams(k=3, N=N, w=2, epsilon_k=epsilon_k).window[1] == hi
+            if hi == edge:
+                with pytest.raises(OverflowError, match="63 bits"):
+                    MajorantParams(k=3, N=N, w=31, epsilon_k=epsilon_k)
+            else:
+                assert MajorantParams(k=3, N=N, w=31, epsilon_k=epsilon_k).W == W
+
+    def test_huge_w_is_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(OverflowError, match="63 bits"):
+            MajorantParams(k=3, N=101, w=10**9)
+        assert time.perf_counter() - start < 1.0
 
     def test_requires_prime_modulus(self):
         with pytest.raises(ValueError):

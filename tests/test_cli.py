@@ -152,6 +152,14 @@ def test_correlation_with_no_distinct_tuple_is_refused(capsys):
     assert "m = 8" in message and "N = 7" in message
 
 
+def test_correlation_needs_n_at_least_three(capsys):
+    code, out = run_cli(capsys, "correlation", "--n", "2")
+    assert code == EXIT_INVALID
+    error = json.loads(out)["error"]
+    assert error["type"] == "invalid"
+    assert "(N - 1)/2 nonzero residues" in error["message"]
+
+
 @pytest.mark.filterwarnings("ignore:box side")
 @pytest.mark.parametrize("samples", ["0", "1"])
 @pytest.mark.parametrize("argv", [

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+import hypothesis.strategies as st
 
 from znkit import (
     CyclicGroup,
@@ -194,6 +196,31 @@ class TestVerifyCorrelation:
         nu = GridFunction.constant(CyclicGroup(101), 1.0)
         with pytest.raises(ValueError):
             verify_correlation(nu, 1, [(0,)])
+
+    def test_rejects_n_below_three(self):
+        nu = GridFunction.constant(CyclicGroup(2), 1.0)
+        with pytest.raises(ValueError, match=r"\(N - 1\)/2 nonzero residues"):
+            verify_correlation(nu, 2, [(0, 1)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        N=st.integers(1, 1499).map(lambda j: 2 * j + 1),
+        m=st.sampled_from((2, 3, 4)),
+        c_tau=st.one_of(st.integers(1, 8), st.floats(0.25, 8.0)),
+        a_tau=st.one_of(st.none(), st.floats(0.5, 12.0)),
+    )
+    @example(N=3, m=2, c_tau=4, a_tau=None)
+    @example(N=2999, m=4, c_tau=2.5, a_tau=3.0)  # prime
+    @example(N=2997, m=3, c_tau=2, a_tau=None)  # 3^4 37
+    @example(N=2145, m=2, c_tau=4.0, a_tau=7.0)  # 3 5 11 13
+    def test_moments_equal_scalar_oracle(self, N, m, c_tau, a_tau):
+        nu = GridFunction.constant(CyclicGroup(N), 1.0)
+        q_list = (0.5, 1.0, 2.0, 4.0)
+        report = verify_correlation(nu, m, [tuple(range(m))], q_list, c_tau, a_tau)
+        oracle = np.asarray(
+            [tau_weight(r, m, N, c_tau, a_tau) for r in range(1, (N - 1) // 2 + 1)]
+        )
+        assert report.moments == {q: float((oracle**q).mean()) for q in q_list}
 
 
 class TestLocalFactors:
