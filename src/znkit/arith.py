@@ -3,7 +3,7 @@
 Integers are factored here only: build_sieve for tables over 1..limit (and
 the tau moments of pseudo.verify_correlation), the private trial-division
 helper _distinct_prime_factors for a single integer (euler_phi, tau_weight,
-the GY pairwise-difference product), and is_prime_64 for primality,
+each pairwise difference of the GY shifts), and is_prime_64 for primality,
 including the primes p <= w behind W and phi(W).
 
 The majorant construction: fix a small-prime cutoff w, let W be the product

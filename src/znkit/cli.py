@@ -50,7 +50,7 @@ from .transference import (
     kvn_decompose,
 )
 
-__all__ = ["RunSpec", "run", "emit_report", "main"]
+__all__ = ["emit_report", "main"]
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -143,23 +143,6 @@ def emit_report(result: dict, fmt: str, path: str | None) -> str:
         with open(path, "w") as fh:
             fh.write(text)
     return text
-
-
-class RunSpec:
-    """A fully-resolved command: name, reported parameters and parsed args."""
-
-    def __init__(self, command: str, parameters: dict, args: argparse.Namespace):
-        self.command = command
-        self.parameters = parameters
-        self.args = args
-
-    def to_meta(self) -> dict:
-        return {
-            "version": __version__,
-            "command": self.command,
-            "parameters": self.parameters,
-            "seed": self.parameters.get("seed"),
-        }
 
 
 def _read_column(path: str, n: int) -> GridFunction:
@@ -532,28 +515,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(spec: RunSpec) -> tuple[int, dict]:
-    """Dispatch a resolved command; returns (exit_code, report envelope)."""
-    args = spec.args
-    started = time.monotonic()
-    try:
-        result = args.func(args)
-        code = EXIT_OK
-    except VerdictError as exc:
-        result = exc.report
-        code = EXIT_VERDICT
-    elapsed_ms = 1000.0 * (time.monotonic() - started)
-    envelope = {
-        "meta": {
-            **spec.to_meta(),
-            "wall_time_ms": elapsed_ms if args.timing else None,
-        },
-        "result": result,
-    }
-    print(f"[znkit] {spec.command} finished in {elapsed_ms:.1f} ms", file=sys.stderr)
-    return code, envelope
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -565,16 +526,29 @@ def main(argv: list[str] | None = None) -> int:
         for k, v in vars(args).items()
         if k not in ("func", "format", "report_file", "timing", "command")
     }
-    spec = RunSpec(args.command, params, args)
+    started = time.monotonic()
     try:
-        code, envelope = run(spec)
+        result = args.func(args)
+        code = EXIT_OK
+    except VerdictError as exc:
+        result = exc.report
+        code = EXIT_VERDICT
     except BudgetExceededError as exc:
         print(_to_json({"error": {"type": "budget", "message": str(exc)}}))
         return EXIT_BUDGET
     except (ValueError, OverflowError, OSError, MemoryError) as exc:
         print(_to_json({"error": {"type": "invalid", "message": str(exc)}}))
         return EXIT_INVALID
-    text = emit_report(envelope, args.format, args.report_file)
+    elapsed_ms = 1000.0 * (time.monotonic() - started)
+    print(f"[znkit] {args.command} finished in {elapsed_ms:.1f} ms", file=sys.stderr)
+    meta = {
+        "version": __version__,
+        "command": args.command,
+        "parameters": params,
+        "seed": params.get("seed"),
+        "wall_time_ms": elapsed_ms if args.timing else None,
+    }
+    text = emit_report({"meta": meta, "result": result}, args.format, args.report_file)
     sys.stdout.write(text)
     return code
 

@@ -153,10 +153,6 @@ class GridFunction:
     def __neg__(self):
         return GridFunction(self.group, -self.values)
 
-    def shift(self, h: int) -> "GridFunction":
-        """x -> f(x + h), reduced into {0, ..., N-1}."""
-        return GridFunction(self.group, np.roll(self.values, -(h % self.group.modulus)))
-
 
 @dataclass(frozen=True)
 class SigmaAlgebra:

@@ -49,7 +49,6 @@ __all__ = [
     "local_factor_omega",
     "gy_moment_check",
     "gy2_correlation_check",
-    "pairwise_difference_product",
     "bernoulli_measure",
     "antiuniform_correlation",
 ]
@@ -244,8 +243,12 @@ def verify_linear_forms(
 ) -> PseudorandomnessReport:
     """Average nu(psi_1(x)) ... nu(psi_m(x)) over x in Z_N^t; target is 1.
 
-    Exact mode enumerates the full grid (cost m N^t, budget-gated); otherwise
-    uniform sampling with a reported standard error.
+    Both modes evaluate one product of nu over the forms at columns of
+    points.  Exact mode enumerates the full grid (cost m N^t, budget-gated)
+    in chunks of flat indices, so memory stays bounded whatever N^t is; each
+    chunk is summed by numpy's pairwise reduction and the chunk sums are
+    added in order.  Otherwise uniform sampling with a reported standard
+    error.
     """
     nu.group.ensure_prime()
     if system.allow_proportional:
@@ -256,24 +259,30 @@ def verify_linear_forms(
     N = nu.group.modulus
     mat, consts = system.residue_matrix(N)
     vals = nu.values
+
+    def weight(x):  # prod_i nu(psi_i(x)) at the columns of x
+        prod = np.ones(x.shape[1])
+        for i in range(system.m):
+            prod *= vals[(mat[i] @ x + consts[i]) % N]
+        return prod
+
     if mode == "exact":
-        cost = system.m * N**system.t
+        points = N**system.t
+        cost = system.m * points
         if cost > budget:
             raise BudgetExceededError(
                 f"exact enumeration costs {cost:.2e} > budget {budget:.2e}; "
                 "use mode='monte_carlo'"
             )
-        grid = np.indices((N,) * system.t, dtype=np.int64).reshape(system.t, -1)
-        prod = np.ones(grid.shape[1])
-        for i in range(system.m):
-            idx = (mat[i] @ grid + consts[i]) % N
-            prod *= vals[idx]
-        est = EstimatorResult(float(prod.mean()), 0.0, int(grid.shape[1]), seed)
+        total = 0.0
+        for start in range(0, points, _MC_CHUNK):
+            flat = np.arange(start, min(start + _MC_CHUNK, points), dtype=np.int64)
+            total += float(weight(np.stack(np.unravel_index(flat, (N,) * system.t))).sum())
+        est = EstimatorResult(total / points, 0.0, points, seed)
     elif mode == "monte_carlo":
 
         def draw(rng, count):
-            x = rng.integers(0, N, size=(count, system.t))
-            return vals[(x @ mat.T + consts) % N].prod(axis=1)
+            return weight(rng.integers(0, N, size=(count, system.t)).T)
 
         est = mc_mean(draw, samples, seed, "linforms", _MC_CHUNK)
     else:
@@ -412,18 +421,42 @@ def local_factor_omega(
     return Fraction(int(mask.sum()), p**t)
 
 
-def pairwise_difference_product(h_list: Sequence[int]) -> int:
-    """prod over i < j of |h_i - h_j|."""
-    out = 1
-    for a, b in itertools.combinations(h_list, 2):
-        out *= abs(int(a) - int(b))
-    return out
-
-
 def _require_nonempty(box: Sequence[tuple[int, int]]) -> None:
     for lo, hi in box:
         if lo > hi:
             raise ValueError(f"box interval [{lo}, {hi}] is empty (lo > hi)")
+
+
+def _window_weight(
+    params: MajorantParams, system: LinearFormSystem, box: Sequence[tuple[int, int]]
+):
+    """weight(x) = prod_i lambda_R(W psi_i(x) + 1)^2 at the columns of x in
+    the box, and its normaliser (W log R / phi(W))^m.
+
+    For each form the divisor sums are computed on the progression
+    W k + W c_i + 1 over the range of k = mat[i] . x across the box (its ends
+    are attained at corners), so memory is O(m |box| + R) whatever W is.
+    """
+    mat, consts = system.integer_matrix()
+    W = params.W
+    forms = []  # (k_lo, k_hi, b) with W psi_i + 1 = W k + b
+    for row, const in zip(mat.tolist(), consts.tolist()):
+        k_lo = sum(a * (lo if a > 0 else hi) for a, (lo, hi) in zip(row, box))
+        k_hi = sum(a * (hi if a > 0 else lo) for a, (lo, hi) in zip(row, box))
+        forms.append((k_lo, k_hi, W * const + 1))
+    if min(W * k_lo + b for k_lo, _, b in forms) < 1:
+        raise OverflowError("forms must stay positive over the box")
+    lams = [divisor_sums_on_progression(W, b, k_lo, k_hi, params.R) for k_lo, k_hi, b in forms]
+    k_min = [k_lo for k_lo, _, _ in forms]
+
+    def weight(x):
+        prod = np.ones(x.shape[1])
+        for i in range(system.m):
+            lam = lams[i][mat[i] @ x - k_min[i]]
+            prod *= lam * lam
+        return prod
+
+    return weight, (W * params.log_R / params.phi_W) ** system.m
 
 
 def gy_moment_check(
@@ -433,7 +466,6 @@ def gy_moment_check(
     mode: str = "exact",
     samples: int = 10**6,
     seed: int = 0,
-    lambda_table: np.ndarray | None = None,
 ) -> EstimatorResult:
     """Window moment of squared truncated divisor sums along integer forms.
 
@@ -441,13 +473,9 @@ def gy_moment_check(
     (W log R / phi(W))^m, the value the ratio approaches for large N.  Exact
     mode direct-sums (one-variable systems only); sampling covers the rest.
     A box side shorter than R^(10 m) only warns: desk-scale windows are
-    routinely shorter, and the ratio is reported either way.
-
-    For each form the divisor sums are computed on the progression
-    W k + W c_i + 1 over the range of k = mat[i] . x across the box, unless
-    a full lambda_table (indexed by the value W psi_i(x) + 1) is supplied.
+    routinely shorter, and the ratio is reported either way.  The divisor
+    sums are always computed on the progression of each form over the box.
     """
-    mat, consts = system.integer_matrix()
     if len(box) != system.t:
         raise ValueError("box must supply one interval per variable")
     _require_nonempty(box)
@@ -456,7 +484,6 @@ def gy_moment_check(
     if mode == "exact" and system.t != 1:
         raise ValueError("exact mode handles one-variable systems; use monte_carlo")
     m = system.m
-    W = params.W
     R = params.R
     min_side = min(hi - lo + 1 for lo, hi in box)
     if min_side < R ** (10 * m):
@@ -465,31 +492,7 @@ def gy_moment_check(
             "the ratio is still reported",
             stacklevel=2,
         )
-    # per form: the range [k_lo, k_hi] of k = mat[i] . x over the box (its
-    # ends are attained at corners) and the offset b with W psi_i + 1 = W k + b
-    forms = []
-    for row, const in zip(mat.tolist(), consts.tolist()):
-        k_lo = sum(a * (lo if a > 0 else hi) for a, (lo, hi) in zip(row, box))
-        k_hi = sum(a * (hi if a > 0 else lo) for a, (lo, hi) in zip(row, box))
-        forms.append((k_lo, k_hi, W * const + 1))
-    if min(W * k_lo + b for k_lo, _, b in forms) < 1:
-        raise OverflowError("forms must stay positive over the box")
-    if lambda_table is None:
-        lams = [divisor_sums_on_progression(W, b, k_lo, k_hi, R) for k_lo, k_hi, b in forms]
-    elif lambda_table.size <= max(W * k_hi + b for _, k_hi, b in forms):
-        raise ValueError("supplied lambda table does not cover the box")
-    else:
-        lams = [lambda_table[W * np.arange(k_lo, k_hi + 1) + b] for k_lo, k_hi, b in forms]
-    k_min = [k_lo for k_lo, _, _ in forms]
-    denom = (W * params.log_R / params.phi_W) ** m
-
-    def weight(x):  # prod_i lambda_R(W psi_i + 1)^2 at the columns of x
-        prod = np.ones(x.shape[1])
-        for i in range(m):
-            lam = lams[i][mat[i] @ x - k_min[i]]
-            prod *= lam * lam
-        return prod
-
+    weight, denom = _window_weight(params, system, box)
     if mode == "exact":
         xs = np.arange(box[0][0], box[0][1] + 1, dtype=np.int64)[None, :]
         return EstimatorResult(float(weight(xs).mean()) / denom, 0.0, xs.shape[1], seed)
@@ -509,11 +512,13 @@ def gy2_correlation_check(
 ) -> EstimatorResult:
     """Shifted-window moment against its arithmetic bound; exact.
 
-    Direct-sums E(prod_i lambda_R(W(x+h_i)+1)^2 | x in box) and divides by
-    (W log R / phi(W))^m times prod_{p | Delta} (1 + p^(-1/2))^a_tau, where
-    Delta is the pairwise difference product of the shifts.  The divisor
-    sums are computed on the progression W x + W h_i + 1 over the box only,
-    so memory is O(m |box| + R) whatever W and the shifts (|h| <= N^2) are.
+    Direct-sums E(prod_i lambda_R(W(x+h_i)+1)^2 | x in box) through the
+    window weight of gy_moment_check on the shifted system x + h_i, and
+    divides by (W log R / phi(W))^m times prod_{p | Delta} (1 + p^(-1/2))^a_tau
+    in increasing p, where Delta is the product of the pairwise differences
+    of the shifts.  Its primes are collected one difference at a time (each
+    is at most 2 N^2), so Delta itself is never factored.  Memory is
+    O(m |box| + R) whatever W and the shifts (|h| <= N^2) are.
     """
     h_list = [int(h) for h in h_list]
     if len(set(h_list)) != len(h_list):
@@ -522,22 +527,17 @@ def gy2_correlation_check(
         raise ValueError("shifts must satisfy |h| <= N^2")
     lo, hi = box
     _require_nonempty([box])
-    m = len(h_list)
+    weight, denom = _window_weight(params, LinearFormSystem.shifted(h_list), [box])
+    lhs = float(weight(np.arange(lo, hi + 1, dtype=np.int64)[None, :]).mean())
     if a_tau is None:
-        a_tau = 2.0 * m
-    if params.W * (lo + min(h_list)) + 1 < 1:
-        raise OverflowError("W (x + h) + 1 must stay positive over the box")
-    prod = np.ones(hi - lo + 1)
-    for h in h_list:
-        lam = divisor_sums_on_progression(params.W, params.W * h + 1, lo, hi, params.R)
-        prod *= lam * lam
-    lhs = float(prod.mean())
-    delta = pairwise_difference_product(h_list)
+        a_tau = 2.0 * len(h_list)
+    primes = set()
+    for a, b in itertools.combinations(h_list, 2):
+        primes.update(_distinct_prime_factors(a - b))
     arith_factor = 1.0
-    for p in _distinct_prime_factors(delta):
+    for p in sorted(primes):
         arith_factor *= (1.0 + p**-0.5) ** a_tau
-    denom = (params.W * params.log_R / params.phi_W) ** m * arith_factor
-    return EstimatorResult(lhs / denom, 0.0, hi - lo + 1, 0)
+    return EstimatorResult(lhs / (denom * arith_factor), 0.0, hi - lo + 1, 0)
 
 
 def bernoulli_measure(N: int, seed: int) -> GridFunction:

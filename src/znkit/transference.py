@@ -312,7 +312,6 @@ class DecompositionConfig:
     samples: int = 200_000
     seed: int = 0
     max_iterations_override: int | None = None
-    alpha_grid: int | None = None
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
@@ -399,11 +398,14 @@ def kvn_decompose(
     """Split 0 <= f <= nu into structured plus uniform parts.
 
     Loop: starting from the trivial partition and an empty exceptional set,
-    form the residual (1 - 1_Omega)(f - E(f|B)); stop once its U^(k-1) norm
-    is at most epsilon^(1/2^k).  Otherwise take the residual's dual function,
-    refine B with its level-set partition, enlarge Omega with the newly small
-    atoms (Omega only ever grows), record the energy, and repeat.  A hard cap
-    on refinements marks the run unsuccessful instead of looping forever.
+    project once onto B, E(f|B), and record the energy of the structured
+    part (1 - 1_Omega) E(f|B) and the residual (1 - 1_Omega)(f - E(f|B));
+    stop once the residual's U^(k-1) norm is at most epsilon^(1/2^k).
+    Otherwise take the residual's dual function, refine B with its level-set
+    partition, enlarge Omega with the newly small atoms (Omega only ever
+    grows), and repeat.  The last pass's structured part is f_antiuniform.
+    A hard cap on refinements marks the run unsuccessful instead of looping
+    forever.
     """
     if f.group.modulus != nu.group.modulus:
         raise GroupMismatchError("f and nu must share a group")
@@ -420,19 +422,18 @@ def kvn_decompose(
     sigma = SigmaAlgebra.trivial(group)
     omega = np.zeros(group.modulus, dtype=bool)
     nu_plus = nu.values + 1.0
-    energies = [energy(f, sigma, omega)]
     log: list[dict] = []
     iterations = 0
     success = False
     final_est: GowersEstimate
-    residual: GridFunction
     while True:
         proj = conditional_expectation(f, sigma).values
+        anti = np.where(omega, 0.0, proj)
         residual = GridFunction(group, np.where(omega, 0.0, f.values - proj))
         est = _estimate_uniformity(residual, d, config, iterations)
         record = {
             "K": iterations,
-            "energy": energies[-1],
+            "energy": float((anti * anti).mean()),
             "uniformity": est.norm_value,
             "uniformity_stderr": est.std_error,
             "atom_count": sigma.atom_count,
@@ -449,24 +450,19 @@ def kvn_decompose(
             break
         dual = _dual_for_step(residual, d, config, iterations)
         level, alpha = build_level_sigma(
-            dual, config.epsilon, config.eta, nu,
-            alpha_grid=config.alpha_grid, value_bound=dual_bound,
+            dual, config.epsilon, config.eta, nu, value_bound=dual_bound
         )
         sigma = join_sigma([sigma, level])
         omega = omega | exceptional_set(sigma, nu, config.eta)
-        energies.append(energy(f, sigma, omega))
         record["chosen_alpha"] = alpha
         iterations += 1
-    anti = GridFunction(
-        group, np.where(omega, 0.0, conditional_expectation(f, sigma).values)
-    )
     omega.setflags(write=False)
     return DecompositionResult(
         sigma=sigma,
         omega=omega,
         f_uniform=residual,
-        f_antiuniform=anti,
-        energy_trace=tuple(energies),
+        f_antiuniform=GridFunction(group, anti),
+        energy_trace=tuple(record["energy"] for record in log),
         iterations=iterations,
         final_uniformity=final_est,
         terminated_successfully=success,

@@ -1,5 +1,8 @@
+import importlib.util
 import json
 import os
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,6 +136,37 @@ def test_gycheck_moment_and_shifted(capsys):
     shifted = json.loads(out)["result"]
     assert shifted["kind"] == "shifted_correlation"
     assert 0 < shifted["ratio"] < 2
+
+
+def test_benchmark_tracer_counters_read_their_parameters(capsys, tmp_path):
+    # perfbench/tracer.py reads the parameters alpha_grid, eta, G, mode and
+    # samples of the functions it wraps; renaming one breaks the traced run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    interval = tmp_path / "interval.csv"
+    interval.write_text("".join("1\n" if i < 50 else "0\n" for i in range(101)))
+    calls = [
+        ("decompose", "--n", "101", "--f", str(interval),
+         "--epsilon-dec", "1e-4", "--eta", "1e-5"),
+        ("linforms", "--n", "101", "--samples", "1000"),
+        ("gycheck", "--n", "1009", "--theta", "0.5", "--epsilon", "0.25",
+         "--mode", "monte_carlo", "--samples", "1000"),
+    ]
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            codes = [run_cli(capsys, *argv)[0] for argv in calls]
+    finally:
+        trace.uninstall()
+    assert codes == [EXIT_OK] * len(calls)
+    metrics = trace.metrics()
+    for name in ("transference.alpha_evals", "transference.refine_iterations",
+                 "pseudo.mc_samples"):
+        assert metrics[name] > 0, name
 
 
 @pytest.mark.parametrize("extra", [(), ("--h-list", "0,2")])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -30,7 +31,6 @@ from znkit.core import mc_mean
 from znkit.pseudo import (
     _MC_CHUNK,
     antiuniform_correlation,
-    pairwise_difference_product,
     pseudorandom_condition_parameters,
 )
 
@@ -142,6 +142,52 @@ class TestVerifyLinearForms:
         b = verify_linear_forms(nu, LinearFormSystem.cube(2), mode="monte_carlo",
                                 samples=50_000, seed=5)
         assert a.estimate.value == b.estimate.value
+
+    @pytest.mark.parametrize("system", [
+        LinearFormSystem.cube(2),
+        LinearFormSystem.cube(3),
+        LinearFormSystem.from_rows([("1/2", 1), (1, 3), (1, "-1/3")], [0, 5, -2]),
+    ])
+    def test_monte_carlo_equals_gathered_draw(self, system):
+        # the draw as a (count, t) block gathered to (count, m) in one step
+        nu = bernoulli_measure(101, seed=2)
+        mat, consts = system.residue_matrix(101)
+
+        def draw(rng, count):
+            x = rng.integers(0, 101, size=(count, system.t))
+            return nu.values[(x @ mat.T + consts) % 101].prod(axis=1)
+
+        samples = 2 * _MC_CHUNK + 1000
+        want = mc_mean(draw, samples, 9, "linforms", _MC_CHUNK)
+        got = verify_linear_forms(nu, system, mode="monte_carlo", samples=samples, seed=9)
+        assert (got.estimate.value, got.estimate.std_error) == (want.value, want.std_error)
+
+    def test_exact_matches_full_grid_product(self):
+        N = 401  # N^2 points: more than one enumeration chunk
+        nu = bernoulli_measure(N, seed=6)
+        for system in (
+            LinearFormSystem.progression(3),
+            LinearFormSystem.from_rows([("1/2", 1), (1, 3), (1, "-1/3")], [0, 5, -2]),
+        ):
+            mat, consts = system.residue_matrix(N)
+            grid = np.indices((N,) * system.t, dtype=np.int64).reshape(system.t, -1)
+            prod = np.ones(grid.shape[1])
+            for i in range(system.m):
+                prod *= nu.values[(mat[i] @ grid + consts[i]) % N]
+            report = verify_linear_forms(nu, system, mode="exact")
+            assert report.estimate.value == pytest.approx(float(prod.mean()), rel=1e-12)
+            assert report.estimate.samples == N**system.t
+
+    def test_exact_memory_is_bounded(self):
+        # a full N^2 index grid here would take hundreds of MiB
+        nu = bernoulli_measure(4001, seed=1)
+        tracemalloc.start()
+        try:
+            verify_linear_forms(nu, LinearFormSystem.progression(3), mode="exact")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestTauWeight:
@@ -278,18 +324,23 @@ class TestLocalFactors:
 
 
 class TestWindowMoments:
-    def test_synthetic_constant_table(self):
-        # replacing the divisor sums by the constant log R turns the ratio
-        # into the closed form (phi(W) log R / W)^m
-        params = MajorantParams(k=3, N=10007, w=2, R_exponent=0.25, epsilon_k=0.25)
+    def test_closed_form_when_r_is_below_three(self):
+        # at w = 2 and R < 3 the only squarefree d <= R are 1 and 2, and 2
+        # never divides the odd W k + W c + 1, so every divisor sum is log R
+        # and the ratio is ((phi(W)/W) log R)^m
+        params = MajorantParams(k=3, N=10007, w=2, R_exponent=0.05, epsilon_k=0.25)
+        assert params.R < 3
         lo, hi = params.window
-        table = np.full(params.W * hi + 2, params.log_R)
-        system = LinearFormSystem.from_rows([(1,)])
+        want = params.phi_W / params.W * params.log_R
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            est = gy_moment_check(params, system, [(lo, hi)], lambda_table=table)
-        want = params.phi_W / params.W * params.log_R
-        assert est.value == pytest.approx(want, rel=1e-12)
+            one = gy_moment_check(params, LinearFormSystem.from_rows([(1,)]), [(lo, hi)])
+            two = gy_moment_check(params, LinearFormSystem.from_rows([(1, 0), (1, 3)], [0, 2]),
+                                  [(lo, hi), (0, 50)], mode="monte_carlo", samples=1000)
+        shifted = gy2_correlation_check(params, [0, 4, 9], (lo, hi), a_tau=0.0)
+        assert one.value == pytest.approx(want, rel=1e-12)
+        assert two.value == pytest.approx(want**2, rel=1e-12)
+        assert shifted.value == pytest.approx(want**3, rel=1e-12)
 
     def test_exact_agrees_with_manual_mean(self):
         params = MajorantParams(k=3, N=1009, w=2, R_exponent=0.3, epsilon_k=0.25)
@@ -450,9 +501,44 @@ class TestShiftedWindowMoments:
             b = gy_moment_check(params, system, [(lo, hi)])
         assert a.value == pytest.approx(b.value, rel=1e-12)
 
-    def test_difference_product(self):
-        assert pairwise_difference_product([1, 4, 6]) == 30
-        assert pairwise_difference_product([0, 7]) == 7
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shifts=st.lists(st.integers(-2000, 2000), min_size=1, max_size=4, unique=True),
+        a_tau=st.one_of(st.none(), st.floats(0.0, 8.0)),
+        w=st.sampled_from([2, 3]),
+    )
+    def test_matches_factored_delta_route(self, shifts, a_tau, w):
+        # the bound's primes are read off Delta = prod_{i<j} |h_i - h_j| itself
+        params = MajorantParams(k=3, N=1009, w=w, R_exponent=0.5, epsilon_k=0.25)
+        lo, hi = 2001, 2100  # W (x + h) + 1 >= 1 for every shift
+        table = lambda_r_table(params.W * (hi + max(shifts)) + 1, params.R)
+        xs = np.arange(lo, hi + 1)
+        prod = np.ones(xs.size)
+        for h in shifts:
+            lam = table[params.W * (xs + h) + 1]
+            prod *= lam * lam
+        delta = math.prod(abs(a - b) for a, b in itertools.combinations(shifts, 2))
+        exponent = 2.0 * len(shifts) if a_tau is None else a_tau
+        factor = 1.0
+        p = 2
+        while delta > 1:
+            if delta % p == 0:
+                factor *= (1.0 + p**-0.5) ** exponent
+                while delta % p == 0:
+                    delta //= p
+            p += 1
+        denom = (params.W * params.log_R / params.phi_W) ** len(shifts) * factor
+        est = gy2_correlation_check(params, shifts, (lo, hi), a_tau=a_tau)
+        assert est.value == float(prod.mean()) / denom
+
+    def test_large_prime_differences_finish(self):
+        # Delta is about 6e33 here; its primes come from the three differences
+        params = MajorantParams(k=3, N=999983, w=2, R_exponent=0.3333, epsilon_k=0.25)
+        lo = params.window[0]
+        shifts = [0, 100000000003, 300000000044]
+        est = gy2_correlation_check(params, shifts, (lo, lo + 99))
+        assert est.samples == 100
+        assert 0.0 < est.value < math.inf
 
     def test_adjacent_shift_ratio_is_controlled(self):
         params = MajorantParams(k=3, N=999983, w=2, R_exponent=1 / 3, epsilon_k=0.25)

@@ -440,6 +440,20 @@ class TestDecomposition:
         assert first["chosen_alpha"] is not None  # a refinement happened
         assert res.iteration_log[-1]["chosen_alpha"] is None  # stopping pass
 
+    @pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
+    def test_final_energy_and_structured_part_match_oracles(self, mode):
+        # refines once, and E(f | sigma) is nonzero on part of omega
+        nu = bernoulli_measure(401, seed=4)
+        f = GridFunction(nu.group, np.where(np.arange(401) < 200, nu.values, 0.0))
+        config = DecompositionConfig(k=3, epsilon=1e-3, eta=9e-4, uniformity_mode=mode,
+                                     samples=20_000, seed=3)
+        res = kvn_decompose(f, nu, config)
+        assert res.iterations >= 1
+        assert conditional_expectation(f, res.sigma).values[res.omega].any()
+        assert res.energy_trace[-1] == energy(f, res.sigma, res.omega)
+        want = np.where(res.omega, 0, conditional_expectation(f, res.sigma).values)
+        assert np.array_equal(res.f_antiuniform.values, want)
+
 
 class TestGvnCheck:
     def test_constant_measure_classical_case(self):
