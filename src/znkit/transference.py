@@ -52,7 +52,14 @@ __all__ = [
 
 
 def ap_expectation(fs: Sequence[GridFunction], cs: Sequence[int]) -> float:
-    """E(prod_j f_j(x + c_j r) | x, r in Z_N); exact, cost N^2 products.
+    """E(prod_j f_j(x + c_j r) | x, r in Z_N); exact.
+
+    Three coefficients distinct mod N take the Fourier route, cost N log N:
+    the frequency triples with xi_0 + xi_1 + xi_2 = 0 and
+    c_0 xi_0 + c_1 xi_1 + c_2 xi_2 = 0 (mod N) are t (a_0, a_1, a_2) with
+    a_j = c_(j+1) - c_(j+2), so the average is sum_t prod_j f^_j(t a_j), where
+    f^ = fft(f) / N.  Any other case (k != 3, or coefficients distinct as
+    integers but congruent mod N) multiplies N shifted copies, cost N^2.
 
     Includes the degenerate r = 0 terms; callers comparing against integer
     progression counts must subtract them explicitly.
@@ -67,6 +74,13 @@ def ap_expectation(fs: Sequence[GridFunction], cs: Sequence[int]) -> float:
             raise GroupMismatchError("all functions must share one group")
     group.ensure_prime()
     n = group.modulus
+    if len(cs) == 3 and len({c % n for c in cs}) == 3:
+        t = np.arange(n, dtype=np.int64)
+        prod = np.ones(n, dtype=np.complex128)
+        for j, f in enumerate(fs):
+            a = (cs[(j + 1) % 3] - cs[(j + 2) % 3]) % n
+            prod *= (np.fft.fft(f.values) / n)[t * a % n]
+        return float(prod.sum().real)
     total = 0.0
     for r in range(n):
         prod = np.ones(n)
@@ -111,6 +125,8 @@ def gvn_check(
     Trial functions are random pointwise scalings of nu + 1 (occasionally
     with one slot pinned at nu + 1 itself, the extreme allowed envelope).
     """
+    if trials < 1:
+        raise ValueError(f"need trials >= 1 to fit a slope, got trials = {trials}")
     if nu.values.min() < 0:
         raise ValueError("nu must be nonnegative")
     group = nu.group
@@ -195,7 +211,12 @@ def count_prime_aps(k: int, limit: int, budget: int = 10**9) -> int:
     odd primes' half-indices (p - 1) / 2, a transform of 5-smooth length
     about limit, and reads the pair counts at the odd prime midpoints only;
     of the sieve it keeps just the primes, so the tables are freed before
-    the transform.  Other k scan starts and differences (budget-gated).
+    the transform.  Other k scan starts p and differences d = 6, 12, ...
+    (budget-gated on primes * limit, the scan of every d): 6 divides the
+    difference of every progression of four or more primes.  An odd d makes
+    p + d (p odd) or p + 2d (p = 2) even and larger than 2; a d prime to 3
+    puts p, p + d, p + 2d in every residue class mod 3, so one of them is 3,
+    which must be p, and then p + 3d = 3 (1 + d) is composite.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -216,14 +237,146 @@ def count_prime_aps(k: int, limit: int, budget: int = 10**9) -> int:
     count = 0
     for p in primes.tolist():
         max_d = (limit - p) // (k - 1)
-        if max_d < 1:
+        if max_d < 6:
             break
-        ds = np.arange(1, max_d + 1, dtype=np.int64)
-        ok = np.ones(max_d, dtype=bool)
+        ds = np.arange(6, max_d + 1, 6, dtype=np.int64)
+        ok = np.ones(ds.size, dtype=bool)
         for j in range(1, k):
             ok &= is_prime[p + j * ds]
         count += int(ok.sum())
     return count
+
+
+# Beyond 2^53 the grid points j / alpha_grid and the run ends
+# (frac +- eta) * alpha_grid no longer tell neighbouring j apart.
+_MAX_ALPHA_GRID = 2**53
+
+
+def _near_cut(frac: np.ndarray, j, grid: int, eta: float) -> np.ndarray:
+    """The level search's test: frac within eta of the cut j / grid on the
+    circle, by the same float expression at every grid index j."""
+    dist = np.abs(frac - (j % grid) / grid)
+    return np.minimum(dist, 1.0 - dist) <= eta
+
+
+def _cut_runs(
+    frac: np.ndarray, grid: int, eta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per point, the grid indices j whose cut it lies near: one circular run.
+
+    The float distance from frac to j / grid falls, weakly, from the
+    antipode to the cut nearest frac and rises back, so the j that pass
+    `_near_cut` form one circular run around floor(frac * grid), and the
+    ones that fail, if any, one run around the antipode.  A point passing
+    nowhere in a window of +-4 around the first has an empty run; one
+    failing nowhere around the second has the whole circle.  The ends of
+    any other run are bisected on the test itself, between a passing and a
+    failing index.  Returns the masks `full` and `part` and, for the `part`
+    points, the run [lo, hi] in unwrapped coordinates, hi - lo < grid - 1.
+    """
+    n = frac.size
+    base = np.floor(frac * grid).astype(np.int64)
+    inside = np.zeros(n, dtype=np.int64)
+    outside = np.zeros(n, dtype=np.int64)
+    has_in = np.zeros(n, dtype=bool)
+    has_out = np.zeros(n, dtype=bool)
+    for off in range(-4, 5):
+        j = base + off
+        hit = ~has_in & _near_cut(frac, j, grid, eta)
+        inside[hit] = j[hit]
+        has_in |= hit
+        j = base + (grid // 2 + off)
+        miss = ~has_out & ~_near_cut(frac, j, grid, eta)
+        outside[miss] = j[miss]
+        has_out |= miss
+    part = has_in & has_out
+    frac, lo_in = frac[part], inside[part]
+    hi_out = lo_in + (outside[part] - lo_in) % grid  # in (lo_in, lo_in + grid)
+    lo_out, hi_in = hi_out - grid, lo_in.copy()
+    while True:
+        open_lo = lo_in - lo_out > 1
+        open_hi = hi_out - hi_in > 1
+        if not (open_lo.any() or open_hi.any()):
+            break
+        mid = (lo_out + lo_in) // 2
+        near = _near_cut(frac, mid, grid, eta)
+        lo_in = np.where(open_lo & near, mid, lo_in)
+        lo_out = np.where(open_lo & ~near, mid, lo_out)
+        mid = (hi_in + hi_out) // 2
+        near = _near_cut(frac, mid, grid, eta)
+        hi_in = np.where(open_hi & near, mid, hi_in)
+        hi_out = np.where(open_hi & ~near, mid, hi_out)
+    return has_in & ~has_out, part, lo_in, hi_in
+
+
+def _level_alpha_index(
+    frac: np.ndarray, weights: np.ndarray, grid: int, eta: float
+) -> int:
+    """First grid index j at which the alpha search of `build_level_sigma`
+    settles, found from the sorted ends of the points' runs.
+
+    The mass at j, float(weights[_near_cut(frac, j)].sum()) / N, is constant
+    between run ends.  Each run adds +w at its start and -w past its end
+    (wrapping runs and full circles are active at j = 0), so a cumulative
+    sum over the ends sorted by j gives every constant segment, its first j
+    and its mass to within a running bound on the rounding of the sum and
+    of the pairwise sum the search takes.  The search keeps the first j
+    whose mass falls below the best so far by more than 1e-15, which only
+    a strict new minimum can do; so only segments whose lower bound lies
+    below every earlier upper bound are candidates, and those whose lower
+    bound clears the current threshold are skipped.  The rest get their
+    mass recomputed exactly as the search takes it, in increasing j.
+    """
+    n = frac.size
+    full, part, lo, hi = _cut_runs(frac, grid, eta)
+    start = lo % grid
+    end = start + (hi - lo + 1)
+    wrap, inner = end > grid, end < grid
+    w = weights[part]
+    zero = np.zeros(1, dtype=np.int64)
+    ends = (  # (j, +1 or -1, weight): each run is active from its start to its end
+        (zero, 0, np.zeros(1)),  # opens the segment at j = 0
+        (start, 1, w),
+        (end[inner], -1, w[inner]),
+        (zero.repeat(wrap.sum()), 1, w[wrap]),  # a wrapping run is active at 0
+        (end[wrap] - grid, -1, w[wrap]),
+        (zero.repeat(full.sum()), 1, weights[full]),  # and so is a full circle
+    )
+    pos = np.concatenate([j for j, _, _ in ends])
+    sign = np.concatenate([np.full(j.size, step) for j, step, _ in ends])
+    delta = sign * np.concatenate([weight for _, _, weight in ends])
+    order = np.argsort(pos, kind="stable")
+    pos, sign, delta = pos[order], sign[order], delta[order]
+    last = np.flatnonzero(np.diff(pos, append=grid))  # each position's last end
+    first_j = pos[last]
+    counts = np.cumsum(sign)[last]
+    mass = np.cumsum(delta)[last]
+    size = np.cumsum(sign * np.abs(delta))  # sum of |w| over the active runs
+    # twice the running bound u * sum |partial sums| on the cumulative sum,
+    # plus numpy's pairwise-sum bound on the search's own sum (count - 1
+    # sequential steps, or at most about 32 + log2(count)), plus the division
+    u = 2.0**-53
+    pairwise = np.minimum(counts, 32.0 + np.log2(np.maximum(counts, 1)))
+    slack = (2.0 * u * (np.cumsum(size)[last] + pairwise * size[last])
+             + 4.0 * u * np.abs(mass))
+    empty = counts == 0
+    mass[empty] = 0.0
+    slack[empty] = 0.0
+    lower = (mass - slack) / n
+    upper = (mass + slack) / n
+    candidate = np.ones(first_j.size, dtype=bool)
+    candidate[1:] = lower[1:] < np.minimum.accumulate(upper)[:-1]
+    best_j = 0
+    best_mass = math.inf
+    for k in np.flatnonzero(candidate).tolist():
+        if lower[k] >= best_mass - 1e-15:
+            continue
+        j = int(first_j[k])
+        exact = float(weights[_near_cut(frac, j, grid, eta)].sum()) / n
+        if exact < best_mass - 1e-15:
+            best_mass = exact
+            best_j = j
+    return best_j
 
 
 def build_level_sigma(
@@ -236,15 +389,28 @@ def build_level_sigma(
 ) -> tuple[SigmaAlgebra, float]:
     """Partition Z_N by the level sets G in [eps(n + alpha), eps(n + 1 + alpha)).
 
-    alpha is chosen from an equispaced grid in [0, 1) to minimize the
-    (nu + 1)-mass within eta of the cut points; the minimum is no worse than
-    the grid average, which is O(eta) for any measure of mean O(1).  Returns
+    alpha is chosen from the grid j / alpha_grid, j = 0, ..., alpha_grid - 1
+    (default alpha_grid = ceil(1/eta)), to minimize the (nu + 1)-mass within
+    eta of the cut points; the minimum is no worse than the grid average,
+    which is O(eta) for any measure of mean O(1).  The choice is that of
+    trying every j in turn and keeping the first whose mass falls below the
+    best so far by more than 1e-15, but it is read off the 2N sorted ends
+    of the points' runs of nearby cuts: cost N (log N + log alpha_grid),
+    plus N for each near-minimal mass recomputed, and no array of
+    alpha_grid entries.  A grid below 1 or above 2^53 is refused.  Returns
     the partition and the chosen alpha.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
     if not 0 < eta < 0.5:
         raise ValueError("eta must lie in (0, 1/2)")
+    if alpha_grid is None:
+        alpha_grid = math.ceil(1.0 / eta)
+    if not 1 <= alpha_grid <= _MAX_ALPHA_GRID:
+        raise ValueError(
+            f"alpha_grid must lie in [1, 2^53], got {alpha_grid}: beyond 2^53 "
+            "neighbouring cuts j / alpha_grid cannot be told apart"
+        )
     if G.group.modulus != nu.group.modulus:
         raise GroupMismatchError("G and nu must share a group")
     if value_bound is not None:
@@ -253,21 +419,9 @@ def build_level_sigma(
             raise ValueError(
                 f"G exceeds the declared bound: max |G| = {top} > {value_bound}"
             )
-    if alpha_grid is None:
-        alpha_grid = math.ceil(1.0 / eta)
     scaled = G.values / epsilon
     frac = scaled - np.floor(scaled)
-    weights = nu.values + 1.0
-    best_alpha = 0.0
-    best_mass = math.inf
-    for j in range(alpha_grid):
-        alpha = j / alpha_grid
-        dist = np.abs(frac - alpha)
-        dist = np.minimum(dist, 1.0 - dist)
-        mass = float(weights[dist <= eta].sum()) / G.group.modulus
-        if mass < best_mass - 1e-15:
-            best_mass = mass
-            best_alpha = alpha
+    best_alpha = _level_alpha_index(frac, nu.values + 1.0, alpha_grid, eta) / alpha_grid
     labels = np.floor(scaled - best_alpha).astype(np.int64)
     return SigmaAlgebra.from_labels(G.group, labels), best_alpha
 
@@ -325,6 +479,11 @@ class DecompositionConfig:
             raise ValueError("eta must lie in (0, 1/2)")
         if self.eta >= self.epsilon:
             raise ValueError("eta must be smaller than epsilon")
+        if math.ceil(1.0 / self.eta) > _MAX_ALPHA_GRID:
+            raise ValueError(
+                f"eta = {self.eta} is too small: its level grid ceil(1/eta) "
+                "exceeds 2^53 cut points"
+            )
         if self.uniformity_mode not in ("exact", "monte_carlo"):
             raise ValueError("uniformity_mode must be 'exact' or 'monte_carlo'")
 

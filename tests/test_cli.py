@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import time
 import warnings
 from pathlib import Path
 
@@ -153,6 +154,8 @@ def test_benchmark_tracer_counters_read_their_parameters(capsys, tmp_path):
         ("linforms", "--n", "101", "--samples", "1000"),
         ("gycheck", "--n", "1009", "--theta", "0.5", "--epsilon", "0.25",
          "--mode", "monte_carlo", "--samples", "1000"),
+        ("gvn", "--n", "101", "--trials", "2"),
+        ("apcount", "--k", "4", "--limit", "200"),
     ]
     trace = tracer.Tracer()
     trace.install()
@@ -167,6 +170,37 @@ def test_benchmark_tracer_counters_read_their_parameters(capsys, tmp_path):
     for name in ("transference.alpha_evals", "transference.refine_iterations",
                  "pseudo.mc_samples"):
         assert metrics[name] > 0, name
+    # the self-timed functions still do their own work under their public names
+    for name in ("transference.ap_expectation", "transference.build_level_sigma",
+                 "transference.count_prime_aps"):
+        assert metrics[f"{name}.self_s"] > 0, name
+
+
+def test_decompose_with_a_fine_level_grid_finishes(capsys):
+    # 10^13 cut points per refinement: a per-alpha loop never finished this
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "decompose", "--n", "31", "--k", "4",
+                        "--epsilon-dec", "1e-12", "--eta", "1e-13")
+    assert code == EXIT_OK
+    assert time.perf_counter() - start < 5.0
+    assert json.loads(out)["result"]["iterations"] >= 1
+
+
+def test_decompose_refuses_a_level_grid_past_2_53(capsys):
+    code, out = run_cli(capsys, "decompose", "--n", "31", "--k", "4",
+                        "--epsilon-dec", "1e-12", "--eta", "1e-17")
+    assert code == EXIT_INVALID
+    error = json.loads(out)["error"]
+    assert error["type"] == "invalid"
+    assert "2^53" in error["message"]
+
+
+def test_gvn_needs_a_trial(capsys):
+    code, out = run_cli(capsys, "gvn", "--n", "101", "--trials", "0")
+    assert code == EXIT_INVALID
+    error = json.loads(out)["error"]
+    assert error["type"] == "invalid"
+    assert "trials" in error["message"]
 
 
 @pytest.mark.parametrize("extra", [(), ("--h-list", "0,2")])

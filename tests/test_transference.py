@@ -39,6 +39,30 @@ def brute_ap_expectation(fs, cs, n):
     return total / n**2
 
 
+def brute_level_alpha(G, epsilon, eta, nu, alpha_grid=None):
+    """The alpha that build_level_sigma chose by trying every grid point in
+    turn, kept as the oracle for its cut-point search."""
+    if alpha_grid is None:
+        alpha_grid = math.ceil(1.0 / eta)
+    scaled = G.values / epsilon
+    frac = scaled - np.floor(scaled)
+    weights = nu.values + 1.0
+    best_alpha = 0.0
+    best_mass = math.inf
+    for j in range(alpha_grid):
+        alpha = j / alpha_grid
+        dist = np.abs(frac - alpha)
+        dist = np.minimum(dist, 1.0 - dist)
+        mass = float(weights[dist <= eta].sum()) / G.group.modulus
+        if mass < best_mass - 1e-15:
+            best_mass = mass
+            best_alpha = alpha
+    return best_alpha
+
+
+_SMALL_PRIMES = [n for n in range(2, 61) if is_prime_64(n)]
+
+
 def brute_count_aps(k, limit):
     """k-APs of primes <= limit, each found once from its first two terms.
 
@@ -121,6 +145,25 @@ class TestApExpectation:
         with pytest.raises(ValueError):
             ap_expectation([one, one], [1, 1])
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(_SMALL_PRIMES),
+        st.lists(st.integers(-130, 130), min_size=3, max_size=4, unique=True),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(2, [0, 1, 2], 0)  # 0 = 2 mod 2: the shifted-copies route
+    @example(3, [0, 1, 2], 1)
+    @example(3, [0, 1, 4], 2)  # congruent mod N, distinct as integers
+    @example(3, [0, 3, -3], 6)  # all three congruent: a two-dimensional kernel
+    @example(59, [0, 1, 60], 3)
+    @example(53, [-1, -5, 7], 4)
+    @example(7, [0, 1, 2, 3], 5)
+    def test_matches_brute_force_on_small_primes(self, n, cs, seed):
+        rng = np.random.default_rng(seed)
+        g = CyclicGroup(n)
+        fs = [random_function(g, rng) for _ in cs]
+        assert abs(ap_expectation(fs, cs) - brute_ap_expectation(fs, cs, n)) <= 1e-12
+
 
 class TestCountPrimeAps:
     def test_known_small_value(self):
@@ -134,8 +177,10 @@ class TestCountPrimeAps:
             assert count_prime_aps(3, limit) == brute_count_aps(3, limit)
 
     def test_scan_route_matches_brute_force(self):
-        for limit in (30, 200):
-            assert count_prime_aps(4, limit) == brute_count_aps(4, limit)
+        # the scan steps d by 6; the oracle tries every difference
+        for k in (4, 5, 6):
+            for limit in [*range(31), 97, 200, 331, 1000, 3000]:
+                assert count_prime_aps(k, limit) == brute_count_aps(k, limit), (k, limit)
 
     def test_record_23_term_progression(self):
         a, d = 56211383760397, 44546738095860
@@ -259,6 +304,102 @@ class TestLevelSigma:
         s2, a2 = build_level_sigma(G, 0.25, 0.05, nu)
         assert a1 == a2
         assert np.array_equal(s1.atom_label, s2.atom_label)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(2, 30),
+        st.sampled_from(["random", "cuts", "cut_edges", "constant"]),
+        st.sampled_from(["zero", "constant", "random", "decimal", "ulp_ties"]),
+        st.one_of(st.none(), st.integers(1, 130)),
+        st.one_of(
+            st.floats(1e-3, 0.4999999, allow_nan=False),
+            st.sampled_from([1e-3, 0.01, 0.25, 0.49, 0.499999, 0.4999999999]),
+        ),
+        st.sampled_from([0.05, 0.3, 0.7, 0.999]),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(17, "cuts", "constant", 200, 0.005, 0.3, 0)  # grid far above 2N
+    @example(17, "cut_edges", "zero", 3, 0.49, 0.05, 1)  # coarse grid, eta near 1/2
+    @example(2, "constant", "zero", 1, 0.4999999999, 0.7, 2)
+    def test_cut_point_search_matches_the_grid_loop(
+        self, n, g_kind, nu_kind, alpha_grid, eta, epsilon, seed
+    ):
+        rng = np.random.default_rng(seed)
+        grid = alpha_grid or math.ceil(1.0 / eta)
+        if g_kind == "random":
+            values = rng.uniform(-3, 3, n)
+        elif g_kind == "cuts":  # G / epsilon exactly on a grid point j / grid
+            values = rng.integers(-3 * grid, 3 * grid, n) * epsilon / grid
+        elif g_kind == "cut_edges":  # eta away from one
+            cut = rng.integers(-3 * grid, 3 * grid, n) / grid
+            values = (cut + rng.choice([-eta, eta], n)) * epsilon
+        else:
+            values = np.full(n, rng.uniform(-3, 3))
+        g = CyclicGroup(n)
+        G = GridFunction(g, values)
+        nu = GridFunction(g, {
+            "zero": np.zeros(n),
+            "constant": np.full(n, rng.uniform(0, 5)),
+            "random": rng.uniform(0, 5, n),
+            # equal sums whose float sums differ in the last place
+            "decimal": rng.choice([0.1, 0.2, 0.3, 0.4, 0.6, 0.7], n),
+            # masses an ulp of 1000 apart, where the 1e-15 margin decides
+            "ulp_ties": rng.choice([0.0, -0.9, 999.0, 999.0 + 2**-43, 999.0 - 2**-43,
+                                    999.0 + 2**-42], n),
+        }[nu_kind])
+        _, alpha = build_level_sigma(G, epsilon, eta, nu, alpha_grid=alpha_grid)
+        assert alpha == brute_level_alpha(G, epsilon, eta, nu, alpha_grid)
+
+    @pytest.mark.parametrize("drop, want", [(5e-16, 0.0), (2e-15, 0.5)])
+    def test_a_later_alpha_must_win_by_more_than_1e_15(self, drop, want):
+        # two points, one near each of the cuts 0 and 1/2 of a 2-point grid
+        g = CyclicGroup(2)
+        G = GridFunction(g, [0.0, 0.25])
+        nu = GridFunction(g, [0.0, -2 * drop])  # masses 1/2 and 1/2 - drop
+        _, alpha = build_level_sigma(G, 0.5, 0.25, nu, alpha_grid=2)
+        assert alpha == want == brute_level_alpha(G, 0.5, 0.25, nu, 2)
+
+    def test_near_tied_masses_match_the_grid_loop(self):
+        # coarse grids, points on the cuts, and weights an ulp of 1000 apart:
+        # masses the running sum cannot order, which must be recomputed
+        rng = np.random.default_rng(15)
+        weights = [0.0, -0.9, 999.0, 999.0 + 2**-43, 999.0 - 2**-43, 999.0 + 2**-42]
+        for _ in range(400):
+            n = int(rng.integers(2, 30))
+            grid = int(rng.choice([2, 3, 4, 5, 8, 16, 40]))
+            eta = float(rng.choice([0.49, 0.3, 0.25, 0.99 / grid, 0.5 / grid, 0.1]))
+            g = CyclicGroup(n)
+            on_cuts = rng.random() < 0.5
+            G = GridFunction(
+                g, (rng.integers(0, grid, n) / grid if on_cuts else rng.random(n)) * 0.5
+            )
+            nu = GridFunction(g, rng.choice(weights, n))
+            _, alpha = build_level_sigma(G, 0.5, eta, nu, alpha_grid=grid)
+            assert alpha == brute_level_alpha(G, 0.5, eta, nu, grid), (n, grid, eta)
+
+    @pytest.mark.parametrize("alpha_grid", [0, -3, 2**53 + 1, 10**17])
+    def test_unresolvable_grid_is_refused_first(self, alpha_grid):
+        g = CyclicGroup(10)
+        G = GridFunction.constant(g, 5.0)
+        nu = GridFunction.constant(g, 1.0)
+        # the grid check comes before the value bound's
+        with pytest.raises(ValueError, match="alpha_grid"):
+            build_level_sigma(G, 0.5, 0.1, nu, alpha_grid=alpha_grid, value_bound=4.0)
+
+    def test_finest_grid_needs_no_grid_sized_array(self):
+        rng = np.random.default_rng(14)
+        g = CyclicGroup(31)
+        G = GridFunction(g, rng.uniform(-1, 1, 31))
+        nu = GridFunction.constant(g, 1.0)
+        tracemalloc.start()
+        try:
+            sigma, alpha = build_level_sigma(G, 0.25, 1e-15, nu, alpha_grid=2**53)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert 0.0 <= alpha < 1.0
+        assert sigma.atom_count >= 1
 
 
 class TestExceptionalSet:
@@ -409,6 +550,10 @@ class TestDecomposition:
         with pytest.raises(ValueError, match="worst residue 7"):
             kvn_decompose(f, nu, DecompositionConfig(k=3, epsilon=0.05))
 
+    def test_eta_past_the_finest_grid_is_refused(self):
+        with pytest.raises(ValueError, match="2\\^53"):
+            DecompositionConfig(k=3, epsilon=1e-12, eta=1e-17)
+
     def test_iteration_cap_formula(self):
         assert DecompositionConfig(k=3, epsilon=0.05).iteration_cap == 5122
         assert DecompositionConfig(k=3, epsilon=0.01).iteration_cap == 25602
@@ -476,6 +621,12 @@ class TestGvnCheck:
         envelope = GridFunction(nu.group, nu.values + 1.0)
         trivial = ap_expectation([envelope] * 3, [0, 1, 2])
         assert report.max_residual <= 0.05 * trivial
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_needs_a_trial(self, trials):
+        nu = GridFunction.constant(CyclicGroup(11), 1.0)
+        with pytest.raises(ValueError, match="trials"):
+            gvn_check(nu, k=3, trials=trials, seed=0)
 
     def test_deterministic(self):
         g = CyclicGroup(101)
