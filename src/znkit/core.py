@@ -81,6 +81,20 @@ class CyclicGroup:
             raise ValueError(f"operation requires a prime modulus, got {self.modulus}")
 
 
+def _smooth_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: a transform length the FFT handles fast."""
+    top = max(n - 1, 0)
+    best = 1 << top.bit_length()
+    five = 1
+    while five < best:
+        odd = five
+        while odd < best:
+            best = min(best, odd << (top // odd).bit_length())
+            odd *= 3
+        five *= 5
+    return best
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr

@@ -13,6 +13,16 @@ norm (one function at every vertex) costs one derivative per level.  Keeping
 x instead of averaging it, with the constant 1 at vertex 0, gives the dual
 function.  For the norm this is the defining sum in another order.
 
+At d = 2 both the norm and the dual follow from the cyclic correlation
+c(h) = sum_x f(x) f(x + h): ||f||_{U^2}^4 = sum_h c(h)^2 / N^3 and
+DF(x) = N^-2 sum_h c(h) F(x + h).  Each correlation is a real linear one,
+rfft and irfft at the least 5-smooth length L >= 2N - 1, folded mod N.  N is
+usually prime, and numpy's complex FFT of a prime length falls back to
+Bluestein's algorithm, three complex transforms of a padded length.  At
+N = 999983 on a 2-vCPU host that route took about three times as long as
+these real transforms, and `znkit dual --mode fourier` peaked at 233 MB RSS
+with it against 142 MB without.
+
 Cost gating uses the nominal enumeration cost 2^d * N^(d+1) multiply-adds so
 that refusal thresholds are predictable from (N, d) alone, independent of
 evaluation-order tricks.
@@ -30,6 +40,7 @@ from .core import (
     BudgetExceededError,
     CyclicGroup,
     GridFunction,
+    _smooth_length,
     expectation,
     mc_mean,
     substream,
@@ -174,14 +185,36 @@ def gowers_norm(f: GridFunction, d: int, budget: int = DEFAULT_BUDGET) -> Gowers
     return GowersEstimate.from_raised(_cube_average([f.values] * 2**d), d, "exact")
 
 
-def gowers_norm_u2_fourier(f: GridFunction) -> GowersEstimate:
-    """U^2 norm via the Fourier identity: the l^4 norm of the coefficients.
+def _spectrum(values: np.ndarray) -> np.ndarray:
+    """rfft of values zero-padded to the least 5-smooth length >= 2N - 1."""
+    return np.fft.rfft(values, _smooth_length(2 * values.size - 1))
 
-    Uses fhat(xi) = E(f(x) e(-x xi / N)); cost N log N, exact to roundoff.
+
+def _cyclic_correlation(a_hat: np.ndarray, b_hat: np.ndarray, n: int) -> np.ndarray:
+    """c(h) = sum_x a(x) b(x + h mod n), from the padded spectra of a and b.
+
+    The inverse transform is the linear correlation: shift h >= 0 at index h,
+    shift -m at index L - m.  L >= 2n - 1 keeps the two ranges apart, and
+    the cyclic shift h is linear shift h plus linear shift h - n.
+    """
+    length = _smooth_length(2 * n - 1)
+    lin = np.fft.irfft(a_hat.conj() * b_hat, length)
+    out = lin[:n].copy()
+    out[1:] += lin[length - n + 1 :]
+    return out
+
+
+def gowers_norm_u2_fourier(f: GridFunction) -> GowersEstimate:
+    """U^2 norm from the autocorrelation c of f: ||f||_{U^2}^4 = sum_h c(h)^2 / N^3.
+
+    This equals sum_xi |fhat(xi)|^4, fhat(xi) = E(f(x) e(-x xi / N)), but c
+    comes from padded real transforms (see the module docstring), so a prime
+    N costs no length-N complex FFT.  Cost N log N, exact to roundoff.
     """
     n = f.group.modulus
-    fhat = np.fft.fft(f.values) / n
-    raised = float(np.sum(np.abs(fhat) ** 4))
+    f_hat = _spectrum(f.values)
+    c = _cyclic_correlation(f_hat, f_hat, n)
+    raised = float(np.sum(c * c)) / n**3
     return GowersEstimate.from_raised(raised, 2, "fourier")
 
 
@@ -260,15 +293,19 @@ def _dual_mc(F: GridFunction, d: int, samples: int, seed: int) -> GridFunction:
 
 
 def dual_function_u2_fourier(F: GridFunction) -> GridFunction:
-    """The d = 2 dual function via its closed Fourier form.
+    """The d = 2 dual function DF(x) = N^-2 sum_h c(h) F(x + h).
 
-    DF has Fourier coefficients |Fhat|^2 Fhat, an independent route used to
-    cross-check the enumeration.
+    c is the autocorrelation of F, so DF has Fourier coefficients
+    |Fhat|^2 Fhat.  Both correlations run on padded real transforms (see the
+    module docstring) and share the transform of F: two rffts and two
+    irffts.  An independent route used to cross-check the enumeration.
     """
     n = F.group.modulus
-    fhat = np.fft.fft(F.values) / n
-    coeffs = (np.abs(fhat) ** 2) * fhat
-    return GridFunction(F.group, np.real(np.fft.ifft(coeffs * n)))
+    f_hat = _spectrum(F.values)
+    c = _cyclic_correlation(f_hat, f_hat, n)
+    dual = _cyclic_correlation(_spectrum(c), f_hat, n)
+    dual /= float(n) ** 2
+    return GridFunction(F.group, dual)
 
 
 def dual_norm_u2_fourier(g: GridFunction) -> float:

@@ -22,6 +22,7 @@ from .core import (
     GridFunction,
     GroupMismatchError,
     SigmaAlgebra,
+    _smooth_length,
     conditional_expectation,
     join_sigma,
     substream,
@@ -154,20 +155,6 @@ def gvn_check(
     slope = sum_xy / sum_xx if sum_xx > 0 else 0.0
     max_residual = max((a - slope * m) for a, m in pairs)
     return GvnReport(k, trials, tuple(pairs), slope, max_residual, seed)
-
-
-def _smooth_length(n: int) -> int:
-    """Smallest 2^a 3^b 5^c >= n: a transform length the FFT handles fast."""
-    top = max(n - 1, 0)
-    best = 1 << top.bit_length()
-    five = 1
-    while five < best:
-        odd = five
-        while odd < best:
-            best = min(best, odd << (top // odd).bit_length())
-            odd *= 3
-        five *= 5
-    return best
 
 
 def _count_aps_k3_convolution(primes: np.ndarray, limit: int) -> int:

@@ -1,14 +1,28 @@
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from znkit.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, EXIT_VERDICT, emit_report, main
+import znkit
+from znkit.cli import (
+    _COLUMN_CHUNK,
+    EXIT_BUDGET,
+    EXIT_INVALID,
+    EXIT_OK,
+    EXIT_VERDICT,
+    _read_column,
+    _write_column,
+    emit_report,
+    main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -315,6 +329,69 @@ class TestEmitReport:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             emit_report({"x": float("nan")}, "json", None)
+
+
+def per_value_text(values):
+    return "".join(format(float(v), ".17g") + "\n" for v in values)
+
+
+class TestColumnFiles:
+    EDGES = [-0.0, 0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+             1e300, -1e300, 1.7976931348623157e308, 0.1, 1.0 / 3.0, 1e-5, 1e16,
+             1e17, 2.0**53 + 2, -123.456, 1.0]
+
+    def test_edge_values_match_per_value_format(self, tmp_path):
+        path = tmp_path / "col.csv"
+        _write_column(np.array(self.EDGES), str(path))
+        assert path.read_text() == per_value_text(self.EDGES)
+
+    @pytest.mark.parametrize(
+        "size", [1, _COLUMN_CHUNK - 1, _COLUMN_CHUNK, _COLUMN_CHUNK + 1])
+    def test_chunk_boundaries_round_trip_bit_identical(self, tmp_path, size):
+        rng = np.random.default_rng(size)
+        values = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+        values[: len(self.EDGES)] = self.EDGES[:size]
+        path = tmp_path / "col.csv"
+        _write_column(values, str(path))
+        assert path.read_text() == per_value_text(values)
+        if size > 1:  # Z_1 is not a group, so one value is not a readable column
+            back = _read_column(str(path), size).values
+            assert np.array_equal(back.view(np.int64), values.view(np.int64))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_column_is_refused_before_the_file_opens(self, tmp_path, bad):
+        values = np.ones(_COLUMN_CHUNK + 5)
+        values[-1] = bad
+        path = tmp_path / "col.csv"
+        with pytest.raises(ValueError, match="finite"):
+            _write_column(values, str(path))
+        assert not path.exists()
+
+    def test_writer_peak_memory_is_flat_in_the_column_length(self, tmp_path):
+        # one tuple of the whole column would hold about 10^6 Python floats
+        # and their text at once (> 50 MB); chunks keep this to a few MB
+        values = np.random.default_rng(0).standard_normal(999983)
+        tracemalloc.start()
+        try:
+            _write_column(values, str(tmp_path / "col.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20, peak
+
+    def test_empty_input_is_refused_without_a_numpy_warning(self, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        env = dict(os.environ, PYTHONPATH=str(Path(znkit.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "znkit", "gowers", "--n", "5", "--d", "2",
+             "--input", str(empty)],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+        )
+        assert proc.returncode == EXIT_INVALID
+        assert json.loads(proc.stdout)["error"]["message"] == (
+            f"{empty} holds 0 values, expected 5")
+        assert proc.stderr == ""
 
 
 def test_report_file_flag_writes_stdout_copy(capsys, tmp_path):

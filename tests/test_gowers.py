@@ -24,6 +24,7 @@ from znkit import (
     inner_product,
     substream,
 )
+from znkit.core import _smooth_length
 from conftest import random_function
 
 
@@ -192,6 +193,59 @@ class TestU2Fourier:
             a = gowers_norm(f, 2).norm_value
             b = gowers_norm_u2_fourier(f).norm_value
             assert abs(a - b) <= 1e-9 * max(a, b)
+
+
+def direct_u2(values):
+    """O(N^2) double sums: c(h) = sum_x f(x) f(x + h), the norm and the dual.
+
+    ||f||_{U^2}^4 = sum_h c(h)^2 / N^3 and DF(x) = N^-2 sum_h c(h) F(x + h),
+    each sum written out over a table of shifts; no transform is involved.
+    """
+    n = values.size
+    shifted = values[(np.arange(n)[:, None] + np.arange(n)) % n]  # [h, x] = f(x + h)
+    c = shifted @ values
+    return float(c @ c) / n**3, (shifted.T @ c) / n**2
+
+
+def prime_length_fft_u2(values):
+    """The length-N complex transform route: sum |fhat|^4 and coefficients |Fhat|^2 Fhat."""
+    n = values.size
+    fhat = np.fft.fft(values) / n
+    raised = float(np.sum(np.abs(fhat) ** 4))
+    dual = np.real(np.fft.ifft((np.abs(fhat) ** 2) * fhat * n))
+    return raised, dual
+
+
+class TestU2Correlation:
+    """The padded real correlation against enumeration, direct sums and the length-N FFT."""
+
+    def test_range_includes_lengths_with_no_fold_slack(self):
+        # 2N - 1 is itself 5-smooth, so L = 2N - 1 and the two ranges touch
+        tight = [n for n in range(2, 42) if _smooth_length(2 * n - 1) == 2 * n - 1]
+        assert tight == [2, 3, 5, 8, 13, 14, 23, 38, 41]
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=3, deadline=None)
+    def test_every_n_to_300_matches_enumeration_and_direct_sums(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in range(2, 301):
+            f = GridFunction(CyclicGroup(n), rng.uniform(-1.0, 1.0, size=n))
+            raised = gowers_norm_u2_fourier(f).raised_value
+            dual = dual_function_u2_fourier(f).values
+            direct_raised, direct_dual = direct_u2(f.values)
+            for want in (gowers_norm(f, 2).raised_value, direct_raised):
+                assert abs(raised - want) <= 1e-12 * want, n
+            for want in (dual_function(f, 2).values, direct_dual):
+                assert np.abs(dual - want).max() <= 1e-12 * np.abs(want).max(), n
+
+    def test_prime_100003_matches_the_length_n_transform(self):
+        rng = np.random.default_rng(31)
+        f = GridFunction(CyclicGroup(100003), rng.uniform(-1.0, 1.0, size=100003))
+        want_raised, want_dual = prime_length_fft_u2(f.values)
+        raised = gowers_norm_u2_fourier(f).raised_value
+        dual = dual_function_u2_fourier(f).values
+        assert abs(raised - want_raised) <= 1e-12 * want_raised
+        assert np.abs(dual - want_dual).max() <= 1e-12 * np.abs(want_dual).max()
 
 
 class TestMonteCarlo:

@@ -24,7 +24,7 @@ from znkit import (
     is_prime_64,
     kvn_decompose,
 )
-from znkit.transference import _smooth_length
+from znkit.core import _smooth_length
 from conftest import random_function, random_partition
 
 
