@@ -1,10 +1,11 @@
 """Number-theoretic tables and the pseudorandom majorant.
 
-Integers are factored here only: build_sieve for tables over 1..limit (and
-the tau moments of pseudo.verify_correlation), the private trial-division
-helper _distinct_prime_factors for a single integer (euler_phi, tau_weight,
-each pairwise difference of the GY shifts), and is_prime_64 for primality,
-including the primes p <= w behind W and phi(W).
+Integers are factored here only: primes_up_to for the primes alone (the
+prime progression counts and the tau moments of pseudo.verify_correlation),
+build_sieve for the Mobius and von Mangoldt tables over 0..limit, the
+private trial-division helper _distinct_prime_factors for a single integer
+(euler_phi, tau_weight, each pairwise difference of the GY shifts), and
+is_prime_64 for primality, including the primes p <= w behind W and phi(W).
 
 The majorant construction: fix a small-prime cutoff w, let W be the product
 of the primes up to w, and restrict attention to the progression W n + 1 so
@@ -42,6 +43,7 @@ __all__ = [
     "SieveTables",
     "MajorantParams",
     "build_sieve",
+    "primes_up_to",
     "is_prime_64",
     "euler_phi",
     "lambda_tilde",
@@ -73,45 +75,53 @@ class SieveTables:
         return int(self.primes.size)
 
 
-def build_sieve(limit: int) -> SieveTables:
-    """Sieve of Eratosthenes with Mobius and von Mangoldt tables.
+def primes_up_to(limit: int) -> np.ndarray:
+    """The primes <= limit in increasing order, from a bool sieve of Eratosthenes.
 
-    Only the primes p <= sqrt(limit) are looped over.  Each one marks its
-    multiples from p^2 on as composite, flips the sign of mu on its
-    multiples, zeroes mu on the multiples of p^2 and divides p out once from
-    a remainder array.  A squarefree n <= limit has at most one prime factor
-    above sqrt(limit), and it is exactly what is left in the remainder, so a
-    final sign flip wherever the remainder exceeds 1 completes mu.  A limit
-    above the cap (50 million) is refused by the budget before anything is
-    allocated.
+    Each prime p <= sqrt(limit) marks its multiples from p^2 on as
+    composite; nothing else is tabulated, so the peak is about one byte per
+    integer plus the primes.  A limit above the cap (50 million) is refused
+    by the budget before anything is allocated.
     """
     if limit < 2:
         raise ValueError("limit must be >= 2")
     if limit > _SIEVE_LIMIT_CAP:
         raise BudgetExceededError(f"sieve limit {limit} exceeds the cap {_SIEVE_LIMIT_CAP}")
-    root = math.isqrt(limit)
     composite = np.zeros(limit + 1, dtype=bool)
+    for p in range(2, math.isqrt(limit) + 1):
+        if not composite[p]:
+            composite[p * p :: p] = True
+    return np.flatnonzero(~composite[2:]) + 2
+
+
+def build_sieve(limit: int) -> SieveTables:
+    """Sieve of Eratosthenes with Mobius and von Mangoldt tables.
+
+    The primes come from primes_up_to.  Each prime p <= sqrt(limit) flips
+    the sign of mu on its multiples, zeroes mu on the multiples of p^2 and
+    divides p out once from a remainder array.  A squarefree n <= limit has
+    at most one prime factor above sqrt(limit), and it is exactly what is
+    left in the remainder, so a final sign flip wherever the remainder
+    exceeds 1 completes mu.  The limit cap is primes_up_to's.
+    """
+    primes = primes_up_to(limit)
+    root = math.isqrt(limit)
+    small = primes[primes <= root]
     mobius = np.ones(limit + 1, dtype=np.int8)
     mobius[0] = 0
     rest = np.arange(limit + 1, dtype=np.int32 if limit < 2**31 else np.int64)
-    for p in range(2, root + 1):
-        if composite[p]:
-            continue
-        composite[p * p :: p] = True
+    for p in small.tolist():
         signs = mobius[p::p]
         np.negative(signs, out=signs)
         mobius[p * p :: p * p] = 0
         rest[p::p] //= p
     np.negative(mobius, out=mobius, where=rest > 1)
     del rest
-    primes = np.flatnonzero(~composite[2:]) + 2
-    del composite
 
     von_mangoldt = np.zeros(limit + 1, dtype=np.float64)
     # math.log, not np.log: the vectorised log may differ in the last bit
     logs = np.fromiter(map(math.log, primes.tolist()), np.float64, primes.size)
     von_mangoldt[primes] = logs
-    small = primes[primes <= root]
     for p, log_p in zip(small.tolist(), logs[: small.size].tolist()):
         pk = p * p
         while pk <= limit:

@@ -4,6 +4,14 @@ Functions on Z_N are stored densely as float64 vectors.  Expectations use
 numpy's pairwise reduction, which keeps results deterministic and accurate
 to ~1e-13 relative error for N up to 10^7.  Everything here is pure: values
 and partitions are frozen after construction, so concurrent reads are safe.
+
+Every sampled estimate runs on two pieces here: mc_mean, the chunked engine
+with one named sub-stream per chunk, and the private _form_product, the
+product prod_i f((mat[i] . x + c_i) mod N) at columns x that the linear
+forms, the window moments, the sampled U^d norm and the sampled dual all
+evaluate.  It builds each index by in-place adds, gathers from a table
+tiled so that small coefficients need no remainder, and multiplies in
+cache-sized blocks.
 """
 
 from __future__ import annotations
@@ -251,7 +259,8 @@ def mc_mean(
     Chunk i holds at most `chunk` values drawn from substream(seed, stream, i).
     The mean is the sum of the chunk sums over `samples`; the spread merges
     each chunk's (count, mean, M2) by Chan's parallel update, so no sum of
-    squares is ever differenced against n mean^2.
+    squares is ever differenced against n mean^2.  draw must return a new
+    array each time: its squared deviations are taken in place.
     """
     if samples < 2:
         raise ValueError(f"monte carlo needs at least 2 samples, got {samples}")
@@ -259,16 +268,99 @@ def mc_mean(
     m2 = 0.0
     for i, done in enumerate(range(0, samples, chunk)):
         count = min(chunk, samples - done)
-        vals = draw(substream(seed, stream, i), count)
-        chunk_total = float(vals.sum())
-        dev = vals - chunk_total / count
-        m2 += float((dev * dev).sum())
+        dev = draw(substream(seed, stream, i), count)
+        chunk_total = float(dev.sum())
+        np.subtract(dev, chunk_total / count, out=dev)
+        np.multiply(dev, dev, out=dev)
+        m2 += float(dev.sum())
+        del dev  # free this chunk's values before the next is drawn
         if done:
             delta = chunk_total / count - total / done
             m2 += delta * delta * done * count / (done + count)
         total += chunk_total
     std_error = math.sqrt(m2 / (samples - 1) / samples)
     return EstimatorResult(total / samples, std_error, samples, seed)
+
+
+_BLOCK = 1 << 13  # columns per block: its indices and gathered values stay in cache
+_TILE_CAP = 1 << 18  # entries of the largest tiled table (2 MiB of float64)
+
+
+def _form_index(row: Sequence[int], const: int, x: np.ndarray, out: np.ndarray) -> None:
+    """out = row . x + const at the columns of x, by in-place adds.
+
+    A unit coefficient adds (or subtracts) its row of x with no multiply,
+    and a zero coefficient costs nothing.
+    """
+    first = True
+    for a, xj in zip(row, x):
+        if not a:
+            continue
+        if first:
+            if a == 1:
+                np.copyto(out, xj)
+            else:
+                np.multiply(xj, a, out=out)
+            first = False
+        elif a == 1:
+            out += xj
+        elif a == -1:
+            out -= xj
+        else:
+            out += a * xj
+    if first:
+        out.fill(const)
+    elif const:
+        out += const
+
+
+def _form_product(
+    table: np.ndarray, mat: np.ndarray, consts: np.ndarray, bound: int | None = None
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The map x -> prod_i table[(mat[i] . x + consts[i]) mod n] at the columns of x.
+
+    n is table.size and x has one row per column of mat.  The factors are
+    multiplied in row order, starting from row 0's, so each product equals
+    the one from np.ones and `prod *= table[index_i]` bit for bit.  bound
+    is an exclusive bound on the indices mat[i] . x + consts[i], which must
+    be nonnegative; by default the entries of x are residues in [0, n) and
+    mat and consts are nonnegative.  When reps = ceil(bound / n) copies of
+    the table hold at most _TILE_CAP entries, the indices gather from that
+    tiled table with no remainder; a larger bound (a rational coefficient
+    inverted mod N, say) takes one in-place np.remainder per form.  The
+    columns run in blocks of _BLOCK, multiplied in place into one output
+    array, so no temporary grows with the number of columns.
+    """
+    n = table.size
+    rows = list(zip(np.asarray(mat).tolist(), np.asarray(consts).tolist()))
+    if bound is None:
+        bound = max(sum(row) * (n - 1) + c for row, c in rows) + 1
+    if bound > 2**63:
+        raise OverflowError(f"form indices reach {bound - 1}, past the int64 range")
+    reps = -(-bound // n)
+    reduce = reps > 1 and reps * n > _TILE_CAP
+    source = table if reps == 1 or reduce else np.tile(table, reps)
+
+    def product(x: np.ndarray) -> np.ndarray:
+        count = x.shape[1]
+        out = np.empty(count)
+        idx = np.empty(min(count, _BLOCK), dtype=np.int64)
+        factor = np.empty(idx.size)
+        for start in range(0, count, _BLOCK):
+            stop = min(start + _BLOCK, count)
+            cols, block = x[:, start:stop], out[start:stop]
+            ix, fx = idx[: stop - start], factor[: stop - start]
+            for i, (row, const) in enumerate(rows):
+                _form_index(row, const, cols, ix)
+                if reduce:
+                    np.remainder(ix, n, out=ix)
+                # every index is in range by construction, so clip never acts
+                np.take(source, ix, out=fx if i else block, mode="clip")
+                if i:
+                    block *= fx
+        return out
+
+    return product
 
 
 def expectation(f: GridFunction) -> float:

@@ -26,6 +26,12 @@ with it against 142 MB without.
 Cost gating uses the nominal enumeration cost 2^d * N^(d+1) multiply-adds so
 that refusal thresholds are predictable from (N, d) alone, independent of
 evaluation-order tricks.
+
+The sampled norm and dual evaluate the cube as linear forms: rows
+(1, omega) over the columns (x, h_1, ..., h_d), on core's form-product
+kernel.  The rows have unit coefficients, so an index is a sum of at most
+d + 1 residues and the kernel gathers it from a table tiled d + 1 times
+(when that fits under its cap) with no remainder.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from .core import (
     BudgetExceededError,
     CyclicGroup,
     GridFunction,
+    _form_product,
     _smooth_length,
     expectation,
     mc_mean,
@@ -231,15 +238,11 @@ def gowers_norm_mc(
     if samples < 100:
         raise ValueError("need at least 100 samples")
     n = f.group.modulus
-    vals = f.values
-    omegas = np.asarray(list(itertools.product((0, 1), repeat=d)), dtype=np.int64)
+    rows = [(1,) + om for om in itertools.product((0, 1), repeat=d)]
+    weight = _form_product(f.values, rows, [0] * len(rows))
 
-    def draw(rng, count):
-        draws = rng.integers(0, n, size=(count, d + 1))
-        prod = np.ones(count)
-        for om in omegas:
-            prod *= vals[(draws[:, 0] + draws[:, 1:] @ om) % n]
-        return prod
+    def draw(rng, count):  # columns (x, h_1, ..., h_d)
+        return weight(rng.integers(0, n, size=(count, d + 1)).T)
 
     est = mc_mean(draw, samples, seed, "gowers_mc", _MC_CHUNK)
     return GowersEstimate.from_raised(est.value, d, "monte_carlo", est.std_error)
@@ -274,21 +277,25 @@ def dual_function(
 
 
 def _dual_mc(F: GridFunction, d: int, samples: int, seed: int) -> GridFunction:
+    """DF(x) from `samples` draws of h, shared by the x of one chunk.
+
+    Chunk i holds about _MC_CHUNK / samples points x and draws its h from
+    substream(seed, "dual_mc", i); the product runs on the rows (1, omega),
+    omega != 0, over the columns (x, h), x repeated once per draw of h.
+    """
     n = F.group.modulus
-    vals = F.values
-    omegas = [om for om in itertools.product((0, 1), repeat=d) if any(om)]
+    rows = [(1,) + om for om in itertools.product((0, 1), repeat=d) if any(om)]
+    weight = _form_product(F.values, rows, [0] * len(rows))
     out = np.empty(n)
     x_chunk = max(1, _MC_CHUNK // samples)
     for ci, start in enumerate(range(0, n, x_chunk)):
         stop = min(start + x_chunk, n)
-        rng = substream(seed, "dual_mc", ci)
-        h = rng.integers(0, n, size=(samples, d))
-        xs = np.arange(start, stop)
-        prod = np.ones((stop - start, samples))
-        for om in omegas:
-            shift = h @ np.asarray(om, dtype=np.int64)
-            prod *= vals[(xs[:, None] + shift[None, :]) % n]
-        out[start:stop] = prod.mean(axis=1)
+        h = substream(seed, "dual_mc", ci).integers(0, n, size=(samples, d))
+        cols = np.empty((d + 1, (stop - start) * samples), dtype=np.int64)
+        grid = cols.reshape(d + 1, stop - start, samples)
+        grid[0] = np.arange(start, stop)[:, None]
+        grid[1:] = h.T[:, None, :]
+        out[start:stop] = weight(cols).reshape(stop - start, samples).mean(axis=1)
     return GridFunction(F.group, out)
 
 

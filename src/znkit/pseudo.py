@@ -12,7 +12,9 @@ A measure nu (nonnegative, mean about 1) is tested against two conditions:
 The module also carries the local-factor and window-moment oracles for the
 truncated divisor sums that power the majorant, plus the Bernoulli test
 measure.  Exact verdicts come from full enumeration; everything sampled
-reports a standard error, never a bare number.
+reports a standard error, never a bare number.  Linear forms, exact or
+sampled, and both window moments take their products from one kernel,
+core._form_product.
 """
 
 from __future__ import annotations
@@ -31,12 +33,13 @@ from .core import (
     CyclicGroup,
     EstimatorResult,
     GridFunction,
+    _form_product,
     inner_product,
     mc_mean,
     substream,
 )
-from .arith import (MajorantParams, _distinct_prime_factors, build_sieve,
-                    divisor_sums_on_progression, is_prime_64)
+from .arith import (MajorantParams, _distinct_prime_factors,
+                    divisor_sums_on_progression, is_prime_64, primes_up_to)
 
 __all__ = [
     "LinearFormSystem",
@@ -105,16 +108,17 @@ class LinearFormSystem:
                 raise ValueError(f"row {i} is identically zero")
         if self.allow_proportional:
             return
-        for i, j in itertools.combinations(range(len(rows)), 2):
-            ri, rj = rows[i], rows[j]
-            proportional = all(
-                ri[a] * rj[b] == ri[b] * rj[a] for a in range(t) for b in range(a + 1, t)
-            )
-            # with all 2x2 minors zero, nonzero rows are rational multiples
-            if t == 1 or proportional:
-                raise ValueError(
-                    f"rows {i} and {j} are rational multiples of each other"
-                )
+        # two nonzero rows are rational multiples exactly when they agree
+        # after division by their first nonzero coefficient; the pair
+        # reported is the first in itertools.combinations order
+        classes: dict[tuple[Fraction, ...], list[int]] = {}
+        for j, row in enumerate(rows):
+            lead = next(c for c in row if c != 0)
+            classes.setdefault(tuple(c / lead for c in row), []).append(j)
+        pairs = [members[:2] for members in classes.values() if len(members) > 1]
+        if pairs:
+            i, j = min(pairs)
+            raise ValueError(f"rows {i} and {j} are rational multiples of each other")
 
     @classmethod
     def from_rows(
@@ -244,11 +248,12 @@ def verify_linear_forms(
     """Average nu(psi_1(x)) ... nu(psi_m(x)) over x in Z_N^t; target is 1.
 
     Both modes evaluate one product of nu over the forms at columns of
-    points.  Exact mode enumerates the full grid (cost m N^t, budget-gated)
-    in chunks of flat indices, so memory stays bounded whatever N^t is; each
-    chunk is summed by numpy's pairwise reduction and the chunk sums are
-    added in order.  Otherwise uniform sampling with a reported standard
-    error.
+    points, core._form_product, which builds each form's index by in-place
+    adds and needs no remainder for small coefficients.  Exact mode
+    enumerates the full grid (cost m N^t, budget-gated) in chunks of flat
+    indices, so memory stays bounded whatever N^t is; each chunk is summed
+    by numpy's pairwise reduction and the chunk sums are added in order.
+    Otherwise uniform sampling with a reported standard error.
     """
     nu.group.ensure_prime()
     if system.allow_proportional:
@@ -257,15 +262,7 @@ def verify_linear_forms(
             "this system was built with allow_proportional"
         )
     N = nu.group.modulus
-    mat, consts = system.residue_matrix(N)
-    vals = nu.values
-
-    def weight(x):  # prod_i nu(psi_i(x)) at the columns of x
-        prod = np.ones(x.shape[1])
-        for i in range(system.m):
-            prod *= vals[(mat[i] @ x + consts[i]) % N]
-        return prod
-
+    weight = _form_product(nu.values, *system.residue_matrix(N))
     if mode == "exact":
         points = N**system.t
         cost = system.m * points
@@ -365,7 +362,7 @@ def verify_correlation(
     half = (N - 1) // 2
     factor_exponent = 2.0 * m if a_tau is None else a_tau
     tau_vals = np.full(half, c_tau, dtype=np.float64)  # tau_vals[r - 1] = tau(r)
-    for p in build_sieve(max(half, 2)).primes.tolist():
+    for p in primes_up_to(max(half, 2)).tolist():
         tau_vals[p - 1 :: p] *= (1.0 + p**-0.5) ** factor_exponent
     moments = {float(q): float((tau_vals ** q).mean()) for q in q_list}
     est = EstimatorResult(max_ratio, 0.0, len(h_tuples), 0)
@@ -436,6 +433,8 @@ def _window_weight(
     For each form the divisor sums are computed on the progression
     W k + W c_i + 1 over the range of k = mat[i] . x across the box (its ends
     are attained at corners), so memory is O(m |box| + R) whatever W is.
+    Their squares share one table, and the product runs on the linear-forms
+    kernel core._form_product with no remainder.
     """
     mat, consts = system.integer_matrix()
     W = params.W
@@ -446,16 +445,17 @@ def _window_weight(
         forms.append((k_lo, k_hi, W * const + 1))
     if min(W * k_lo + b for k_lo, _, b in forms) < 1:
         raise OverflowError("forms must stay positive over the box")
-    lams = [divisor_sums_on_progression(W, b, k_lo, k_hi, params.R) for k_lo, k_hi, b in forms]
-    k_min = [k_lo for k_lo, _, _ in forms]
-
-    def weight(x):
-        prod = np.ones(x.shape[1])
-        for i in range(system.m):
-            lam = lams[i][mat[i] @ x - k_min[i]]
-            prod *= lam * lam
-        return prod
-
+    # form i's squared divisor sums fill one table from start_i on, so its
+    # index there, mat[i] . x + start_i - k_lo, never leaves the table
+    table = np.empty(sum(k_hi - k_lo + 1 for k_lo, k_hi, _ in forms))
+    shifts = []
+    start = 0
+    for k_lo, k_hi, b in forms:
+        lam = divisor_sums_on_progression(W, b, k_lo, k_hi, params.R)
+        np.multiply(lam, lam, out=table[start : start + lam.size])
+        shifts.append(start - k_lo)
+        start += lam.size
+    weight = _form_product(table, mat, shifts, bound=table.size)
     return weight, (W * params.log_R / params.phi_W) ** system.m
 
 

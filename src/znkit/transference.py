@@ -36,7 +36,7 @@ from .gowers import (
     gowers_norm_mc,
     gowers_norm_u2_fourier,
 )
-from .arith import build_sieve
+from .arith import primes_up_to
 
 __all__ = [
     "DecompositionConfig",
@@ -197,8 +197,8 @@ def count_prime_aps(k: int, limit: int, budget: int = 10**9) -> int:
     k = 2 is the closed-form pair count.  k = 3 squares the spectrum of the
     odd primes' half-indices (p - 1) / 2, a transform of 5-smooth length
     about limit, and reads the pair counts at the odd prime midpoints only;
-    of the sieve it keeps just the primes, so the tables are freed before
-    the transform.  Other k scan starts p and differences d = 6, 12, ...
+    the primes come from the primes-only sieve, so no Mobius or von Mangoldt
+    table is built.  Other k scan starts p and differences d = 6, 12, ...
     (budget-gated on primes * limit, the scan of every d): 6 divides the
     difference of every progression of four or more primes.  An odd d makes
     p + d (p odd) or p + 2d (p = 2) even and larger than 2; a d prime to 3
@@ -209,7 +209,7 @@ def count_prime_aps(k: int, limit: int, budget: int = 10**9) -> int:
         raise ValueError("k must be >= 2")
     if limit < 2:
         return 0
-    primes = build_sieve(limit).primes
+    primes = primes_up_to(limit)
     if k == 2:
         return int(primes.size) * (int(primes.size) - 1) // 2
     if k == 3:

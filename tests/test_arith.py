@@ -20,6 +20,7 @@ from znkit import (
     is_prime_64,
     lambda_r_table,
     lambda_tilde,
+    primes_up_to,
 )
 from znkit.arith import write_tables_csv
 
@@ -107,6 +108,26 @@ class TestSieve:
     def test_limit_cap(self):
         with pytest.raises(BudgetExceededError, match="cap"):
             build_sieve(10**9)
+        with pytest.raises(BudgetExceededError, match="cap"):
+            primes_up_to(10**9)
+        with pytest.raises(ValueError, match=">= 2"):
+            primes_up_to(1)
+
+    def test_primes_alone_match_the_tables(self, sieve_1e6):
+        primes = primes_up_to(10**6)
+        assert primes.dtype == sieve_1e6.primes.dtype
+        assert np.array_equal(primes, sieve_1e6.primes)
+
+    def test_primes_alone_skip_the_tables(self):
+        # the Mobius, remainder and von Mangoldt tables take about 13 bytes
+        # per integer; the primes alone need the bool sieve and the primes
+        tracemalloc.start()
+        try:
+            primes_up_to(10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 10**6 + 2**20
 
 
 def trial_division_factor(n: int) -> list[tuple[int, int]]:
@@ -159,6 +180,7 @@ class TestSieveAgainstTrialDivision:
         t = build_sieve(limit)
         assert t.limit == limit
         assert t.primes.tolist() == [n for n in range(2, limit + 1) if spf[n] == n]
+        assert primes_up_to(limit).tolist() == t.primes.tolist()
         assert t.mobius.tolist() == mu[: limit + 1]
         # bit-equal: the sieve must store math.log(p) itself, not a nearby float
         assert t.von_mangoldt.tolist() == lam[: limit + 1]

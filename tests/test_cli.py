@@ -154,8 +154,9 @@ def test_gycheck_moment_and_shifted(capsys):
 
 
 def test_benchmark_tracer_counters_read_their_parameters(capsys, tmp_path):
-    # perfbench/tracer.py reads the parameters alpha_grid, eta, G, mode and
-    # samples of the functions it wraps; renaming one breaks the traced run
+    # perfbench/tracer.py reads the parameters alpha_grid, eta, G, f, F, d,
+    # mode and samples of the functions it wraps; renaming one breaks the
+    # traced run
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
@@ -163,6 +164,10 @@ def test_benchmark_tracer_counters_read_their_parameters(capsys, tmp_path):
     interval = tmp_path / "interval.csv"
     interval.write_text("".join("1\n" if i < 50 else "0\n" for i in range(101)))
     calls = [
+        ("gowers", "--n", "101", "--d", "3", "--input", str(interval),
+         "--mode", "mc", "--samples", "1000"),
+        ("dual", "--n", "101", "--d", "3", "--input", str(interval),
+         "--mode", "mc", "--samples", "100"),
         ("decompose", "--n", "101", "--f", str(interval),
          "--epsilon-dec", "1e-4", "--eta", "1e-5"),
         ("linforms", "--n", "101", "--samples", "1000"),
@@ -182,7 +187,7 @@ def test_benchmark_tracer_counters_read_their_parameters(capsys, tmp_path):
     assert codes == [EXIT_OK] * len(calls)
     metrics = trace.metrics()
     for name in ("transference.alpha_evals", "transference.refine_iterations",
-                 "pseudo.mc_samples"):
+                 "pseudo.mc_samples", "gowers.mc_samples"):
         assert metrics[name] > 0, name
     # the self-timed functions still do their own work under their public names
     for name in ("transference.ap_expectation", "transference.build_level_sigma",

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from znkit import (
     CyclicGroup,
     GridFunction,
     GroupMismatchError,
+    LinearFormSystem,
     SigmaAlgebra,
     atoms_of,
     conditional_expectation,
@@ -18,7 +20,7 @@ from znkit import (
     lq_norm,
     substream,
 )
-from znkit.core import mc_mean
+from znkit.core import _BLOCK, _TILE_CAP, _form_product, mc_mean
 from conftest import random_function, random_partition
 
 
@@ -276,3 +278,69 @@ class TestMonteCarloEngine:
             math.sqrt(np.var(vals, ddof=1) / samples), rel=1e-12
         )
         assert (est.samples, est.seed) == (samples, seed)
+
+
+def old_form_product(table, mat, consts, x):
+    """The product as the samplers used to form it: a matmul and a full % n per form."""
+    n = table.size
+    prod = np.ones(x.shape[1])
+    for i in range(len(mat)):
+        prod *= table[(np.asarray(mat[i], dtype=np.int64) @ x + consts[i]) % n]
+    return prod
+
+
+class TestFormProduct:
+    @staticmethod
+    def columns(n, t, count, seed):
+        x = np.random.default_rng(seed).integers(0, n, size=(t, count))
+        x[:, 0] = n - 1  # the largest index the bound allows
+        return x
+
+    @pytest.mark.parametrize("count", [1, _BLOCK - 1, _BLOCK + 1, 3 * _BLOCK])
+    def test_unit_rows_match_old_product(self, count):
+        table = np.random.default_rng(1).normal(size=101)
+        rows = [(1,) + om for om in itertools.product((0, 1), repeat=3)]
+        x = self.columns(101, 4, count, 2)
+        got = _form_product(table, rows, [0] * len(rows))(x)
+        assert np.array_equal(got, old_form_product(table, rows, [0] * len(rows), x))
+
+    @pytest.mark.parametrize("count", [1, _BLOCK - 1, _BLOCK + 1])
+    def test_one_variable_with_constants(self, count):
+        table = np.random.default_rng(3).normal(size=97)
+        mat, consts = [(1,), (2,), (5,), (96,)], [0, 7, 96, 50]
+        x = self.columns(97, 1, count, 4)
+        got = _form_product(table, mat, consts)(x)
+        assert np.array_equal(got, old_form_product(table, mat, consts, x))
+
+    @pytest.mark.parametrize("count", [1, _BLOCK - 1, _BLOCK + 1])
+    def test_rational_rows_take_the_remainder(self, count):
+        N = 10007
+        system = LinearFormSystem.from_rows([("1/2", 1), (1, 3), (1, "-1/3")], [0, 5, -2])
+        mat, consts = system.residue_matrix(N)
+        assert 2 * N * N > _TILE_CAP  # inverted denominators: far past the tiling cap
+        table = np.random.default_rng(5).normal(size=N)
+        x = self.columns(N, 2, count, 6)
+        got = _form_product(table, mat, consts)(x)
+        assert np.array_equal(got, old_form_product(table, mat, consts, x))
+
+    @pytest.mark.parametrize("const", [3, 4])
+    def test_bounds_at_the_tiling_cap(self, const):
+        # bound 4 (n - 1) + const + 1: exactly the cap tiles, one more reduces
+        n = _TILE_CAP // 4
+        table = np.random.default_rng(7).normal(size=n)
+        mat, consts = [(1, 1, 1, 1), (1, 0, 2, 0)], [const, 1]
+        x = self.columns(n, 4, _BLOCK + 1, 8)
+        got = _form_product(table, mat, consts)(x)
+        assert np.array_equal(got, old_form_product(table, mat, consts, x))
+
+    def test_explicit_bound_with_negative_coefficients(self):
+        # the window weight's use: indices known to lie in the table
+        table = np.random.default_rng(9).normal(size=300)
+        mat, consts = [(1, -1), (2, -3)], [100, 200]
+        x = np.random.default_rng(10).integers(0, 34, size=(2, _BLOCK + 5))
+        got = _form_product(table, mat, consts, bound=table.size)(x)
+        assert np.array_equal(got, old_form_product(table, mat, consts, x))
+
+    def test_refuses_indices_past_int64(self):
+        with pytest.raises(OverflowError, match="int64"):
+            _form_product(np.ones(3), [(2**62, 2**62)], [0])

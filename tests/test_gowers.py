@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from znkit import (
     substream,
 )
 from znkit.core import _smooth_length
-from conftest import random_function
+from znkit.gowers import _MC_CHUNK
+from conftest import random_function, two_pass_mc_mean
 
 
 def brute_cube_average(funcs, d, n):
@@ -306,6 +308,41 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             gowers_norm_mc(f, 2, samples=50, seed=0)
 
+    @pytest.mark.parametrize("n, d", [(1009, 3), (10007, 2), (999983, 1)])
+    def test_matches_old_formula_bit_for_bit(self, n, d):
+        f = random_function(CyclicGroup(n), np.random.default_rng(n))
+        omegas = np.asarray(list(itertools.product((0, 1), repeat=d)), dtype=np.int64)
+
+        def draw(rng, count):  # the draw as first written: a matmul and % n per vertex
+            draws = rng.integers(0, n, size=(count, d + 1))
+            prod = np.ones(count)
+            for om in omegas:
+                prod *= f.values[(draws[:, 0] + draws[:, 1:] @ om) % n]
+            return prod
+
+        samples = 2 * _MC_CHUNK + 77
+        est = gowers_norm_mc(f, d, samples, seed=6)
+        want = two_pass_mc_mean(draw, samples, 6, "gowers_mc", _MC_CHUNK)
+        assert (est.raised_value, est.std_error) == want
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_memory_is_one_draw_and_one_output(self, d):
+        # one draw, one chunk's output and two blocks; at N = 999983 a tiled
+        # table would take 16 to 32 MiB, and index and gather temporaries
+        # for a whole chunk 512 KiB each
+        n = 999983
+        f = bernoulli_measure(n, seed=1)
+        tracemalloc.start()
+        try:
+            substream(0, "gowers_mc", 0).integers(0, n, size=(_MC_CHUNK, d + 1))
+            _, draw_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            gowers_norm_mc(f, d, 2 * _MC_CHUNK + 7, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < draw_peak + 8 * _MC_CHUNK + 2**18
+
 
 class TestDualFunction:
     def test_constant(self):
@@ -345,6 +382,25 @@ class TestDualFunction:
         exact = dual_function(F, 2).values
         sampled = dual_function(F, 2, mode="monte_carlo", samples=20000, seed=3).values
         assert np.abs(exact - sampled).max() < 0.15
+
+    @pytest.mark.parametrize("n, d, samples", [(31, 2, 1000), (101, 3, 700), (31, 1, 70000)])
+    def test_monte_carlo_matches_old_formula_bit_for_bit(self, n, d, samples):
+        # one chunk, several chunks with a short last one, and one x per chunk
+        F = random_function(CyclicGroup(n), np.random.default_rng(n + d))
+        want = np.empty(n)
+        x_chunk = max(1, _MC_CHUNK // samples)
+        for ci, start in enumerate(range(0, n, x_chunk)):
+            stop = min(start + x_chunk, n)
+            h = substream(4, "dual_mc", ci).integers(0, n, size=(samples, d))
+            xs = np.arange(start, stop)
+            prod = np.ones((stop - start, samples))
+            for om in itertools.product((0, 1), repeat=d):
+                if any(om):
+                    shift = h @ np.asarray(om, dtype=np.int64)
+                    prod *= F.values[(xs[:, None] + shift[None, :]) % n]
+            want[start:stop] = prod.mean(axis=1)
+        got = dual_function(F, d, mode="monte_carlo", samples=samples, seed=4).values
+        assert np.array_equal(got, want)
 
 
 class TestDualNorm:

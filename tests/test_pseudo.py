@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -27,12 +28,14 @@ from znkit import (
     verify_correlation,
     verify_linear_forms,
 )
-from znkit.core import mc_mean
+from znkit.arith import divisor_sums_on_progression
+from znkit.core import mc_mean, substream
 from znkit.pseudo import (
     _MC_CHUNK,
     antiuniform_correlation,
     pseudorandom_condition_parameters,
 )
+from conftest import two_pass_mc_mean
 
 
 class TestHalfway:
@@ -72,6 +75,40 @@ class TestLinearFormSystem:
             LinearFormSystem.from_rows([(1, 2), (2, 4)])
         with pytest.raises(ValueError, match="rational multiples"):
             LinearFormSystem.from_rows([("1/2", 1), (1, 2)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_proportional_pair_matches_pairwise_oracle(self, data):
+        # rows are mostly rational multiples of a few base rows, so that
+        # several classes with several members each are common
+        t = data.draw(st.integers(1, 4), label="t")
+        small = st.integers(-2, 2)
+        bases = data.draw(st.lists(st.tuples(*[small] * t).filter(any), min_size=1,
+                                   max_size=3), label="bases")
+        scale = st.fractions(-3, 3, max_denominator=3).filter(lambda q: q != 0)
+        row = st.one_of(
+            st.tuples(st.sampled_from(bases), scale).map(
+                lambda bq: tuple(bq[1] * c for c in bq[0])),
+            st.tuples(*[st.fractions(-2, 2, max_denominator=2)] * t).filter(any),
+        )
+        rows = data.draw(st.lists(row, min_size=1, max_size=8), label="rows")
+        want = None  # the pairwise loop the class used to run
+        for i, j in itertools.combinations(range(len(rows)), 2):
+            ri, rj = rows[i], rows[j]
+            if all(ri[a] * rj[b] == ri[b] * rj[a] for a in range(t) for b in range(a + 1, t)):
+                want = (i, j)
+                break
+        if want is None:
+            assert LinearFormSystem.from_rows(rows).m == len(rows)
+        else:
+            with pytest.raises(ValueError, match=rf"^rows {want[0]} and {want[1]} are "):
+                LinearFormSystem.from_rows(rows)
+
+    def test_large_cube_builds_in_linear_time(self):
+        # the pairwise Fraction loop took seconds here (1024 rows of 11)
+        start = time.perf_counter()
+        assert LinearFormSystem.cube(10).m == 1024
+        assert time.perf_counter() - start < 2.0
 
     def test_rejects_zero_row(self):
         with pytest.raises(ValueError, match="zero"):
@@ -188,6 +225,26 @@ class TestVerifyLinearForms:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("system", [LinearFormSystem.cube(2),
+                                        LinearFormSystem.progression(4)])
+    def test_monte_carlo_memory_is_one_draw_and_one_output(self, system):
+        # one draw, one chunk's output and two blocks; at N = 999983 a tiled
+        # table would take 16 to 24 MiB, and index and gather temporaries
+        # for a whole chunk 1 MiB each
+        N = 999983
+        nu = bernoulli_measure(N, seed=1)
+        tracemalloc.start()
+        try:
+            substream(0, "linforms", 0).integers(0, N, size=(_MC_CHUNK, system.t))
+            _, draw_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            verify_linear_forms(nu, system, mode="monte_carlo",
+                                samples=2 * _MC_CHUNK + 7, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < draw_peak + 8 * _MC_CHUNK + 2**18
 
 
 class TestTauWeight:
@@ -469,6 +526,62 @@ class TestProgressionRouteMatchesTable:
         est = gy2_correlation_check(params, shifts, (lo, hi), a_tau=0.0)
         assert est.value == float(prod.mean()) / denom
         assert est.samples == xs.size
+
+
+class TestSamplersMatchOldFormulas:
+    """The samplers' estimates and std errors, bit for bit, against the draws
+    as first written (a matmul and a full % N per form) and the two-pass engine."""
+
+    @pytest.mark.parametrize("N, system", [
+        (101, LinearFormSystem.cube(2)),
+        (10007, LinearFormSystem.progression(4)),
+        (10007, LinearFormSystem.from_rows([("1/2", 1), (1, 3), (1, "-1/3")], [0, 5, -2])),
+    ])
+    def test_linear_forms(self, N, system):
+        nu = bernoulli_measure(N, seed=4)
+        mat, consts = system.residue_matrix(N)
+
+        def draw(rng, count):
+            x = rng.integers(0, N, size=(count, system.t)).T
+            prod = np.ones(count)
+            for i in range(system.m):
+                prod *= nu.values[(mat[i] @ x + consts[i]) % N]
+            return prod
+
+        samples = 2 * _MC_CHUNK + 1001
+        got = verify_linear_forms(nu, system, mode="monte_carlo", samples=samples, seed=3)
+        want = two_pass_mc_mean(draw, samples, 3, "linforms", _MC_CHUNK)
+        assert (got.estimate.value, got.estimate.std_error) == want
+
+    def test_window_moment(self):
+        params = MajorantParams(k=3, N=1009, w=3, R_exponent=0.5, epsilon_k=0.25)
+        system = LinearFormSystem.from_rows([(2, -1), (1, 1), (1, 0)], [1, -4, 0])
+        box = [(100, 200), (0, 50)]
+        mat, consts = system.integer_matrix()
+        W = params.W
+        lams, k_min = [], []
+        for row, c in zip(mat.tolist(), consts.tolist()):
+            k_lo = sum(a * (lo if a > 0 else hi) for a, (lo, hi) in zip(row, box))
+            k_hi = sum(a * (hi if a > 0 else lo) for a, (lo, hi) in zip(row, box))
+            lams.append(divisor_sums_on_progression(W, W * c + 1, k_lo, k_hi, params.R))
+            k_min.append(k_lo)
+
+        def draw(rng, count):
+            x = np.stack([rng.integers(lo, hi + 1, size=count) for lo, hi in box])
+            prod = np.ones(count)
+            for i in range(system.m):
+                lam = lams[i][mat[i] @ x - k_min[i]]
+                prod *= lam * lam
+            return prod
+
+        samples = 2 * _MC_CHUNK + 5
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = gy_moment_check(params, system, box, mode="monte_carlo",
+                                  samples=samples, seed=8)
+        value, std_error = two_pass_mc_mean(draw, samples, 8, "gy_moment", _MC_CHUNK)
+        denom = (W * params.log_R / params.phi_W) ** system.m
+        assert (got.value, got.std_error) == (value / denom, std_error / denom)
 
 
 class TestEmptyBoxes:
