@@ -243,7 +243,7 @@ def _cmd_gowers(args) -> dict:
             raise ValueError("fourier mode is available for d = 2 only")
         est = gowers_norm_u2_fourier(f)
     elif args.mode == "mc":
-        est = gowers_norm_mc(f, args.d, args.samples, args.seed)
+        est = gowers_norm_mc(f, args.d, args.samples, args.seed, budget=args.budget)
     else:
         raise ValueError(f"unknown mode {args.mode!r}")
     return {
@@ -264,9 +264,8 @@ def _cmd_dual(args) -> dict:
     elif args.mode == "exact":
         df = dual_function(f, args.d, mode="exact", budget=args.budget)
     elif args.mode == "mc":
-        df = dual_function(
-            f, args.d, mode="monte_carlo", samples=args.samples, seed=args.seed
-        )
+        df = dual_function(f, args.d, mode="monte_carlo", samples=args.samples,
+                           seed=args.seed, budget=args.budget)
     else:
         raise ValueError(f"unknown mode {args.mode!r}")
     if args.output:

@@ -103,6 +103,16 @@ def _smooth_length(n: int) -> int:
     return best
 
 
+_SHIFT_BLOCK = 1 << 20  # floats in one block of translates (8 MiB)
+
+
+def _translates(values: np.ndarray) -> np.ndarray:
+    """The view t[..., h, x] = values[..., (x + h) mod n], 0 <= h < n, on one copy."""
+    n = values.shape[-1]
+    doubled = np.concatenate([values, values[..., : n - 1]], axis=-1)
+    return np.lib.stride_tricks.sliding_window_view(doubled, n, axis=-1)
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr

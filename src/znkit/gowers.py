@@ -3,35 +3,29 @@ degree-2 Fourier shortcuts.
 
 The U^d norm of f is the 2^d-th root of the average of the product of f over
 all cubes {x + omega.h : omega in {0,1}^d}, x in Z_N, h in Z_N^d.  Exact
-evaluation runs one recursion on the last cube coordinate: for fixed h_d the
+evaluation is one recursion on the last cube coordinate: for fixed h_d the
 2^d vertex functions pair up into the 2^(d-1) derivatives
 f_(omega',0) f_(omega',1)(. + h_d), and the d-cube average is the average
-over h_d of the (d-1)-cube averages of those derivatives.  The recursion
-stops at d = 2, one vectorized N x N step, and d = 1, a product of two
-means.  A pair that holds the same array twice is multiplied once, so the
-norm (one function at every vertex) costs one derivative per level.  Keeping
-x instead of averaging it, with the constant 1 at vertex 0, gives the dual
-function.  For the norm this is the defining sum in another order.
+over h_d of the (d-1)-cube averages of those derivatives.  A block of shifts
+(about 2^20 floats of derivatives) is read off the translates of a doubled
+array as a batch of rows.  A pair holding one array twice is multiplied
+once, so the norm costs one derivative per level.  d = 1 is a product of
+two means.  At d = 2 the cube average of a row is
+sum_h c_(f00,f01)(h) c_(f10,f11)(h) / N^3, c_(a,b)(h) = sum_x a(x) b(x + h);
+keeping x, with the constant 1 at vertex 0, gives the dual function
+N^-2 sum_h c_(f10,f11)(h) f01(x + h).  Each correlation is rfft and irfft
+at the least 5-smooth length L >= 2N - 1, folded mod N: no length-N complex
+FFT, which for prime N is Bluestein's three padded transforms (at
+N = 999983 on a 2-vCPU host about three times the time, and 233 MB RSS
+against 142 MB for `znkit dual --mode fourier`).
 
-At d = 2 both the norm and the dual follow from the cyclic correlation
-c(h) = sum_x f(x) f(x + h): ||f||_{U^2}^4 = sum_h c(h)^2 / N^3 and
-DF(x) = N^-2 sum_h c(h) F(x + h).  Each correlation is a real linear one,
-rfft and irfft at the least 5-smooth length L >= 2N - 1, folded mod N.  N is
-usually prime, and numpy's complex FFT of a prime length falls back to
-Bluestein's algorithm, three complex transforms of a padded length.  At
-N = 999983 on a 2-vCPU host that route took about three times as long as
-these real transforms, and `znkit dual --mode fourier` peaked at 233 MB RSS
-with it against 142 MB without.
-
-Cost gating uses the nominal enumeration cost 2^d * N^(d+1) multiply-adds so
-that refusal thresholds are predictable from (N, d) alone, independent of
-evaluation-order tricks.
-
-The sampled norm and dual evaluate the cube as linear forms: rows
-(1, omega) over the columns (x, h_1, ..., h_d), on core's form-product
-kernel.  The rows have unit coefficients, so an index is a sum of at most
-d + 1 residues and the kernel gathers it from a table tiled d + 1 times
-(when that fits under its cap) with no remainder.
+Exact evaluation is gated on its nominal cost, a function of (N, d) alone:
+2N for d = 1, else 2^d N^(d-2) L ceil(log2 L).  The sampled norm and dual
+are gated before they build their 2^d rows, at 2^d samples and 2^d samples N
+gathers.  They evaluate the cube as linear forms, rows (1, omega) over the
+columns (x, h_1, ..., h_d), on core's form-product kernel, which gathers
+each index (a sum of at most d + 1 residues) from a table tiled d + 1 times,
+when that fits, with no remainder.
 """
 
 from __future__ import annotations
@@ -46,8 +40,10 @@ from .core import (
     BudgetExceededError,
     CyclicGroup,
     GridFunction,
+    _SHIFT_BLOCK,
     _form_product,
     _smooth_length,
+    _translates,
     expectation,
     mc_mean,
     substream,
@@ -71,17 +67,17 @@ DEFAULT_BUDGET = 10**9
 _MC_CHUNK = 1 << 16
 
 
-def _nominal_cost(n: int, d: int) -> int:
-    return (2**d) * n ** (d + 1)
+def _check_budget(cost: int, budget: int, what: str, sampled: bool = False) -> None:
+    if cost > budget:
+        remedy = "lower d or samples" if sampled else "use gowers_norm_mc or a monte_carlo mode"
+        raise BudgetExceededError(f"{what} needs {cost:.2e} operations (> budget "
+                                  f"{budget:.2e}); {remedy}, or raise the budget")
 
 
-def _check_budget(n: int, d: int, budget: int, what: str) -> None:
-    if _nominal_cost(n, d) > budget:
-        raise BudgetExceededError(
-            f"exact {what} at N={n}, d={d} needs {_nominal_cost(n, d):.2e} "
-            f"multiply-adds (> budget {budget:.2e}); use gowers_norm_mc or a "
-            f"monte_carlo mode, or raise the budget"
-        )
+def _check_exact(n: int, d: int, budget: int, what: str) -> None:
+    length = _smooth_length(2 * n - 1)  # nominal cost: one length-L transform per row
+    cost = 2 * n if d == 1 else 2**d * n ** (d - 2) * length * (length - 1).bit_length()
+    _check_budget(cost, budget, f"exact {what} at N={n}, d={d}")
 
 
 @dataclass(frozen=True)
@@ -141,37 +137,53 @@ class GowersEstimate:
         return max(self.raised_value + z * self.std_error, 0.0) ** (1.0 / 2**self.dimension)
 
 
-def _cube_average(fs: list[np.ndarray], pointwise: bool = False):
-    """E_(x,h) prod_omega fs[omega](x + omega.h), omega in itertools.product order.
+def _u2_leaf(fs: list, pointwise: bool):
+    """sum_h c_(f0,f1)(h) c_(f2,f3)(h) / N^3 summed over the rows, or pointwise
+    f0(x) N^-2 sum_h c_(f2,f3)(h) f1(x + h), f0 = None the constant 1.  Each
+    distinct array is transformed once."""
+    n = fs[1].shape[-1]
+    hat = {id(a): a for a in (fs[1:] if pointwise else fs)}
+    hat = {key: _spectrum(a) for key, a in hat.items()}
+    c = _cyclic_correlation(hat[id(fs[2])], hat[id(fs[3])], n)
+    if pointwise:
+        out = _cyclic_correlation(_spectrum(c), hat[id(fs[1])], n)
+        out /= float(n) ** 2
+        if fs[0] is not None:
+            out *= fs[0]
+        return out
+    shared = fs[0] is fs[2] and fs[1] is fs[3]
+    c0 = c if shared else _cyclic_correlation(hat[id(fs[0])], hat[id(fs[1])], n)
+    return float(np.sum(c0 * c)) / n**3
 
-    pointwise keeps x: it returns the array x -> E_h prod_omega fs[omega](x + omega.h).
-    """
-    n = fs[0].size
-    # idx[h, x] = x + h; only the d = 2 step needs it
-    idx = (np.arange(n)[:, None] + np.arange(n)) % n if len(fs) > 2 else None
 
-    def pair_means(a, b):  # h -> E_y a(y) b(y + h)
-        return (a[None, :] * b[idx]).mean(axis=1)
-
-    def average(fs):
-        if len(fs) == 2:
-            return fs[0] * fs[1].mean() if pointwise else float(fs[0].mean() * fs[1].mean())
-        if len(fs) == 4:
-            m1 = pair_means(fs[2], fs[3])
-            if pointwise:
-                return fs[0] * (fs[1][idx] * m1[:, None]).mean(axis=0)
-            shared = fs[0] is fs[2] and fs[1] is fs[3]
-            m0 = m1 if shared else pair_means(fs[0], fs[1])
-            return float((m0 * m1).mean())
-        keys = [(id(a), id(b)) for a, b in zip(fs[0::2], fs[1::2])]
-        pairs = dict(zip(keys, zip(fs[0::2], fs[1::2])))
-        total = 0.0
-        for h in range(n):
-            derivs = {key: a * np.roll(b, -h) for key, (a, b) in pairs.items()}
-            total += average([derivs[key] for key in keys])
-        return total / n
-
-    return average(fs)
+def _derivative_recursion(fs: list, pointwise: bool = False):
+    """E_(x,h) prod_omega fs[omega](x + omega.h), omega in itertools.product order,
+    summed over the rows of the (..., N) arrays fs; pointwise keeps x, with
+    fs[0] = None for the constant 1."""
+    n = fs[-1].shape[-1]
+    if len(fs) == 2:
+        if pointwise:
+            return np.full(n, fs[1].mean())
+        return float(fs[0].mean() * fs[1].mean())
+    if len(fs) == 4:
+        return _u2_leaf(fs, pointwise)
+    keys = [(id(a), id(b)) for a, b in zip(fs[0::2], fs[1::2])]
+    pairs = dict(zip(keys, zip(fs[0::2], fs[1::2])))
+    shifted = {id(b): _translates(b) for _, b in pairs.values()}
+    step = max(1, _SHIFT_BLOCK // fs[-1].size)
+    total = np.zeros(fs[-1].shape) if pointwise else 0.0
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        derivs = {}
+        for key, (a, b) in pairs.items():
+            tb = shifted[id(b)][..., start:stop, :]  # [..., h, x] = b(x + h)
+            derivs[key] = (tb if a is None else a[..., None, :] * tb).reshape(-1, n)
+        inner = _derivative_recursion([derivs[key] for key in keys], pointwise)
+        if pointwise:
+            total += inner.reshape(*fs[-1].shape[:-1], stop - start, n).sum(axis=-2)
+        else:
+            total += inner
+    return total / n
 
 
 def gowers_inner(family: CubeFamily, budget: int = DEFAULT_BUDGET) -> float:
@@ -179,26 +191,26 @@ def gowers_inner(family: CubeFamily, budget: int = DEFAULT_BUDGET) -> float:
     d = family.dimension
     if d == 0:
         return expectation(family.functions[()])
-    _check_budget(family.group.modulus, d, budget, "cube average")
+    _check_exact(family.group.modulus, d, budget, "cube average")
     verts = itertools.product((0, 1), repeat=d)
-    return _cube_average([family.functions[om].values for om in verts])
+    return _derivative_recursion([family.functions[om].values for om in verts])
 
 
 def gowers_norm(f: GridFunction, d: int, budget: int = DEFAULT_BUDGET) -> GowersEstimate:
-    """Exact U^d norm; for d = 1 this is |E(f)|."""
+    """Exact U^d norm; for d = 1 this is |E(f)|, for d = 2 the Fourier route."""
     if d < 1:
         raise ValueError("d must be a positive integer")
-    _check_budget(f.group.modulus, d, budget, "uniformity norm")
-    return GowersEstimate.from_raised(_cube_average([f.values] * 2**d), d, "exact")
+    _check_exact(f.group.modulus, d, budget, "uniformity norm")
+    return GowersEstimate.from_raised(_derivative_recursion([f.values] * 2**d), d, "exact")
 
 
 def _spectrum(values: np.ndarray) -> np.ndarray:
-    """rfft of values zero-padded to the least 5-smooth length >= 2N - 1."""
-    return np.fft.rfft(values, _smooth_length(2 * values.size - 1))
+    """rfft along the last axis, zero-padded to the least 5-smooth length >= 2N - 1."""
+    return np.fft.rfft(values, _smooth_length(2 * values.shape[-1] - 1))
 
 
 def _cyclic_correlation(a_hat: np.ndarray, b_hat: np.ndarray, n: int) -> np.ndarray:
-    """c(h) = sum_x a(x) b(x + h mod n), from the padded spectra of a and b.
+    """c(h) = sum_x a(x) b(x + h mod n) along the last axis, from padded spectra.
 
     The inverse transform is the linear correlation: shift h >= 0 at index h,
     shift -m at index L - m.  L >= 2n - 1 keeps the two ranges apart, and
@@ -206,8 +218,8 @@ def _cyclic_correlation(a_hat: np.ndarray, b_hat: np.ndarray, n: int) -> np.ndar
     """
     length = _smooth_length(2 * n - 1)
     lin = np.fft.irfft(a_hat.conj() * b_hat, length)
-    out = lin[:n].copy()
-    out[1:] += lin[length - n + 1 :]
+    out = lin[..., :n].copy()
+    out[..., 1:] += lin[..., length - n + 1 :]
     return out
 
 
@@ -215,29 +227,26 @@ def gowers_norm_u2_fourier(f: GridFunction) -> GowersEstimate:
     """U^2 norm from the autocorrelation c of f: ||f||_{U^2}^4 = sum_h c(h)^2 / N^3.
 
     This equals sum_xi |fhat(xi)|^4, fhat(xi) = E(f(x) e(-x xi / N)), but c
-    comes from padded real transforms (see the module docstring), so a prime
-    N costs no length-N complex FFT.  Cost N log N, exact to roundoff.
+    comes from padded real transforms; the same float as gowers_norm(f, 2).
     """
-    n = f.group.modulus
-    f_hat = _spectrum(f.values)
-    c = _cyclic_correlation(f_hat, f_hat, n)
-    raised = float(np.sum(c * c)) / n**3
+    raised = _u2_leaf([f.values] * 4, pointwise=False)
     return GowersEstimate.from_raised(raised, 2, "fourier")
 
 
 def gowers_norm_mc(
-    f: GridFunction, d: int, samples: int, seed: int
+    f: GridFunction, d: int, samples: int, seed: int, budget: int = DEFAULT_BUDGET
 ) -> GowersEstimate:
     """Unbiased sampling of the U^d cube average over uniform (x, h).
 
     Deterministic for a fixed seed regardless of chunking: chunk i draws from
-    the sub-stream (seed, "gowers_mc", i).
+    the sub-stream (seed, "gowers_mc", i).  Gated at 2^d * samples gathers.
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
     if samples < 100:
         raise ValueError("need at least 100 samples")
     n = f.group.modulus
+    _check_budget(2**d * samples, budget, f"sampled U^{d} norm", sampled=True)
     rows = [(1,) + om for om in itertools.product((0, 1), repeat=d)]
     weight = _form_product(f.values, rows, [0] * len(rows))
 
@@ -258,20 +267,21 @@ def dual_function(
 ) -> GridFunction:
     """DF(x): average of F over the 2^d - 1 nonzero cube vertices at base x.
 
-    Satisfies <F, DF> = ||F||_{U^d}^{2^d}.  Exact mode is gated at nominal
-    cost 2^d N^(d+1); monte_carlo estimates each point from `samples` random
-    h draws.
+    Satisfies <F, DF> = ||F||_{U^d}^{2^d}.  Exact mode runs the derivative
+    recursion, gated at its nominal cost; monte_carlo estimates each point
+    from `samples` random h draws, gated at 2^d * samples * N gathers.
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
     n = F.group.modulus
     if mode == "exact":
-        _check_budget(n, d, budget, "dual function")
-        fs = [np.ones(n)] + [F.values] * (2**d - 1)
-        return GridFunction(F.group, _cube_average(fs, pointwise=True))
+        _check_exact(n, d, budget, "dual function")
+        fs = [None] + [F.values] * (2**d - 1)
+        return GridFunction(F.group, _derivative_recursion(fs, pointwise=True))
     if mode == "monte_carlo":
         if samples is None or samples < 100:
             raise ValueError("monte_carlo mode needs samples >= 100")
+        _check_budget(2**d * samples * n, budget, f"sampled dual at N={n}, d={d}", sampled=True)
         return _dual_mc(F, d, samples, seed)
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -303,16 +313,11 @@ def dual_function_u2_fourier(F: GridFunction) -> GridFunction:
     """The d = 2 dual function DF(x) = N^-2 sum_h c(h) F(x + h).
 
     c is the autocorrelation of F, so DF has Fourier coefficients
-    |Fhat|^2 Fhat.  Both correlations run on padded real transforms (see the
-    module docstring) and share the transform of F: two rffts and two
-    irffts.  An independent route used to cross-check the enumeration.
+    |Fhat|^2 Fhat: two rffts and two irffts, the same array as
+    dual_function(F, 2).
     """
-    n = F.group.modulus
-    f_hat = _spectrum(F.values)
-    c = _cyclic_correlation(f_hat, f_hat, n)
-    dual = _cyclic_correlation(_spectrum(c), f_hat, n)
-    dual /= float(n) ** 2
-    return GridFunction(F.group, dual)
+    v = F.values
+    return GridFunction(F.group, _u2_leaf([None, v, v, v], pointwise=True))
 
 
 def dual_norm_u2_fourier(g: GridFunction) -> float:

@@ -22,7 +22,9 @@ from .core import (
     GridFunction,
     GroupMismatchError,
     SigmaAlgebra,
+    _SHIFT_BLOCK,
     _smooth_length,
+    _translates,
     conditional_expectation,
     join_sigma,
     substream,
@@ -31,10 +33,8 @@ from .gowers import (
     DEFAULT_BUDGET,
     GowersEstimate,
     dual_function,
-    dual_function_u2_fourier,
     gowers_norm,
     gowers_norm_mc,
-    gowers_norm_u2_fourier,
 )
 from .arith import primes_up_to
 
@@ -60,7 +60,8 @@ def ap_expectation(fs: Sequence[GridFunction], cs: Sequence[int]) -> float:
     c_0 xi_0 + c_1 xi_1 + c_2 xi_2 = 0 (mod N) are t (a_0, a_1, a_2) with
     a_j = c_(j+1) - c_(j+2), so the average is sum_t prod_j f^_j(t a_j), where
     f^ = fft(f) / N.  Any other case (k != 3, or coefficients distinct as
-    integers but congruent mod N) multiplies N shifted copies, cost N^2.
+    integers but congruent mod N) multiplies the translates
+    f_j((x + c_j r) mod N), gathered for a block of r at a time, cost k N^2.
 
     Includes the degenerate r = 0 terms; callers comparing against integer
     progression counts must subtract them explicitly.
@@ -82,13 +83,16 @@ def ap_expectation(fs: Sequence[GridFunction], cs: Sequence[int]) -> float:
             a = (cs[(j + 1) % 3] - cs[(j + 2) % 3]) % n
             prod *= (np.fft.fft(f.values) / n)[t * a % n]
         return float(prod.sum().real)
+    translates = [_translates(f.values) for f in fs]
+    step = max(1, _SHIFT_BLOCK // n)
     total = 0.0
-    for r in range(n):
-        prod = np.ones(n)
-        for f, c in zip(fs, cs):
-            prod *= np.roll(f.values, -((c * r) % n))
-        total += float(prod.mean())
-    return total / n
+    for start in range(0, n, step):
+        r = np.arange(start, min(start + step, n))
+        prod = translates[0][(cs[0] % n) * r % n]  # [r, x] = f_0(x + c_0 r)
+        for t, c in zip(translates[1:], cs[1:]):
+            prod *= t[(c % n) * r % n]
+        total += float(prod.sum())
+    return total / n**2
 
 
 @dataclass(frozen=True)
@@ -106,12 +110,6 @@ class GvnReport:
     slope: float
     max_residual: float
     seed: int
-
-
-def _uniformity_norm_exact(f: GridFunction, d: int, budget: int) -> GowersEstimate:
-    if d == 2:
-        return gowers_norm_u2_fourier(f)
-    return gowers_norm(f, d, budget=budget)
 
 
 def gvn_check(
@@ -146,9 +144,7 @@ def gvn_check(
                 scale = rng.uniform(-1.0, 1.0, size=group.modulus)
                 fs.append(GridFunction(group, scale * envelope))
         avg = abs(ap_expectation(fs, list(range(k))))
-        min_norm = min(
-            _uniformity_norm_exact(f, d, budget).norm_value for f in fs
-        )
+        min_norm = min(gowers_norm(f, d, budget=budget).norm_value for f in fs)
         pairs.append((avg, min_norm))
     sum_xy = sum(a * m for a, m in pairs)
     sum_xx = sum(m * m for _, m in pairs)
@@ -440,8 +436,8 @@ class DecompositionConfig:
     """Knobs for the energy-increment decomposition.
 
     uniformity_mode "exact" evaluates U^(k-1) norms and dual functions
-    exactly (via the Fourier route for k = 3, enumeration otherwise,
-    budget-gated); "monte_carlo" samples both and the stopping rule then
+    exactly (one derivative recursion, budget-gated); "monte_carlo" samples
+    both and the stopping rule then
     compares estimate + 2 std errors against the threshold, so sampling
     noise cannot cause an early stop.
     """
@@ -512,30 +508,16 @@ def _estimate_uniformity(
 ) -> GowersEstimate:
     if config.uniformity_mode == "exact":
         try:
-            return _uniformity_norm_exact(f, d, config.budget)
+            return gowers_norm(f, d, budget=config.budget)
         except BudgetExceededError as exc:
             raise BudgetExceededError(
                 f"{exc}; rerun with uniformity_mode='monte_carlo'"
             ) from exc
-    return gowers_norm_mc(f, d, config.samples, _step_seed(config.seed, step))
+    return gowers_norm_mc(f, d, config.samples, _step_seed(config.seed, step), config.budget)
 
 
 def _step_seed(seed: int, step: int) -> int:
     return (seed * 1_000_003 + step) & 0xFFFFFFFFFFFFFFFF
-
-
-def _dual_for_step(
-    f: GridFunction, d: int, config: DecompositionConfig, step: int
-) -> GridFunction:
-    if config.uniformity_mode == "exact":
-        if d == 2:
-            return dual_function_u2_fourier(f)
-        return dual_function(f, d, mode="exact", budget=config.budget)
-    samples_per_point = max(100, config.samples // 100)
-    return dual_function(
-        f, d, mode="monte_carlo", samples=samples_per_point,
-        seed=_step_seed(config.seed, step),
-    )
 
 
 def kvn_decompose(
@@ -594,7 +576,11 @@ def kvn_decompose(
         if iterations >= config.iteration_cap:
             final_est = est
             break
-        dual = _dual_for_step(residual, d, config, iterations)
+        dual = dual_function(  # sampled: config.samples // 100 draws per point
+            residual, d, mode=config.uniformity_mode,
+            samples=max(100, config.samples // 100),
+            seed=_step_seed(config.seed, iterations), budget=config.budget,
+        )
         level, alpha = build_level_sigma(
             dual, config.epsilon, config.eta, nu, value_bound=dual_bound
         )

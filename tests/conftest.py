@@ -44,3 +44,50 @@ def two_pass_mc_mean(draw, samples: int, seed: int, stream: str, chunk: int):
             m2 += delta * delta * done * count / (done + count)
         total += chunk_total
     return total / samples, math.sqrt(m2 / (samples - 1) / samples)
+
+
+def enumerated_cube_average(fs, pointwise: bool = False):
+    """E_(x,h) prod_omega fs[omega](x + omega.h), omega in itertools.product order.
+
+    The vectorised enumeration oracle for the exact U^d routes: d = 2 is one
+    N x N index-grid step, each level above it a loop over h of np.roll
+    derivatives, and no transform anywhere.  pointwise keeps x: it returns
+    the array x -> E_h prod_omega fs[omega](x + omega.h).
+    """
+    n = fs[0].size
+    # idx[h, x] = x + h; only the d = 2 step needs it
+    idx = (np.arange(n)[:, None] + np.arange(n)) % n if len(fs) > 2 else None
+
+    def pair_means(a, b):  # h -> E_y a(y) b(y + h)
+        return (a[None, :] * b[idx]).mean(axis=1)
+
+    def average(fs):
+        if len(fs) == 2:
+            return fs[0] * fs[1].mean() if pointwise else float(fs[0].mean() * fs[1].mean())
+        if len(fs) == 4:
+            m1 = pair_means(fs[2], fs[3])
+            if pointwise:
+                return fs[0] * (fs[1][idx] * m1[:, None]).mean(axis=0)
+            shared = fs[0] is fs[2] and fs[1] is fs[3]
+            m0 = m1 if shared else pair_means(fs[0], fs[1])
+            return float((m0 * m1).mean())
+        keys = [(id(a), id(b)) for a, b in zip(fs[0::2], fs[1::2])]
+        pairs = dict(zip(keys, zip(fs[0::2], fs[1::2])))
+        total = 0.0
+        for h in range(n):
+            derivs = {key: a * np.roll(b, -h) for key, (a, b) in pairs.items()}
+            total += average([derivs[key] for key in keys])
+        return total / n
+
+    return average(fs)
+
+
+def enumerated_norm(f: GridFunction, d: int) -> float:
+    """||f||_{U^d}^(2^d) by enumeration."""
+    return enumerated_cube_average([f.values] * 2**d)
+
+
+def enumerated_dual(F: GridFunction, d: int) -> np.ndarray:
+    """The dual function D_d F by enumeration, the constant 1 at vertex 0."""
+    n = F.group.modulus
+    return enumerated_cube_average([np.ones(n)] + [F.values] * (2**d - 1), pointwise=True)

@@ -41,7 +41,7 @@ from znkit import (
     verify_linear_forms,
     CubeFamily,
 )
-from conftest import random_function, random_partition
+from conftest import enumerated_dual, enumerated_norm, random_function, random_partition
 from test_arith import divisor_sum_oracle
 from test_transference import brute_count_aps
 
@@ -87,10 +87,10 @@ def test_criterion_02_u2_fourier_identity():
         group = CyclicGroup(n)
         for _ in range(50):
             f = random_function(group, rng)
-            enum = gowers_norm(f, 2, budget=BIG_BUDGET).norm_value
+            enum = enumerated_norm(f, 2) ** 0.25
             four = gowers_norm_u2_fourier(f).norm_value
             worst_norm = max(worst_norm, abs(enum - four) / max(enum, four))
-            df_enum = dual_function(f, 2, budget=BIG_BUDGET).values
+            df_enum = enumerated_dual(f, 2)
             df_four = dual_function_u2_fourier(f).values
             scale = max(1.0, float(np.abs(df_enum).max()))
             worst_dual = max(worst_dual, float(np.abs(df_enum - df_four).max()) / scale)

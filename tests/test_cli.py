@@ -109,6 +109,28 @@ def test_budget_exit_code(capsys):
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize("argv", [("gowers", "--n", "3", "--d", "30", "--mode", "mc"),
+                                  ("dual", "--n", "3", "--d", "25", "--mode", "mc")])
+def test_sampled_huge_d_is_a_budget_refusal(capsys, tmp_path, argv):
+    # 2^d rows would be built before any check: 2^30 of them exhausted memory
+    path = tmp_path / "f.csv"
+    path.write_text("1.0\n" * 3)
+    code, out = run_cli(capsys, *argv, "--samples", "100", "--input", str(path))
+    assert code == EXIT_BUDGET
+    assert json.loads(out)["error"]["type"] == "budget"
+
+
+def test_exact_u3_at_n2003_is_within_the_default_budget(capsys, tmp_path):
+    # the enumeration's 2^d N^(d+1) gate refused this; the recursion's cost is 7.8e8
+    path = tmp_path / "f.csv"
+    rng = np.random.default_rng(2003)
+    path.write_text("".join(format(float(v), ".17g") + "\n" for v in rng.uniform(-1, 1, 2003)))
+    code, out = run_cli(capsys, "gowers", "--n", "2003", "--d", "3", "--input", str(path),
+                        "--mode", "exact")
+    assert code == EXIT_OK
+    assert 0 < json.loads(out)["result"]["raised_value"] < 1
+
+
 def test_invalid_parameters_exit_code(capsys):
     code, out = run_cli(capsys, "majorant", "--n", "100", "--k", "3")
     assert code == EXIT_INVALID
@@ -175,6 +197,8 @@ def test_benchmark_tracer_counters_read_their_parameters(capsys, tmp_path):
          "--mode", "monte_carlo", "--samples", "1000"),
         ("gvn", "--n", "101", "--trials", "2"),
         ("apcount", "--k", "4", "--limit", "200"),
+        ("gowers", "--n", "101", "--d", "3", "--input", str(interval), "--mode", "exact"),
+        ("dual", "--n", "101", "--d", "3", "--input", str(interval), "--mode", "exact"),
     ]
     trace = tracer.Tracer()
     trace.install()
@@ -187,7 +211,7 @@ def test_benchmark_tracer_counters_read_their_parameters(capsys, tmp_path):
     assert codes == [EXIT_OK] * len(calls)
     metrics = trace.metrics()
     for name in ("transference.alpha_evals", "transference.refine_iterations",
-                 "pseudo.mc_samples", "gowers.mc_samples"):
+                 "pseudo.mc_samples", "gowers.mc_samples", "gowers.exact_nominal_cost"):
         assert metrics[name] > 0, name
     # the self-timed functions still do their own work under their public names
     for name in ("transference.ap_expectation", "transference.build_level_sigma",

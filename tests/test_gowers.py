@@ -26,8 +26,9 @@ from znkit import (
     substream,
 )
 from znkit.core import _smooth_length
+import znkit.gowers
 from znkit.gowers import _MC_CHUNK
-from conftest import random_function, two_pass_mc_mean
+from conftest import enumerated_dual, enumerated_norm, random_function, two_pass_mc_mean
 
 
 def brute_cube_average(funcs, d, n):
@@ -131,6 +132,70 @@ class TestCubeAverage:
         with pytest.raises(BudgetExceededError, match="gowers_norm_mc"):
             gowers_inner(fam, budget=10**6)
 
+    @pytest.mark.parametrize("d, n", [(1, 13), (2, 101), (3, 101), (4, 23)])
+    def test_gate_is_the_nominal_cost_exactly(self, d, n):
+        # 2N for d = 1, else 2^d N^(d-2) L ceil(log2 L) with L >= 2N - 1 5-smooth
+        length = _smooth_length(2 * n - 1)
+        cost = 2 * n if d == 1 else 2**d * n ** (d - 2) * length * math.ceil(math.log2(length))
+        if (d, n) == (3, 101):
+            assert cost == 1_396_224
+        one = GridFunction.constant(CyclicGroup(n), 1.0)
+        fam = CubeFamily.constant(one, d)
+        assert gowers_norm(one, d, budget=cost).raised_value == pytest.approx(1.0)
+        assert gowers_inner(fam, budget=cost) == pytest.approx(1.0)
+        assert np.allclose(dual_function(one, d, budget=cost).values, 1.0)
+        for call in (lambda: gowers_norm(one, d, budget=cost - 1),
+                     lambda: gowers_inner(fam, budget=cost - 1),
+                     lambda: dual_function(one, d, budget=cost - 1)):
+            with pytest.raises(BudgetExceededError):
+                call()
+
+
+class TestDerivativeRecursion:
+    """Blocks of shifts and batched rows, forced small, against the literal sums."""
+
+    @pytest.mark.parametrize("cap", ["one", "three_rows", "default"])
+    @pytest.mark.parametrize("d, n", [(3, 7), (4, 5)])
+    def test_blocks_match_brute_force(self, monkeypatch, cap, d, n):
+        sizes = {"one": 1, "three_rows": 3 * n, "default": znkit.gowers._SHIFT_BLOCK}
+        monkeypatch.setattr(znkit.gowers, "_SHIFT_BLOCK", sizes[cap])
+        rng = np.random.default_rng(40 + d)
+        g = CyclicGroup(n)
+        F = random_function(g, rng)
+        funcs = {om: random_function(g, rng) for om in itertools.product((0, 1), repeat=d)}
+        assert gowers_inner(CubeFamily(d, funcs)) == pytest.approx(
+            brute_cube_average(funcs, d, n), abs=1e-12)
+        fam = {om: F for om in funcs}
+        assert gowers_norm(F, d).raised_value == pytest.approx(
+            brute_cube_average(fam, d, n), abs=1e-12)
+        assert np.allclose(dual_function(F, d).values, brute_dual(F, d, n), atol=1e-12)
+
+    @pytest.mark.parametrize("d, n", [(3, 101), (4, 23)])
+    def test_matches_enumeration(self, d, n):
+        rng = np.random.default_rng(41)
+        F = random_function(CyclicGroup(n), rng)
+        want = enumerated_norm(F, d)
+        assert abs(gowers_norm(F, d).raised_value - want) <= 1e-12 * want
+        want_dual = enumerated_dual(F, d)
+        got = dual_function(F, d).values
+        assert np.abs(got - want_dual).max() <= 1e-12 * np.abs(want_dual).max()
+
+    def test_u3_at_n2003_stays_within_the_block_cap(self):
+        # one block of about 2^20 derivative floats (8 MiB) and the batched
+        # transforms it feeds; a doubled cap would pass both bounds
+        n = 2003
+        F = GridFunction(CyclicGroup(n), np.random.default_rng(42).uniform(-1, 1, n))
+        peaks = []
+        for run in (lambda: gowers_norm(F, 3), lambda: dual_function(F, 3)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 80 * 2**20
+        assert peaks[1] < 120 * 2**20
+
 
 class TestNorm:
     def test_constant_is_one(self):
@@ -192,9 +257,18 @@ class TestU2Fourier:
         g = CyclicGroup(101)
         for _ in range(10):
             f = random_function(g, rng)
-            a = gowers_norm(f, 2).norm_value
+            a = enumerated_norm(f, 2) ** 0.25
             b = gowers_norm_u2_fourier(f).norm_value
             assert abs(a - b) <= 1e-9 * max(a, b)
+
+    def test_exact_d2_is_the_fourier_leaf(self):
+        # gowers_norm and dual_function at d = 2 run the same leaf, bit for bit
+        rng = np.random.default_rng(43)
+        for n in (2, 3, 101, 1009):
+            f = random_function(CyclicGroup(n), rng)
+            assert gowers_norm(f, 2).raised_value == gowers_norm_u2_fourier(f).raised_value
+            assert np.array_equal(dual_function(f, 2).values,
+                                  dual_function_u2_fourier(f).values)
 
 
 def direct_u2(values):
@@ -235,9 +309,9 @@ class TestU2Correlation:
             raised = gowers_norm_u2_fourier(f).raised_value
             dual = dual_function_u2_fourier(f).values
             direct_raised, direct_dual = direct_u2(f.values)
-            for want in (gowers_norm(f, 2).raised_value, direct_raised):
+            for want in (enumerated_norm(f, 2), direct_raised):
                 assert abs(raised - want) <= 1e-12 * want, n
-            for want in (dual_function(f, 2).values, direct_dual):
+            for want in (enumerated_dual(f, 2), direct_dual):
                 assert np.abs(dual - want).max() <= 1e-12 * np.abs(want).max(), n
 
     def test_prime_100003_matches_the_length_n_transform(self):
@@ -303,6 +377,17 @@ class TestMonteCarlo:
         assert est.std_error == pytest.approx(want, rel=1e-6)
         assert est.raised_value == pytest.approx(prods.mean(), rel=1e-15)
 
+    def test_budget_is_2_to_the_d_times_samples(self):
+        f = GridFunction.constant(CyclicGroup(3), 1.0)
+        assert gowers_norm_mc(f, 2, samples=100, seed=0, budget=400).raised_value == 1.0
+        with pytest.raises(BudgetExceededError, match="samples"):
+            gowers_norm_mc(f, 2, samples=100, seed=0, budget=399)
+
+    def test_huge_d_is_refused_before_the_rows_are_built(self):
+        f = GridFunction.constant(CyclicGroup(3), 1.0)
+        with pytest.raises(BudgetExceededError):
+            gowers_norm_mc(f, 30, samples=100, seed=0)
+
     def test_rejects_tiny_sample_counts(self):
         f = GridFunction.constant(CyclicGroup(11), 1.0)
         with pytest.raises(ValueError):
@@ -367,11 +452,27 @@ class TestDualFunction:
             rhs = gowers_norm(F, d).raised_value
             assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs))
 
+    def test_pairing_identity_at_k4_n1009(self):
+        rng = np.random.default_rng(44)
+        F = random_function(CyclicGroup(1009), rng)
+        lhs = inner_product(F, dual_function(F, 3))
+        rhs = gowers_norm(F, 3).raised_value
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+    def test_monte_carlo_budget_is_2_to_the_d_samples_n(self):
+        F = GridFunction.constant(CyclicGroup(3), 1.0)
+        got = dual_function(F, 2, mode="monte_carlo", samples=100, budget=1200)
+        assert np.array_equal(got.values, np.ones(3))
+        with pytest.raises(BudgetExceededError, match="samples"):
+            dual_function(F, 2, mode="monte_carlo", samples=100, budget=1199)
+        with pytest.raises(BudgetExceededError):
+            dual_function(F, 25, mode="monte_carlo", samples=100)
+
     def test_d2_matches_fourier_form(self):
         rng = np.random.default_rng(20)
         g = CyclicGroup(101)
         F = random_function(g, rng)
-        a = dual_function(F, 2).values
+        a = enumerated_dual(F, 2)
         b = dual_function_u2_fourier(F).values
         assert np.abs(a - b).max() <= 1e-9 * max(1.0, np.abs(a).max())
 

@@ -24,6 +24,7 @@ from znkit import (
     is_prime_64,
     kvn_decompose,
 )
+import znkit.transference
 from znkit.core import _smooth_length
 from conftest import random_function, random_partition
 
@@ -125,6 +126,18 @@ class TestApExpectation:
         for cs in ([0, 1, 2], [0, 2, 3], [-1, 0, 1]):
             assert ap_expectation(fs, cs) == pytest.approx(
                 brute_ap_expectation(fs, cs, 7), abs=1e-12
+            )
+
+    @pytest.mark.parametrize("block", [1, 3 * 13, 100 * 13])
+    def test_blocks_of_r_match_brute_force(self, monkeypatch, block):
+        # one r per block, blocks of 3 with a short last one, and one block
+        monkeypatch.setattr(znkit.transference, "_SHIFT_BLOCK", block)
+        rng = np.random.default_rng(2)
+        g = CyclicGroup(13)
+        fs = [random_function(g, rng) for _ in range(4)]
+        for cs in ([0, 1, 2, 3], [-2, 5, 14, 30]):
+            assert ap_expectation(fs, cs) == pytest.approx(
+                brute_ap_expectation(fs, cs, 13), abs=1e-12
             )
 
     def test_cross_oracle_with_integer_progressions(self):
