@@ -40,6 +40,7 @@ from .core import (
     BudgetExceededError,
     CyclicGroup,
     GridFunction,
+    _BLOCK,
     _SHIFT_BLOCK,
     _form_product,
     _smooth_length,
@@ -292,20 +293,26 @@ def _dual_mc(F: GridFunction, d: int, samples: int, seed: int) -> GridFunction:
     Chunk i holds about _MC_CHUNK / samples points x and draws its h from
     substream(seed, "dual_mc", i); the product runs on the rows (1, omega),
     omega != 0, over the columns (x, h), x repeated once per draw of h.
+    The columns are built for about _BLOCK / samples points x at a time, in
+    one buffer whose h rows are written once per chunk.
     """
     n = F.group.modulus
     rows = [(1,) + om for om in itertools.product((0, 1), repeat=d) if any(om)]
     weight = _form_product(F.values, rows, [0] * len(rows))
     out = np.empty(n)
     x_chunk = max(1, _MC_CHUNK // samples)
+    x_block = max(1, _BLOCK // samples)
     for ci, start in enumerate(range(0, n, x_chunk)):
         stop = min(start + x_chunk, n)
         h = substream(seed, "dual_mc", ci).integers(0, n, size=(samples, d))
-        cols = np.empty((d + 1, (stop - start) * samples), dtype=np.int64)
-        grid = cols.reshape(d + 1, stop - start, samples)
-        grid[0] = np.arange(start, stop)[:, None]
+        grid = np.empty((d + 1, min(x_block, stop - start), samples), dtype=np.int64)
         grid[1:] = h.T[:, None, :]
-        out[start:stop] = weight(cols).reshape(stop - start, samples).mean(axis=1)
+        for lo in range(start, stop, x_block):
+            hi = min(lo + x_block, stop)
+            block = grid[:, : hi - lo]
+            block[0] = np.arange(lo, hi)[:, None]
+            cols = block.reshape(d + 1, (hi - lo) * samples)
+            out[lo:hi] = weight(cols).reshape(hi - lo, samples).mean(axis=1)
     return GridFunction(F.group, out)
 
 

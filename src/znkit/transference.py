@@ -154,52 +154,69 @@ def gvn_check(
 
 
 def _count_aps_k3_convolution(primes: np.ndarray, limit: int) -> int:
-    """3-APs of primes <= limit, counted by an odd-only autoconvolution.
+    """3-APs of primes <= limit, counted by four mod-6 autoconvolutions.
 
-    2 starts no 3-AP (2m - 2 is even), so write each odd prime as
-    p = 2a + 1; the midpoint of p and q = 2b + 1 is m = a + b + 1.  The
-    indicator of a over the (limit + 1) // 2 odd numbers up to limit is
-    squared in Fourier space at a 5-smooth length S >= 2 len - 1, so the
-    cyclic product is the linear one, and entry m - 1 of the inverse
-    transform counts the ordered pairs (p, q) with p + q = 2m, including
-    p = q = m.  Only those entries are read, at the odd prime midpoints m,
-    and (pairs - 1) // 2 of them is the number of 3-APs centred on m.
-    Counts stay far below 2^53, so each entry must land within rounding
-    error of an integer; one that lies more than 0.25 off raises.
+    2 is in no 3-AP (2m - 2 is even); write each odd prime as p = 2a + 1,
+    so p, m, q is a 3-AP when a_p + a_q = 2 a_m.
+    For p > 3, a = 0, 2, 3 or 5 (mod 6) and 2 a_m = 0 or 4 (mod 6); two of
+    those classes sum to 0 or 4 only when both are one class, r, say.
+    So class r, the i with 6 i + r an a_p, is squared on its own, in Fourier
+    space at a 5-smooth length S >= 2 len - 1 (cyclic = linear product), and
+    entry (a_m - r) / 3 counts the ordered pairs of class r centred on m.
+    The two classes r = a_m (mod 3) give 2 t_m + 1 between them, t_m the
+    3-APs centred on m with no end at 3, and the 1 is p = q = m.  Classes
+    run one after another, each freed before the next: every transform has
+    length about limit / 6.  p = 3 (a = 1) is in no class.  It starts
+    exactly the progressions (3, q, 2q - 3), q > 3, and those are counted
+    directly: the q with 2q - 3 <= limit found among the primes by binary
+    search.  Counts stay far below 2^53, so each entry must land within
+    rounding error of an integer; one that lies more than 0.25 off raises.
     """
-    half = primes[primes > 2] // 2  # a = (p - 1) / 2
-    if half.size == 0:
-        return 0
-    size = (limit + 1) // 2
-    length = _smooth_length(2 * size - 1)
-    x = np.zeros(size, dtype=np.float64)
-    x[half] = 1.0
-    spectrum = np.fft.rfft(x, n=length)
-    del x
-    spectrum *= spectrum
-    pairs = np.fft.irfft(spectrum, n=length)[2 * half]  # m - 1 = 2a for m = p
-    counts = np.rint(pairs)
-    residue = float(np.abs(pairs - counts).max())
-    if residue > 0.25:
-        raise RuntimeError(
-            f"inexact pair-count transform: an entry lies {residue:.3g} from an integer"
-        )
-    return int(((counts.astype(np.int64) - 1) // 2).sum())
+    centres = primes[primes > 3]
+    half = centres // 2  # a = (p - 1) / 2, sorted
+    top = (limit - 1) // 2  # largest a of an odd number <= limit
+    total = -half.size  # one p = q = m pair per centre
+    for r in (0, 2, 3, 5):
+        if top < r:
+            continue
+        size = (top - r) // 6 + 1
+        length = _smooth_length(2 * size - 1)
+        x = np.zeros(size, dtype=np.float64)
+        x[(half[half % 6 == r] - r) // 6] = 1.0
+        spectrum = np.fft.rfft(x, n=length)
+        del x
+        spectrum *= spectrum
+        at = (half[(half % 3 == r % 3) & (half >= r)] - r) // 3
+        # an index past 2 size - 2 lies beyond every pair sum of the class
+        pairs = np.fft.irfft(spectrum, n=length)[at[at < 2 * size - 1]]
+        del spectrum
+        counts = np.rint(pairs)
+        residue = float(np.abs(pairs - counts).max(initial=0.0))
+        if residue > 0.25:
+            raise RuntimeError(
+                f"inexact pair-count transform: an entry lies {residue:.3g} from an integer"
+            )
+        total += int(counts.sum())
+    ends = 2 * centres[2 * centres - 3 <= limit] - 3
+    found = primes[np.minimum(np.searchsorted(primes, ends), primes.size - 1)] == ends
+    return total // 2 + int(found.sum())
 
 
 def count_prime_aps(k: int, limit: int, budget: int = 10**9) -> int:
     """Exact number of k-term progressions of primes <= limit, difference >= 1.
 
-    k = 2 is the closed-form pair count.  k = 3 squares the spectrum of the
-    odd primes' half-indices (p - 1) / 2, a transform of 5-smooth length
-    about limit, and reads the pair counts at the odd prime midpoints only;
-    the primes come from the primes-only sieve, so no Mobius or von Mangoldt
-    table is built.  Other k scan starts p and differences d = 6, 12, ...
-    (budget-gated on primes * limit, the scan of every d): 6 divides the
-    difference of every progression of four or more primes.  An odd d makes
-    p + d (p odd) or p + 2d (p = 2) even and larger than 2; a d prime to 3
-    puts p, p + d, p + 2d in every residue class mod 3, so one of them is 3,
-    which must be p, and then p + 3d = 3 (1 + d) is composite.
+    k = 2 is the closed-form pair count.  k = 3 splits the half-indices
+    (p - 1) / 2 of the primes p > 3 into their four classes mod 6, which
+    never pair across classes, squares each class's spectrum in turn (a
+    transform of 5-smooth length about limit / 6) and reads the pair counts
+    at the prime midpoints only; the progressions (3, q, 2q - 3) are counted
+    directly.  The primes come from the primes-only sieve, so no Mobius or
+    von Mangoldt table is built.  Other k scan starts p and differences
+    d = 6, 12, ... (budget-gated on primes * limit, the scan of every d): 6
+    divides the difference of every progression of four or more primes.  An
+    odd d makes p + d (p odd) or p + 2d (p = 2) even and larger than 2; a d
+    prime to 3 puts p, p + d, p + 2d in every residue class mod 3, so one of
+    them is 3, which must be p, and then p + 3d = 3 (1 + d) is composite.
     """
     if k < 2:
         raise ValueError("k must be >= 2")

@@ -196,6 +196,7 @@ def test_benchmark_tracer_counters_read_their_parameters(capsys, tmp_path):
         ("gycheck", "--n", "1009", "--theta", "0.5", "--epsilon", "0.25",
          "--mode", "monte_carlo", "--samples", "1000"),
         ("gvn", "--n", "101", "--trials", "2"),
+        ("apcount", "--k", "3", "--limit", "1000"),
         ("apcount", "--k", "4", "--limit", "200"),
         ("gowers", "--n", "101", "--d", "3", "--input", str(interval), "--mode", "exact"),
         ("dual", "--n", "101", "--d", "3", "--input", str(interval), "--mode", "exact"),

@@ -89,11 +89,17 @@ def _is_5_smooth(n):
     return n == 1
 
 
-# limits <= 3000 whose odd-only transform length is exactly 2 len - 1, with
-# len = (limit + 1) // 2 half-indices: no slack between the linear
-# convolution and the cyclic one
+def _wheel_sizes(limit):
+    """Lengths of the mod-6 classes of half-indices (p - 1) / 2, p <= limit."""
+    top = (limit - 1) // 2
+    return [(top - r) // 6 + 1 for r in (0, 2, 3, 5) if top >= r]
+
+
+# limits <= 3000 at which some class's transform length is exactly 2 len - 1:
+# no slack between the linear convolution and the cyclic one
 _EXACT_LENGTH_LIMITS = tuple(
-    limit for limit in range(2, 3001) if _is_5_smooth(2 * ((limit + 1) // 2) - 1)
+    limit for limit in range(2, 3001)
+    if any(_is_5_smooth(2 * size - 1) for size in _wheel_sizes(limit))
 )
 
 
@@ -217,13 +223,21 @@ class TestCountPrimeAps:
     @example(5)
     @example(6)
     @example(7)
-    @example(2187)
-    @example(2188)
-    def test_odd_only_transform_matches_brute_force(self, limit):
+    @example(8)
+    @example(9)
+    @example(10)  # class 5 (a = 5, p = 11) is empty up to 10, class 3 up to 6
+    @example(11)  # = 2 * 7 - 3: the first (3, q, 2q - 3)
+    @example(12)
+    @example(13)
+    @example(2038)
+    @example(2039)  # = 2 * 1021 - 3, prime
+    @example(2441)  # centre 2437 reads entry 2 len - 1 of class 3's exact-length transform
+    @example(2446)
+    def test_wheel_matches_brute_force(self, limit):
         assert count_prime_aps(3, limit) == brute_count_aps(3, limit)
 
     def test_smooth_length_is_least_5_smooth(self):
-        assert {15, 16, 2187, 2188} <= set(_EXACT_LENGTH_LIMITS)
+        assert {2441, 2446} <= set(_EXACT_LENGTH_LIMITS)
         for n in range(0, 5000):
             want = max(n, 1)
             while not _is_5_smooth(want):
@@ -234,19 +248,33 @@ class TestCountPrimeAps:
     def test_pinned_counts(self):
         assert count_prime_aps(3, 10**5) == 2856331
         assert count_prime_aps(3, 10**6) == 157300309
+        assert count_prime_aps(3, 10**7) == 9565120490
+
+    def test_k3_transforms_are_a_sixth_of_the_limit(self, monkeypatch):
+        # one transform over every odd number would be about limit long
+        limit = 10**6
+        lengths = []
+        real_rfft = np.fft.rfft
+
+        def rfft(a, n=None, **kw):
+            lengths.append(n)
+            return real_rfft(a, n=n, **kw)
+
+        monkeypatch.setattr(np.fft, "rfft", rfft)
+        assert count_prime_aps(3, limit) == 157300309
+        assert len(lengths) == 4
+        assert max(lengths) <= _smooth_length(2 * (limit // 12 + 1))
 
     def test_k3_memory_follows_the_primes(self):
-        # a 2^21-point float64 transform with its spectrum, its square, the
-        # inverse and an int64 copy peaked near 90 MB in this test; the
-        # 10^6-point odd-only transform and the sieve it starts from stay
-        # near 20 MB
+        # a single transform over all odd numbers up to 10^6 peaks at
+        # 17.8 MiB here; the four mod-6 classes, one at a time, near 6 MiB
         tracemalloc.start()
         try:
             count_prime_aps(3, 10**6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert peak < 10 * 2**20
 
     def test_inexact_transform_raises(self, monkeypatch):
         real_irfft = np.fft.irfft
