@@ -13,6 +13,8 @@ Exit codes: 0 success, 2 invalid parameters, 3 cost budget exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
 import sys
@@ -58,7 +60,7 @@ EXIT_INVALID = 2
 EXIT_BUDGET = 3
 EXIT_VERDICT = 4
 
-_COLUMN_CHUNK = 1 << 16
+_COLUMN_CHUNK = 1 << 15
 
 
 class VerdictError(Exception):
@@ -158,19 +160,166 @@ def _read_column(path: str, n: int) -> GridFunction:
     return GridFunction(CyclicGroup(n), vals)
 
 
+def _dekker_split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x = hi + lo exactly, each half with at most 26 significant bits."""
+    c = 134217729.0 * x  # 2^27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+_POW10 = np.array([float(10**k) for k in range(21)])  # exact doubles
+_POW10_HI, _POW10_LO = _dekker_split(_POW10)
+
+# One row of bytes per value.  Columns 1-6 hold "-0.000", 7 the leading digit
+# d0, 8-22 the digits d1..d15, 23 ".", 24-39 the digits d1..d16 again and
+# 40 "\n".  The text of a row is the columns a mask keeps, in order:
+# -12.5 keeps 1, 7, 8, 23, 25, 40 and 0.0625 keeps 2, 3, 6, 7, 24, 25, 40.
+# So no row is shifted to place its point; a row of the % route sits in
+# columns 16-39.  The digits are written as 4-digit groups, 4-byte aligned.
+_ROW = np.zeros(44, dtype=np.uint8)
+_ROW[1:7] = np.frombuffer(b"-0.000", dtype=np.uint8)
+_ROW[40] = ord("\n")
+_PERCENT_AT = 16
+
+
+def _kept_columns(neg: int, e10: int, zeros: int) -> list[int]:
+    """The columns of a fixed-notation row: sign, exponent e10 and `zeros`
+    trailing zero digits, stripped as %g strips them (with a bare point)."""
+    cols = [1] * neg
+    if e10 < 0:  # "0.", -e10 - 1 zeros and d0, then d1.. from the second copy
+        return cols + [2, 3, *range(8 + e10, 8), *range(24, 40 - zeros), 40]
+    last = 16 - zeros  # the last digit printed, if it is past the point
+    cols += [7, *range(8, 8 + min(e10, 15))]
+    if e10 == 16:
+        return cols + [39, 40]
+    if last > e10:
+        cols += [23, *range(24 + e10, 24 + last)]
+    return cols + [40]
+
+
+_NEG_KEY = 21 * 17  # row keys: neg * _NEG_KEY + (e10 + 4) * 17 + zeros, then the % rows
+
+
+@functools.cache
+def _text_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The text of 0000..9999 as uint32, their trailing zero digits (4 for
+    0000) and the row masks by key; built on first use, not on import."""
+    q = np.arange(10**4)
+    quads = (q[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+    quad_zeros = sum(q % 10**j == 0 for j in range(1, 5))
+    keep = np.zeros((2 * _NEG_KEY + 25, _ROW.size), dtype=bool)
+    for key, layout in enumerate(itertools.product((0, 1), range(-4, 17), range(17))):
+        keep[key, _kept_columns(*layout)] = True
+    for n in range(25):
+        keep[2 * _NEG_KEY + n, [*range(_PERCENT_AT, _PERCENT_AT + n), 40]] = True
+    return quads.view(np.uint32).ravel(), quad_zeros, keep
+
+
+def _times_pow10(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, err) with p + err = a * 10^k exactly: Dekker's error-free product."""
+    p = a * _POW10[k]
+    a_hi, a_lo = _dekker_split(a)
+    b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
+    err = a_hi * b_hi
+    err -= p
+    err += a_hi * b_lo
+    err += a_lo * b_hi
+    err += a_lo * b_lo
+    return p, err
+
+
+def _decimal_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For 1e-4 <= a < 1e17: the decimal exponent of a, and its 17
+    significant digits as an integer in [10^16, 10^17), rounded half to even
+    on a's exact value, as format(a, ".17g") rounds them."""
+    e10 = np.floor(np.log10(a)).astype(np.int64)
+    np.clip(e10, -4, 16, out=e10)
+    p, err = _times_pow10(a, 16 - e10)
+    # log10 may be off by one next to a power of ten; p and err tell exactly
+    step = ((p > 1e17) | ((p == 1e17) & (err >= 0))).astype(np.int64)
+    step -= (p < 1e16) | ((p == 1e16) & (err < 0))
+    fix = np.flatnonzero(step)
+    e10[fix] += step[fix]
+    p[fix], err[fix] = _times_pow10(a[fix], 16 - e10[fix])
+    # p is an even integer, so rint rounds the sum half to even.  It never
+    # carries to 10^17: no double lies within 5e-18 of its size below a power
+    # of ten from 10^-4 to 10^17 (the nearest is 8.3e-17 below 0.1).
+    digits = p.astype(np.int64)
+    digits += np.rint(err).astype(np.int64)
+    return e10, digits
+
+
+def _divmod(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.divmod by a scalar, in two passes: // by a scalar is far faster."""
+    q = x // m
+    return q, x - q * m
+
+
+def _digit_rows(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Write the 17 digits of each a (1e-4 <= a < 1e17) into its row; return
+    (e10 + 4) * 17 + zeros, the unsigned part of the row's key."""
+    quads, quad_zeros, _ = _text_tables()
+    e10, digits = _decimal_digits(a)
+    high, low = _divmod(digits, 10**8)
+    lead, high = _divmod(high, 10**8)
+    rows[:, 7] = lead + ord("0")
+    groups = [*_divmod(high, 10**4), *_divmod(low, 10**4)]
+    row_quads = rows.view(np.uint32)
+    for i, g in enumerate(groups):
+        row_quads[:, 2 + i] = row_quads[:, 6 + i] = quads[g]
+    rows[:, 23] = ord(".")
+
+    def trailing_zeros(high, low):  # of the 8-digit numbers 10^4 high + low
+        return np.where(low == 0, quad_zeros[high] + 4, quad_zeros[low])
+
+    zeros = np.where(low == 0, trailing_zeros(*groups[:2]) + 8, trailing_zeros(*groups[2:]))
+    e10 += 4
+    e10 *= 17
+    e10 += zeros
+    return e10
+
+
+def _percent_rows(values: np.ndarray) -> np.ndarray:
+    """format(v, ".17g") of each value by one % operation, as the rows of a
+    uint8 array, space padded to 24 bytes (the longest text has 24)."""
+    text = ("%-24.17g" * values.size) % tuple(values.tolist())
+    return np.frombuffer(text.encode(), dtype=np.uint8).reshape(values.size, 24)
+
+
+def _column_chunks(values: np.ndarray):
+    """format(v, ".17g") + "\\n" of each value, as bytes, _COLUMN_CHUNK values
+    at a time.
+
+    Where %g prints fixed notation (1e-4 <= |v| < 1e17) the text is built in
+    numpy from the exact 17-digit rounding; zeros, subnormals and the other
+    values of exponent notation go through _percent_rows.
+    """
+    keep = _text_tables()[2]
+    canvas = np.tile(_ROW, (min(values.size, _COLUMN_CHUNK), 1))
+    for start in range(0, values.size, _COLUMN_CHUNK):
+        chunk = values[start : start + _COLUMN_CHUNK]
+        rows = canvas[: chunk.size]
+        a = np.abs(chunk)
+        other = np.flatnonzero(~((a >= 1e-4) & (a < 1e17)))
+        a[other] = 1.0  # any value of the range; its row is overwritten below
+        key = _digit_rows(rows, a)
+        key += np.signbit(chunk) * _NEG_KEY
+        if other.size:
+            text = _percent_rows(chunk[other])
+            rows[other, _PERCENT_AT : _PERCENT_AT + 24] = text
+            key[other] = 2 * _NEG_KEY + (text != ord(" ")).sum(axis=1)
+        yield rows[keep[key]].tobytes()
+
+
 def _write_column(values: np.ndarray, path: str) -> None:
     """One value per line, in _fmt_float's text; NaN/Inf refused before opening.
 
-    "%.17g" is the same text as format(v, ".17g").  Formatting a chunk of
-    _COLUMN_CHUNK values in one % operation keeps the per-value work in C,
-    and writing chunk by chunk keeps peak memory flat in the column length.
+    Writing chunk by chunk keeps peak memory flat in the column length.
     """
     if not np.isfinite(values).all():
         raise ValueError("reports must contain finite numbers only")
-    with open(path, "w") as fh:
-        for start in range(0, values.size, _COLUMN_CHUNK):
-            chunk = values[start : start + _COLUMN_CHUNK].tolist()
-            fh.write(("%.17g\n" * len(chunk)) % tuple(chunk))
+    with open(path, "wb") as fh:
+        fh.writelines(_column_chunks(values))
 
 
 def _majorant_params(args) -> MajorantParams:

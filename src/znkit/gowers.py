@@ -141,20 +141,41 @@ class GowersEstimate:
 def _u2_leaf(fs: list, pointwise: bool):
     """sum_h c_(f0,f1)(h) c_(f2,f3)(h) / N^3 summed over the rows, or pointwise
     f0(x) N^-2 sum_h c_(f2,f3)(h) f1(x + h), f0 = None the constant 1.  Each
-    distinct array is transformed once."""
+    distinct array is transformed once, and each spectrum is dropped once its
+    last product is formed."""
     n = fs[1].shape[-1]
     hat = {id(a): a for a in (fs[1:] if pointwise else fs)}
     hat = {key: _spectrum(a) for key, a in hat.items()}
-    c = _cyclic_correlation(hat[id(fs[2])], hat[id(fs[3])], n)
+    prod = _product(hat, fs[2], fs[3])
     if pointwise:
-        out = _cyclic_correlation(_spectrum(c), hat[id(fs[1])], n)
+        b_hat = hat[id(fs[1])]
+        del hat
+        c = _folded_correlation(prod, n)
+        del prod
+        c[..., n:] = 0.0
+        prod = np.fft.rfft(c)
+        del c
+        np.conjugate(prod, out=prod)
+        prod *= b_hat
+        del b_hat
+        out = _folded_correlation(prod, n)[..., :n]
         out /= float(n) ** 2
         if fs[0] is not None:
             out *= fs[0]
         return out
     shared = fs[0] is fs[2] and fs[1] is fs[3]
-    c0 = c if shared else _cyclic_correlation(hat[id(fs[0])], hat[id(fs[1])], n)
+    prod0 = None if shared else _product(hat, fs[0], fs[1])
+    del hat
+    c = _folded_correlation(prod, n)[..., :n]
+    c0 = c if shared else _folded_correlation(prod0, n)[..., :n]
     return float(np.sum(c0 * c)) / n**3
+
+
+def _product(hat: dict, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """conj(a_hat) * b_hat, formed in one new array."""
+    prod = hat[id(a)].conj()
+    prod *= hat[id(b)]
+    return prod
 
 
 def _derivative_recursion(fs: list, pointwise: bool = False):
@@ -210,18 +231,19 @@ def _spectrum(values: np.ndarray) -> np.ndarray:
     return np.fft.rfft(values, _smooth_length(2 * values.shape[-1] - 1))
 
 
-def _cyclic_correlation(a_hat: np.ndarray, b_hat: np.ndarray, n: int) -> np.ndarray:
-    """c(h) = sum_x a(x) b(x + h mod n) along the last axis, from padded spectra.
+def _folded_correlation(prod: np.ndarray, n: int) -> np.ndarray:
+    """c(h) = sum_x a(x) b(x + h mod n) in [..., :n] of a length-L array, from
+    prod = conj(rfft(a, L)) * rfft(b, L); the rest of the array is scratch.
 
     The inverse transform is the linear correlation: shift h >= 0 at index h,
     shift -m at index L - m.  L >= 2n - 1 keeps the two ranges apart, and
-    the cyclic shift h is linear shift h plus linear shift h - n.
+    the cyclic shift h is linear shift h plus linear shift h - n, folded in
+    place.
     """
     length = _smooth_length(2 * n - 1)
-    lin = np.fft.irfft(a_hat.conj() * b_hat, length)
-    out = lin[..., :n].copy()
-    out[..., 1:] += lin[..., length - n + 1 :]
-    return out
+    lin = np.fft.irfft(prod, length)
+    lin[..., 1:n] += lin[..., length - n + 1 :]
+    return lin
 
 
 def gowers_norm_u2_fourier(f: GridFunction) -> GowersEstimate:

@@ -212,7 +212,9 @@ def count_prime_aps(k: int, limit: int, budget: int = 10**9) -> int:
     at the prime midpoints only; the progressions (3, q, 2q - 3) are counted
     directly.  The primes come from the primes-only sieve, so no Mobius or
     von Mangoldt table is built.  Other k scan starts p and differences
-    d = 6, 12, ... (budget-gated on primes * limit, the scan of every d): 6
+    d = 6, 12, ..., 6 m_p, m_p = (limit - p) // (6 (k - 1)), reading each
+    term j of all m_p progressions as one strided slice of the prime
+    indicator (budget-gated on that scan, sum_p (k - 1) m_p entries): 6
     divides the difference of every progression of four or more primes.  An
     odd d makes p + d (p odd) or p + 2d (p = 2) even and larger than 2; a d
     prime to 3 puts p, p + d, p + 2d in every residue class mod 3, so one of
@@ -227,23 +229,22 @@ def count_prime_aps(k: int, limit: int, budget: int = 10**9) -> int:
         return int(primes.size) * (int(primes.size) - 1) // 2
     if k == 3:
         return _count_aps_k3_convolution(primes, limit)
-    if int(primes.size) * limit > budget:
+    terms = (limit - primes) // (6 * (k - 1))  # m_p
+    cost = (k - 1) * int(terms[terms > 0].sum())
+    if cost > budget:
         raise BudgetExceededError(
-            f"start/difference scan needs ~{int(primes.size) * limit:.2e} ops "
-            f"(> budget {budget:.2e})"
+            f"start/difference scan needs {cost:.2e} ops (> budget {budget:.2e})"
         )
     is_prime = np.zeros(limit + 1, dtype=bool)
     is_prime[primes] = True
     count = 0
-    for p in primes.tolist():
-        max_d = (limit - p) // (k - 1)
-        if max_d < 6:
+    for p, m in zip(primes.tolist(), terms.tolist()):
+        if m < 1:
             break
-        ds = np.arange(6, max_d + 1, 6, dtype=np.int64)
-        ok = np.ones(ds.size, dtype=bool)
-        for j in range(1, k):
-            ok &= is_prime[p + j * ds]
-        count += int(ok.sum())
+        ok = is_prime[p + 6 : p + 6 * m + 1 : 6].copy()
+        for j in range(2, k):
+            ok &= is_prime[p + 6 * j : p + 6 * j * m + 1 : 6 * j]
+        count += int(np.count_nonzero(ok))
     return count
 
 

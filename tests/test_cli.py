@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,16 +9,20 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 import znkit
+import znkit.cli as cli_module
 from znkit.cli import (
     _COLUMN_CHUNK,
     EXIT_BUDGET,
     EXIT_INVALID,
     EXIT_OK,
     EXIT_VERDICT,
+    _column_chunks,
     _read_column,
     _write_column,
     emit_report,
@@ -422,6 +427,64 @@ class TestColumnFiles:
         assert json.loads(proc.stdout)["error"]["message"] == (
             f"{empty} holds 0 values, expected 5")
         assert proc.stderr == ""
+
+
+def column_bytes(values):
+    return b"".join(_column_chunks(np.array(values, dtype=np.float64)))
+
+
+def _ulps_from(x, ulps):
+    """The double `ulps` steps of the bit pattern away from x > 0."""
+    return float((np.array([x]).view(np.int64) + ulps).view(np.float64)[0])
+
+
+def _signed(strategy):
+    return st.builds(lambda x, neg: -x if neg else x, strategy, st.booleans())
+
+
+# Where the fixed-notation route can go wrong: the exponent estimate next to a
+# power of ten, round-half-to-even ties among m * 2^e, m in [2^52, 2^53), and
+# the values the % route must take (zeros, subnormals).
+NEAR_POWERS_OF_TEN = _signed(st.builds(
+    _ulps_from, st.integers(-5, 17).map(lambda j: float(f"1e{j}")), st.integers(-3, 3)))
+TIES = _signed(st.builds(math.ldexp, st.integers(2**52, 2**53 - 1), st.integers(-60, 4)))
+SUBNORMALS = _signed(st.integers(1, 2**52 - 1).map(lambda m: math.ldexp(m, -1074)))
+TARGETED = st.one_of(NEAR_POWERS_OF_TEN, TIES, SUBNORMALS,
+                     st.sampled_from([0.0, -0.0, 9.999999999999999e16, 0.09999999999999999,
+                                      1234567890123456.25, 1234567890123456.75]))
+
+
+class TestColumnFormatter:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    def test_bytes_match_format_17g(self, values):
+        assert column_bytes(values) == per_value_text(values).encode()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(TARGETED, min_size=1, max_size=40))
+    @example([1234567890123456.25, 1234567890123456.75, 0.0, -0.0, 5e-324,
+              9.999999999999999e16, 0.09999999999999999])
+    def test_targeted_values_match_format_17g(self, values):
+        assert column_bytes(values) == per_value_text(values).encode()
+
+    def test_every_power_of_ten_neighbourhood(self):
+        values = [_ulps_from(float(f"1e{j}"), u) for j in range(-5, 18) for u in range(-3, 4)]
+        values += [-v for v in values]
+        assert column_bytes(values) == per_value_text(values).encode()
+
+    def test_fixed_notation_never_takes_the_percent_route(self, tmp_path, monkeypatch):
+        def refuse(values):
+            raise AssertionError(f"{values.size} values sent to the % route")
+
+        monkeypatch.setattr(cli_module, "_percent_rows", refuse)
+        rng = np.random.default_rng(3)
+        values = 10.0 ** rng.uniform(-4, 17, _COLUMN_CHUNK + 7) * rng.choice([-1, 1], _COLUMN_CHUNK + 7)
+        values[:4] = [1e-4, -1e-4, 9.999999999999999e16, 1.0]
+        path = tmp_path / "col.csv"
+        _write_column(values, str(path))
+        assert path.read_text() == per_value_text(values)
+        with pytest.raises(AssertionError, match="1 values sent"):
+            _write_column(np.array([1.0, 0.0]), str(path))
 
 
 def test_report_file_flag_writes_stdout_copy(capsys, tmp_path):

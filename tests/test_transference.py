@@ -25,7 +25,7 @@ from znkit import (
     kvn_decompose,
 )
 import znkit.transference
-from znkit.core import _smooth_length
+from znkit.core import BudgetExceededError, _smooth_length
 from conftest import random_function, random_partition
 
 
@@ -211,6 +211,17 @@ class TestCountPrimeAps:
 
     def test_budget_gate_on_scans(self):
         with pytest.raises(Exception, match="budget"):
+            count_prime_aps(5, 10**6, budget=10**6)
+
+    def test_k4_count_at_limit_10_5(self):
+        assert count_prime_aps(4, 10**5) == 389606
+
+    def test_budget_gate_counts_the_strided_scan(self):
+        # sum_p 3 m_p = 1090218 at limit 10^4, where primes * limit = 1.2e7
+        assert count_prime_aps(4, 10**4, budget=2 * 10**6) == brute_count_aps(4, 10**4)
+        with pytest.raises(BudgetExceededError, match="budget"):
+            count_prime_aps(4, 10**4, budget=10**6)
+        with pytest.raises(BudgetExceededError, match="budget"):
             count_prime_aps(5, 10**6, budget=10**6)
 
     @settings(max_examples=60, deadline=None)
