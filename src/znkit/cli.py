@@ -60,7 +60,7 @@ EXIT_INVALID = 2
 EXIT_BUDGET = 3
 EXIT_VERDICT = 4
 
-_COLUMN_CHUNK = 1 << 15
+_COLUMN_CHUNK = 1 << 16
 
 
 class VerdictError(Exception):
