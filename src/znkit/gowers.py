@@ -9,8 +9,11 @@ f_(omega',0) f_(omega',1)(. + h_d), and the d-cube average is the average
 over h_d of the (d-1)-cube averages of those derivatives.  A block of shifts
 (about 2^20 floats of derivatives) is read off the translates of a doubled
 array as a batch of rows.  A pair holding one array twice is multiplied
-once, so the norm costs one derivative per level.  d = 1 is a product of
-two means.  At d = 2 the cube average of a row is
+once, so the norm costs one derivative per level; and as Delta_(-h) f is a
+translate of Delta_h f, a level whose vertices all hold one array (the
+norm's) takes only the shifts 0 <= h <= N/2, with 0 < h < N/2 counted
+twice.  d = 1 is a product of two means.  At d = 2 the cube average of a
+row is
 sum_h c_(f00,f01)(h) c_(f10,f11)(h) / N^3, c_(a,b)(h) = sum_x a(x) b(x + h);
 keeping x, with the constant 1 at vertex 0, gives the dual function
 N^-2 sum_h c_(f10,f11)(h) f01(x + h).  Each correlation is rfft and irfft
@@ -194,8 +197,17 @@ def _derivative_recursion(fs: list, pointwise: bool = False):
     shifted = {id(b): _translates(b) for _, b in pairs.values()}
     step = max(1, _SHIFT_BLOCK // fs[-1].size)
     total = np.zeros(fs[-1].shape) if pointwise else 0.0
-    for start in range(0, n, step):
-        stop = min(start + step, n)
+    if all(a is fs[0] for a in fs):
+        # one array f at every vertex: Delta_(-h) f is Delta_h f translated by
+        # -h, so shifts h and N - h have one cube average; 0 < h < N/2 count
+        # twice, h = 0 and (even N) h = N/2 once
+        blocks = [(0, 1, 1.0)]
+        blocks += [(start, min(start + step, (n + 1) // 2), 2.0)
+                   for start in range(1, (n + 1) // 2, step)]
+        blocks += [(n // 2, n // 2 + 1, 1.0)] if n % 2 == 0 else []
+    else:
+        blocks = [(start, min(start + step, n), 1.0) for start in range(0, n, step)]
+    for start, stop, weight in blocks:
         derivs = {}
         for key, (a, b) in pairs.items():
             tb = shifted[id(b)][..., start:stop, :]  # [..., h, x] = b(x + h)
@@ -204,7 +216,7 @@ def _derivative_recursion(fs: list, pointwise: bool = False):
         if pointwise:
             total += inner.reshape(*fs[-1].shape[:-1], stop - start, n).sum(axis=-2)
         else:
-            total += inner
+            total += weight * inner
     return total / n
 
 

@@ -321,6 +321,22 @@ def tau_weight(
     return out
 
 
+def _shifted_product(vals: np.ndarray, shifts: Sequence[int], out: np.ndarray) -> np.ndarray:
+    """out[x] = 1 * vals[(x + s_1) mod N] * ... * vals[(x + s_m) mod N], the
+    floats of a product of np.roll copies: the first shift is copied in
+    (1 * v = v) and each further one multiplied in place, two slices each."""
+    n = vals.size
+    for i, shift in enumerate(shifts):
+        s = int(shift) % n
+        if i == 0:
+            out[: n - s] = vals[s:]
+            out[n - s :] = vals[:s]
+        else:
+            out[: n - s] *= vals[s:]
+            out[n - s :] *= vals[:s]
+    return out
+
+
 def verify_correlation(
     nu: GridFunction,
     m: int,
@@ -334,11 +350,15 @@ def verify_correlation(
 
     For each supplied tuple (h_1, ..., h_m) the left side
     E(nu(x+h_1) ... nu(x+h_m)) costs N; reported is the max ratio of left
-    side to sum_{i<j} tau(h_i - h_j).  Moments E(tau^q) run over the nonzero
+    side to sum_{i<j} tau(h_i - h_j); every product is formed in one N-float
+    buffer, freed before the moments.  Moments E(tau^q) run over the nonzero
     symmetric residue representatives (the weight at 0 is a separate, huge
     by construction, spike and is reported via tau_weight directly).  They
     are filled from the sieve's primes in tau_weight's order, increasing p,
-    so every weight equals tau_weight's bit for bit.
+    so every weight equals tau_weight's bit for bit: a prime p <= sqrt(half)
+    multiplies its multiples by one strided slice, and a larger p, the
+    largest prime factor of each of its multiples j p <= half (j < p), comes
+    last, one gather per j over the large primes p <= half / j.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
@@ -346,24 +366,34 @@ def verify_correlation(
     if N < 3:
         raise ValueError(f"N = {N}: the tau moments need the (N - 1)/2 nonzero "
                          "residues, so N must be at least 3")
-    vals = nu.values
-    max_ratio = -math.inf
+    if len(h_tuples) == 0:
+        raise ValueError("h_tuples is empty: the correlation check needs at least "
+                         "one tuple of shifts")
     for h in h_tuples:
         if len(h) != m:
             raise ValueError(f"tuple {h!r} does not have m = {m} entries")
-        prod = np.ones(N)
-        for hi in h:
-            prod *= np.roll(vals, -(int(hi) % N))
-        lhs = float(prod.mean())
+    vals = nu.values
+    prod = np.empty(N)
+    max_ratio = -math.inf
+    for h in h_tuples:
+        lhs = float(_shifted_product(vals, h, prod).mean())
         bound = 0.0
         for i, j in itertools.combinations(range(m), 2):
             bound += tau_weight(int(h[i]) - int(h[j]), m, N, c_tau, a_tau)
         max_ratio = max(max_ratio, lhs / bound)
+    del prod
     half = (N - 1) // 2
     factor_exponent = 2.0 * m if a_tau is None else a_tau
     tau_vals = np.full(half, c_tau, dtype=np.float64)  # tau_vals[r - 1] = tau(r)
-    for p in primes_up_to(max(half, 2)).tolist():
+    primes = primes_up_to(max(half, 2))
+    n_small = int(np.searchsorted(primes, math.isqrt(half), side="right"))
+    for p in primes[:n_small].tolist():
         tau_vals[p - 1 :: p] *= (1.0 + p**-0.5) ** factor_exponent
+    big = primes[n_small:]  # p^2 > half; Bertrand keeps it nonempty
+    factors = np.array([(1.0 + p**-0.5) ** factor_exponent for p in big.tolist()])
+    for j in range(1, half // int(big[0]) + 1):
+        k = int(np.searchsorted(big, half // j, side="right"))
+        tau_vals[big[:k] * j - 1] *= factors[:k]
     moments = {float(q): float((tau_vals ** q).mean()) for q in q_list}
     est = EstimatorResult(max_ratio, 0.0, len(h_tuples), 0)
     return PseudorandomnessReport(

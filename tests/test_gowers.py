@@ -28,7 +28,8 @@ from znkit import (
 from znkit.core import _smooth_length
 import znkit.gowers
 from znkit.gowers import _MC_CHUNK
-from conftest import enumerated_dual, enumerated_norm, random_function, two_pass_mc_mean
+from conftest import (enumerated_cube_average, enumerated_dual, enumerated_norm,
+                      random_function, two_pass_mc_mean)
 
 
 def brute_cube_average(funcs, d, n):
@@ -170,7 +171,7 @@ class TestDerivativeRecursion:
             brute_cube_average(fam, d, n), abs=1e-12)
         assert np.allclose(dual_function(F, d).values, brute_dual(F, d, n), atol=1e-12)
 
-    @pytest.mark.parametrize("d, n", [(3, 101), (4, 23)])
+    @pytest.mark.parametrize("d, n", [(3, 101), (3, 100), (4, 23), (4, 24)])
     def test_matches_enumeration(self, d, n):
         rng = np.random.default_rng(41)
         F = random_function(CyclicGroup(n), rng)
@@ -179,6 +180,40 @@ class TestDerivativeRecursion:
         want_dual = enumerated_dual(F, d)
         got = dual_function(F, d).values
         assert np.abs(got - want_dual).max() <= 1e-12 * np.abs(want_dual).max()
+
+    @pytest.mark.parametrize("cap", ["one", "three_rows", "default"])
+    @pytest.mark.parametrize("d, n", [(3, 2), (3, 9), (3, 10), (4, 6), (4, 7)])
+    def test_norm_takes_half_the_shifts(self, monkeypatch, cap, d, n):
+        # Delta_(-h) F is a translate of Delta_h F: each level of the norm
+        # runs 0 <= h <= N/2, weight 2 for 0 < h < N/2; an inner product whose
+        # vertices differ, and the dual, keep all N shifts
+        sizes = {"one": 1, "three_rows": 3 * n, "default": znkit.gowers._SHIFT_BLOCK}
+        monkeypatch.setattr(znkit.gowers, "_SHIFT_BLOCK", sizes[cap])
+        rows = []
+        leaf = znkit.gowers._u2_leaf
+
+        def counting_leaf(fs, pointwise):
+            rows.append(fs[-1].shape[0])
+            return leaf(fs, pointwise)
+
+        monkeypatch.setattr(znkit.gowers, "_u2_leaf", counting_leaf)
+        rng = np.random.default_rng(50 + n)
+        F = random_function(CyclicGroup(n), rng)
+        want = enumerated_norm(F, d)
+        assert abs(gowers_norm(F, d).raised_value - want) <= 1e-12 * want
+        half = n // 2 + 1
+        assert sum(rows) == half ** (d - 2)
+        rows.clear()
+        assert gowers_inner(CubeFamily.constant(F, d)) == gowers_norm(F, d).raised_value
+        rows.clear()
+        funcs = {om: F for om in itertools.product((0, 1), repeat=d)}
+        funcs[(1,) * d] = random_function(CyclicGroup(n), rng)
+        assert gowers_inner(CubeFamily(d, funcs)) == pytest.approx(
+            enumerated_cube_average([g.values for g in funcs.values()]), abs=1e-12)
+        assert sum(rows) == n ** (d - 2)
+        rows.clear()
+        dual_function(F, d)
+        assert sum(rows) == n ** (d - 2)
 
     def test_u3_at_n2003_stays_within_the_block_cap(self):
         # one block of about 2^20 derivative floats (8 MiB) and the batched

@@ -32,9 +32,11 @@ from znkit.arith import divisor_sums_on_progression
 from znkit.core import mc_mean, substream
 from znkit.pseudo import (
     _MC_CHUNK,
+    _shifted_product,
     antiuniform_correlation,
     pseudorandom_condition_parameters,
 )
+import znkit.pseudo
 from conftest import two_pass_mc_mean
 
 
@@ -305,6 +307,41 @@ class TestVerifyCorrelation:
         with pytest.raises(ValueError, match=r"\(N - 1\)/2 nonzero residues"):
             verify_correlation(nu, 2, [(0, 1)])
 
+    def test_rejects_empty_tuple_list_before_any_work(self, monkeypatch):
+        nu = GridFunction.constant(CyclicGroup(101), 1.0)
+        monkeypatch.setattr(znkit.pseudo, "primes_up_to", None)  # no tau pass reached
+        with pytest.raises(ValueError, match="h_tuples is empty"):
+            verify_correlation(nu, 2, [])
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 101, 1000])
+    def test_shifted_product_equals_rolled_copies(self, m, n):
+        # 0, N - 1, a repeated shift, a negative one and one past N
+        vals = np.random.default_rng(m).uniform(-2, 2, n)
+        vals[::7] = -0.0
+        pool = [0, n - 1, 3, 3, -5, n + 4, 2 * n + 1]
+        out = np.full(n, np.nan)
+        for shifts in itertools.combinations(pool, m):
+            want = np.ones(n)
+            for s in shifts:
+                want *= np.roll(vals, -(s % n))
+            got = _shifted_product(vals, shifts, out)
+            assert got is out
+            assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_one_product_buffer(self):
+        # one N-float product buffer, freed before the tau weights (N/2
+        # floats) and one power of them; np.roll copies took 15.3 MiB
+        N = 999983
+        nu = bernoulli_measure(N, seed=1)
+        tracemalloc.start()
+        try:
+            verify_correlation(nu, 3, [(0, 5, 17), (3, 1, 40)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
     @settings(max_examples=60, deadline=None)
     @given(
         N=st.integers(1, 1499).map(lambda j: 2 * j + 1),
@@ -316,6 +353,11 @@ class TestVerifyCorrelation:
     @example(N=2999, m=4, c_tau=2.5, a_tau=3.0)  # prime
     @example(N=2997, m=3, c_tau=2, a_tau=None)  # 3^4 37
     @example(N=2145, m=2, c_tau=4.0, a_tau=7.0)  # 3 5 11 13
+    @example(N=243, m=3, c_tau=4, a_tau=None)  # half = 121 = 11^2
+    @example(N=5, m=2, c_tau=4, a_tau=None)  # half = 2 < 4
+    @example(N=7, m=4, c_tau=1.5, a_tau=2.0)  # half = 3 < 4
+    @example(N=227, m=2, c_tau=3, a_tau=5.5)  # half = 113, prime
+    @example(N=31, m=2, c_tau=3, a_tau=None)  # half = 15: 3 = isqrt(15) goes first
     def test_moments_equal_scalar_oracle(self, N, m, c_tau, a_tau):
         nu = GridFunction.constant(CyclicGroup(N), 1.0)
         q_list = (0.5, 1.0, 2.0, 4.0)
