@@ -420,12 +420,10 @@ def join_sigma(
         if other.group.modulus != base.group.modulus:
             raise GroupMismatchError("all algebras must live on the same group")
     labels = base.atom_label
-    count = base.atom_count
     for other in algebras[1:]:
         # pairwise combine keeps intermediate keys below N^2, well inside int64
         combined = labels * np.int64(other.atom_count) + other.atom_label
-        uniq, labels = np.unique(combined, return_inverse=True)
-        count = int(uniq.size)
+        _, labels = np.unique(combined, return_inverse=True)
     return SigmaAlgebra.from_labels(base.group, labels)
 
 

@@ -19,8 +19,8 @@ keeping x, with the constant 1 at vertex 0, gives the dual function
 N^-2 sum_h c_(f10,f11)(h) f01(x + h).  Each correlation is rfft and irfft
 at the least 5-smooth length L >= 2N - 1, folded mod N: no length-N complex
 FFT, which for prime N is Bluestein's three padded transforms (at
-N = 999983 on a 2-vCPU host about three times the time, and 233 MB RSS
-against 142 MB for `znkit dual --mode fourier`).
+N = 999983 on a 2-vCPU host about three times the time, and 234 MB peak
+RSS against 118 MB for `znkit dual --mode fourier --output`).
 
 Exact evaluation is gated on its nominal cost, a function of (N, d) alone:
 2N for d = 1, else 2^d N^(d-2) L ceil(log2 L).  The sampled norm and dual

@@ -66,6 +66,8 @@ def ap_expectation(fs: Sequence[GridFunction], cs: Sequence[int]) -> float:
     Includes the degenerate r = 0 terms; callers comparing against integer
     progression counts must subtract them explicitly.
     """
+    if not fs:
+        raise ValueError("need at least one function")
     if len(fs) != len(cs):
         raise ValueError("need one coefficient per function")
     if len(set(cs)) != len(cs):
@@ -124,6 +126,8 @@ def gvn_check(
     Trial functions are random pointwise scalings of nu + 1 (occasionally
     with one slot pinned at nu + 1 itself, the extreme allowed envelope).
     """
+    if k < 2:
+        raise ValueError(f"need k >= 2 terms per progression, got k = {k}")
     if trials < 1:
         raise ValueError(f"need trials >= 1 to fit a slope, got trials = {trials}")
     if nu.values.min() < 0:
@@ -260,54 +264,32 @@ def _near_cut(frac: np.ndarray, j, grid: int, eta: float) -> np.ndarray:
     return np.minimum(dist, 1.0 - dist) <= eta
 
 
-def _cut_runs(
-    frac: np.ndarray, grid: int, eta: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per point, the grid indices j whose cut it lies near: one circular run.
+def _cut_runs(frac: np.ndarray, grid: int, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per point, the run [lo, hi] of grid indices j whose cut it lies near.
 
     The float distance from frac to j / grid falls, weakly, from the
     antipode to the cut nearest frac and rises back, so the j that pass
-    `_near_cut` form one circular run around floor(frac * grid), and the
-    ones that fail, if any, one run around the antipode.  A point passing
-    nowhere in a window of +-4 around the first has an empty run; one
-    failing nowhere around the second has the whole circle.  The ends of
-    any other run are bisected on the test itself, between a passing and a
-    failing index.  Returns the masks `full` and `part` and, for the `part`
-    points, the run [lo, hi] in unwrapped coordinates, hi - lo < grid - 1.
+    `_near_cut` form one circular run.  Its ends start in closed form,
+    ceil((frac - eta) grid) and floor((frac + eta) grid) in unwrapped
+    coordinates, and are then moved a step at a time onto the test itself:
+    an end grows while its outer neighbour passes and shrinks while it
+    fails, and a run never grows past grid indices.  An empty run has
+    hi < lo; the whole circle is [0, grid - 1].
     """
-    n = frac.size
-    base = np.floor(frac * grid).astype(np.int64)
-    inside = np.zeros(n, dtype=np.int64)
-    outside = np.zeros(n, dtype=np.int64)
-    has_in = np.zeros(n, dtype=bool)
-    has_out = np.zeros(n, dtype=bool)
-    for off in range(-4, 5):
-        j = base + off
-        hit = ~has_in & _near_cut(frac, j, grid, eta)
-        inside[hit] = j[hit]
-        has_in |= hit
-        j = base + (grid // 2 + off)
-        miss = ~has_out & ~_near_cut(frac, j, grid, eta)
-        outside[miss] = j[miss]
-        has_out |= miss
-    part = has_in & has_out
-    frac, lo_in = frac[part], inside[part]
-    hi_out = lo_in + (outside[part] - lo_in) % grid  # in (lo_in, lo_in + grid)
-    lo_out, hi_in = hi_out - grid, lo_in.copy()
-    while True:
-        open_lo = lo_in - lo_out > 1
-        open_hi = hi_out - hi_in > 1
-        if not (open_lo.any() or open_hi.any()):
-            break
-        mid = (lo_out + lo_in) // 2
-        near = _near_cut(frac, mid, grid, eta)
-        lo_in = np.where(open_lo & near, mid, lo_in)
-        lo_out = np.where(open_lo & ~near, mid, lo_out)
-        mid = (hi_in + hi_out) // 2
-        near = _near_cut(frac, mid, grid, eta)
-        hi_in = np.where(open_hi & near, mid, hi_in)
-        hi_out = np.where(open_hi & ~near, mid, hi_out)
-    return has_in & ~has_out, part, lo_in, hi_in
+    lo = np.ceil((frac - eta) * grid).astype(np.int64)
+    hi = np.floor((frac + eta) * grid).astype(np.int64)
+    moved = True
+    while moved:
+        grow = (hi - lo + 1 < grid) & _near_cut(frac, lo - 1, grid, eta)
+        shrink = ~grow & (lo <= hi) & ~_near_cut(frac, lo, grid, eta)
+        lo += shrink.astype(np.int64) - grow
+        moved = grow.any() or shrink.any()
+        grow = (hi - lo + 1 < grid) & _near_cut(frac, hi + 1, grid, eta)
+        shrink = ~grow & (lo <= hi) & ~_near_cut(frac, hi, grid, eta)
+        hi += grow.astype(np.int64) - shrink
+        moved = moved or grow.any() or shrink.any()
+    full = hi - lo + 1 >= grid
+    return np.where(full, 0, lo), np.where(full, grid - 1, hi)
 
 
 def _level_alpha_index(
@@ -317,11 +299,12 @@ def _level_alpha_index(
     settles, found from the sorted ends of the points' runs.
 
     The mass at j, float(weights[_near_cut(frac, j)].sum()) / N, is constant
-    between run ends.  Each run adds +w at its start and -w past its end
-    (wrapping runs and full circles are active at j = 0), so a cumulative
-    sum over the ends sorted by j gives every constant segment, its first j
-    and its mass to within a running bound on the rounding of the sum and
-    of the pairwise sum the search takes.  The search keeps the first j
+    between run ends.  Each run adds +w at its start and -w past its end (a
+    wrapping run is also active at j = 0, a whole circle starts at 0 and
+    never ends, and an empty one ends where it starts), so a cumulative sum
+    over the ends sorted by j gives every constant segment, its first j and
+    its mass to within a running bound on the rounding of the sum and of
+    the pairwise sum the search takes.  The search keeps the first j
     whose mass falls below the best so far by more than 1e-15, which only
     a strict new minimum can do; so only segments whose lower bound lies
     below every earlier upper bound are candidates, and those whose lower
@@ -329,19 +312,17 @@ def _level_alpha_index(
     mass recomputed exactly as the search takes it, in increasing j.
     """
     n = frac.size
-    full, part, lo, hi = _cut_runs(frac, grid, eta)
+    lo, hi = _cut_runs(frac, grid, eta)
     start = lo % grid
     end = start + (hi - lo + 1)
     wrap, inner = end > grid, end < grid
-    w = weights[part]
     zero = np.zeros(1, dtype=np.int64)
     ends = (  # (j, +1 or -1, weight): each run is active from its start to its end
         (zero, 0, np.zeros(1)),  # opens the segment at j = 0
-        (start, 1, w),
-        (end[inner], -1, w[inner]),
-        (zero.repeat(wrap.sum()), 1, w[wrap]),  # a wrapping run is active at 0
-        (end[wrap] - grid, -1, w[wrap]),
-        (zero.repeat(full.sum()), 1, weights[full]),  # and so is a full circle
+        (start, 1, weights),
+        (end[inner], -1, weights[inner]),
+        (zero.repeat(wrap.sum()), 1, weights[wrap]),  # a wrapping run is active at 0
+        (end[wrap] - grid, -1, weights[wrap]),
     )
     pos = np.concatenate([j for j, _, _ in ends])
     sign = np.concatenate([np.full(j.size, step) for j, step, _ in ends])
@@ -396,10 +377,11 @@ def build_level_sigma(
     which is O(eta) for any measure of mean O(1).  The choice is that of
     trying every j in turn and keeping the first whose mass falls below the
     best so far by more than 1e-15, but it is read off the 2N sorted ends
-    of the points' runs of nearby cuts: cost N (log N + log alpha_grid),
-    plus N for each near-minimal mass recomputed, and no array of
-    alpha_grid entries.  A grid below 1 or above 2^53 is refused.  Returns
-    the partition and the chosen alpha.
+    of the points' runs of nearby cuts: cost N log N for the sort, a few
+    passes of N to settle the run ends from their closed form (neither
+    grows with alpha_grid or 1/eta), plus N for each near-minimal mass
+    recomputed, and no array of alpha_grid entries.  A grid below 1 or
+    above 2^53 is refused.  Returns the partition and the chosen alpha.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")

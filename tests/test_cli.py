@@ -180,6 +180,18 @@ def test_gycheck_moment_and_shifted(capsys):
     assert 0 < shifted["ratio"] < 2
 
 
+_SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", _SCRIPTS, ids=lambda path: path.name)
+def test_script_runs_with_default_arguments(script):
+    # each script imports the public names of znkit from src/ under the repo
+    # root, so renaming one breaks it
+    proc = subprocess.run([sys.executable, str(script)], cwd=script.parents[1],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_benchmark_tracer_counters_read_their_parameters(capsys, tmp_path):
     # perfbench/tracer.py reads the parameters alpha_grid, eta, G, f, F, d,
     # mode and samples of the functions it wraps; renaming one breaks the
@@ -250,6 +262,15 @@ def test_gvn_needs_a_trial(capsys):
     error = json.loads(out)["error"]
     assert error["type"] == "invalid"
     assert "trials" in error["message"]
+
+
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_gvn_needs_two_terms(capsys, k):
+    code, out = run_cli(capsys, "gvn", "--n", "11", "--k", k)
+    assert code == EXIT_INVALID
+    error = json.loads(out)["error"]
+    assert error["type"] == "invalid"
+    assert f"k = {k}" in error["message"]
 
 
 @pytest.mark.parametrize("extra", [(), ("--h-list", "0,2")])

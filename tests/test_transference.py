@@ -164,6 +164,10 @@ class TestApExpectation:
         with pytest.raises(ValueError):
             ap_expectation([one, one], [1, 1])
 
+    def test_needs_a_function(self):
+        with pytest.raises(ValueError, match="at least one function"):
+            ap_expectation([], [])
+
     @settings(max_examples=80, deadline=None)
     @given(
         st.sampled_from(_SMALL_PRIMES),
@@ -373,6 +377,8 @@ class TestLevelSigma:
     @example(17, "cuts", "constant", 200, 0.005, 0.3, 0)  # grid far above 2N
     @example(17, "cut_edges", "zero", 3, 0.49, 0.05, 1)  # coarse grid, eta near 1/2
     @example(2, "constant", "zero", 1, 0.4999999999, 0.7, 2)
+    # one cut: a point at 0.99 has rounded ends [1, 1] but fails the float test
+    @example(3, "cut_edges", "random", 1, 0.01, 0.3, 0)
     def test_cut_point_search_matches_the_grid_loop(
         self, n, g_kind, nu_kind, alpha_grid, eta, epsilon, seed
     ):
@@ -452,6 +458,81 @@ class TestLevelSigma:
         assert peak < 2**20
         assert 0.0 <= alpha < 1.0
         assert sigma.atom_count >= 1
+
+
+class TestCutRuns:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.one_of(
+            st.floats(1e-4, 0.4999999, allow_nan=False),
+            st.sampled_from([0.01, 0.25, 0.49, 0.5 - 2**-54, 2**-53]),
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(1, 0.01, 0)  # 0.99: rounded ends [1, 1] cover the circle, 1 - 0.99 > 0.01
+    @example(2, 0.49, 1)  # most points lie near both cuts: the whole circle
+    @example(4, 0.5 - 2**-54, 2)  # rounded ends span the whole circle
+    def test_runs_are_the_enumerated_cuts(self, grid, eta, seed):
+        rng = np.random.default_rng(seed)
+        cut = rng.integers(0, grid, 40) / grid
+        frac = np.concatenate([
+            rng.random(40),
+            cut,  # on a cut
+            (cut + rng.choice([-eta, eta], 40)) % 1.0,  # eta from one
+            np.nextafter((cut + eta) % 1.0, rng.choice([-1.0, 2.0], 40)),
+            [0.0, 1.0 - 2**-53, 1.0, 0.99],  # 1.0 is what frac of -1e-20 rounds to
+        ])
+        lo, hi = znkit.transference._cut_runs(frac, grid, eta)
+        for x, a, b in zip(frac.tolist(), lo.tolist(), hi.tolist()):
+            want = {j for j in range(grid)
+                    if znkit.transference._near_cut(x, j, grid, eta)}
+            assert {j % grid for j in range(a, b + 1)} == want, (x, a, b)
+            if len(want) == grid:
+                assert (a, b) == (0, grid - 1)
+            else:
+                assert b - a + 1 == len(want)
+
+    def test_finest_grid(self):
+        # at 2^53 every cut j / grid and every distance below is exact
+        grid = 2**53
+        frac = np.array([0.5, 1.0 - 2**-53, 0.0, 2**-53])
+        lo, hi = znkit.transference._cut_runs(frac, grid, 2**-52)
+        got = [(a % grid, b - a) for a, b in zip(lo.tolist(), hi.tolist())]
+        # |j - x grid| <= 2, wrapping round 0 for the last three
+        assert got == [(2**52 - 2, 4), (grid - 3, 4), (grid - 2, 4), (grid - 1, 4)]
+
+    def test_end_two_steps_from_its_closed_form(self):
+        # j / grid rounds at grid 2^53 - 1: the run's last cut lies two past
+        # floor((frac + eta) grid), so one pass of +-1 steps is not enough
+        grid, eta = 2**53 - 1, 0.25
+        frac = np.array([0.9524016005300321])
+        lo, hi = znkit.transference._cut_runs(frac, grid, eta)
+        assert int(hi[0]) - int(np.floor((frac[0] + eta) * grid)) == 2
+        near_cut = znkit.transference._near_cut
+        assert near_cut(frac, lo, grid, eta).all() and near_cut(frac, hi, grid, eta).all()
+        assert not near_cut(frac, lo - 1, grid, eta).any()
+        assert not near_cut(frac, hi + 1, grid, eta).any()
+
+    def test_finest_grid_settles_in_a_few_passes(self, monkeypatch):
+        calls = []
+        near_cut = znkit.transference._near_cut
+
+        def counted(*args):
+            calls.append(1)
+            return near_cut(*args)
+
+        monkeypatch.setattr(znkit.transference, "_near_cut", counted)
+        frac = np.random.default_rng(16).random(1000)
+        for eta in (1e-16, 2**-52, 0.25, 0.5 - 2**-54):
+            calls.clear()
+            runs = znkit.transference._cut_runs(frac, 2**53, eta)
+            # four tests a pass, at most three passes; a bisection takes ~53
+            assert len(calls) <= 12, eta
+            lo, hi = runs
+            passing = hi >= lo
+            assert near_cut(frac, lo, 2**53, eta)[passing].all()
+            assert not near_cut(frac, lo - 1, 2**53, eta)[passing].any()
 
 
 class TestExceptionalSet:
@@ -673,6 +754,16 @@ class TestGvnCheck:
         envelope = GridFunction(nu.group, nu.values + 1.0)
         trivial = ap_expectation([envelope] * 3, [0, 1, 2])
         assert report.max_residual <= 0.05 * trivial
+
+    @pytest.mark.parametrize("k", [1, 0, -2])
+    def test_needs_two_terms_before_any_work(self, monkeypatch, k):
+        def no_work(*args):
+            raise AssertionError("sampled before the k check")
+
+        monkeypatch.setattr(znkit.transference, "substream", no_work)
+        nu = GridFunction.constant(CyclicGroup(11), 1.0)
+        with pytest.raises(ValueError, match=f"k = {k}"):
+            gvn_check(nu, k=k, trials=3, seed=0)
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_needs_a_trial(self, trials):
