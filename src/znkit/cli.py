@@ -347,7 +347,12 @@ def _system_from_args(spec: str) -> LinearFormSystem:
         return LinearFormSystem.progression(int(spec.split(":", 1)[1]))
     with open(spec) as fh:
         data = json.load(fh)
-    return LinearFormSystem.from_rows(data["rows"], data.get("constants"))
+    if not isinstance(data, dict) or "rows" not in data:
+        raise ValueError(f"system file {spec} must hold a JSON object with a \"rows\" list")
+    try:
+        return LinearFormSystem.from_rows(data["rows"], data.get("constants"))
+    except TypeError as exc:
+        raise ValueError(f"system file {spec}: {exc}") from exc
 
 
 def _cmd_sieve(args) -> dict:

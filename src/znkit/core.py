@@ -51,6 +51,13 @@ class BudgetExceededError(RuntimeError):
     """An exact enumeration would exceed the caller's cost budget."""
 
 
+def _check_budget(cost: int, budget: int, what: str, remedy: str) -> None:
+    """Refuse work whose nominal cost exceeds the budget, before any of it is done."""
+    if cost > budget:
+        raise BudgetExceededError(f"{what} needs {cost:.2e} operations (> budget "
+                                  f"{budget:.2e}); {remedy}, or raise the budget")
+
+
 def substream(seed: int, *path: int | str) -> np.random.Generator:
     """Named RNG sub-stream derived from a single 64-bit seed.
 
@@ -111,6 +118,18 @@ def _translates(values: np.ndarray) -> np.ndarray:
     n = values.shape[-1]
     doubled = np.concatenate([values, values[..., : n - 1]], axis=-1)
     return np.lib.stride_tricks.sliding_window_view(doubled, n, axis=-1)
+
+
+def _canonical(keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """(labels, count): the distinct keys numbered 0, 1, ... in order of first occurrence.
+
+    One np.unique of the keys; the argsort that ranks their first
+    occurrences runs over the distinct keys only.
+    """
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse], int(first.size)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -192,6 +211,10 @@ class SigmaAlgebra:
 
     Labels are canonical: atom j's smallest residue is increasing in j, so
     equal partitions have equal label arrays and joins are deterministic.
+    Construction checks every label array in O(N) and sorts nothing: an
+    integer dtype, one label per residue, each of 0..atom_count-1 used, and
+    canonical order, which holds exactly when the running maximum of the
+    labels starts at 0 and never steps by more than 1.
     """
 
     group: CyclicGroup
@@ -199,29 +222,30 @@ class SigmaAlgebra:
     atom_count: int
 
     def __post_init__(self) -> None:
-        labels = np.ascontiguousarray(self.atom_label, dtype=np.int64)
+        labels = np.asarray(self.atom_label)
+        if labels.dtype.kind not in "iu":
+            raise ValueError(f"atom_label must hold integers, got dtype {labels.dtype}")
+        labels = np.ascontiguousarray(labels, dtype=np.int64)
         if labels.shape != (self.group.modulus,):
             raise ValueError("atom_label must assign a label to every residue")
         if self.atom_count < 1:
             raise ValueError("atom_count must be positive")
-        counts = np.bincount(labels, minlength=self.atom_count)
-        if labels.min() < 0 or labels.max() >= self.atom_count or counts.min() == 0:
+        # the range is checked before bincount, which would size its table by the largest label
+        if (labels.min() < 0 or labels.max() >= self.atom_count
+                or np.bincount(labels, minlength=self.atom_count).min() == 0):
             raise ValueError("labels must use exactly 0..atom_count-1, each at least once")
-        _, first_seen = np.unique(labels, return_index=True)
-        if not np.all(np.diff(first_seen) > 0):
+        running = np.maximum.accumulate(labels)
+        if running[0] != 0 or np.diff(running).max() > 1:
             raise ValueError("labels are not canonical (sorted by smallest member)")
         object.__setattr__(self, "atom_label", _freeze(labels))
 
     @classmethod
     def from_labels(cls, group: CyclicGroup, labels: np.ndarray) -> "SigmaAlgebra":
-        """Build from an arbitrary labeling, canonicalizing atom ids."""
-        labels = np.ascontiguousarray(labels)
-        uniq, first_idx, inverse = np.unique(labels, return_index=True, return_inverse=True)
-        # renumber so atom j's first occurrence (== smallest residue) increases in j
-        perm = np.argsort(first_idx, kind="stable")
-        order = np.empty(uniq.size, dtype=np.int64)
-        order[perm] = np.arange(uniq.size)
-        return cls(group, order[inverse.ravel()], int(uniq.size))
+        """Build from an arbitrary labeling of shape (N,), canonicalizing atom ids."""
+        labels = np.asarray(labels)
+        if labels.shape != (group.modulus,):
+            raise ValueError(f"labels must have shape ({group.modulus},), got {labels.shape}")
+        return cls(group, *_canonical(labels))
 
     @classmethod
     def trivial(cls, group: CyclicGroup) -> "SigmaAlgebra":
@@ -407,8 +431,12 @@ def join_sigma(
 ) -> SigmaAlgebra:
     """Common refinement: atoms are the nonempty intersections of input atoms.
 
-    An empty list yields the trivial algebra, in which case the group must be
-    supplied explicitly.
+    Each further factor is folded in by one key per residue, label *
+    other.atom_count + other label, and one canonicalising np.unique of
+    those N keys: a join of m algebras sorts N keys m - 1 times, and the
+    result's O(N) validity check sorts nothing.  Labels stay below N, so
+    the keys stay below N^2.  An empty list yields the trivial algebra, in
+    which case the group must be supplied explicitly.
     """
     algebras = list(algebras)
     if not algebras:
@@ -419,16 +447,18 @@ def join_sigma(
     for other in algebras[1:]:
         if other.group.modulus != base.group.modulus:
             raise GroupMismatchError("all algebras must live on the same group")
-    labels = base.atom_label
+    labels, count = base.atom_label, base.atom_count
     for other in algebras[1:]:
-        # pairwise combine keeps intermediate keys below N^2, well inside int64
-        combined = labels * np.int64(other.atom_count) + other.atom_label
-        _, labels = np.unique(combined, return_inverse=True)
-    return SigmaAlgebra.from_labels(base.group, labels)
+        labels, count = _canonical(labels * np.int64(other.atom_count) + other.atom_label)
+    return SigmaAlgebra(base.group, labels, count)
 
 
 def atoms_of(algebra: SigmaAlgebra) -> list[np.ndarray]:
-    """The atoms as sorted residue arrays; a disjoint cover of Z_N."""
-    return [
-        np.flatnonzero(algebra.atom_label == k) for k in range(algebra.atom_count)
-    ]
+    """The atoms as sorted residue arrays; a disjoint cover of Z_N.
+
+    One stable argsort of the labels, split at the cumulative atom sizes.
+    """
+    labels = algebra.atom_label
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels, minlength=algebra.atom_count)
+    return np.split(order, np.cumsum(sizes)[:-1])

@@ -40,11 +40,11 @@ from typing import Mapping
 import numpy as np
 
 from .core import (
-    BudgetExceededError,
     CyclicGroup,
     GridFunction,
     _BLOCK,
     _SHIFT_BLOCK,
+    _check_budget,
     _form_product,
     _smooth_length,
     _translates,
@@ -71,17 +71,11 @@ DEFAULT_BUDGET = 10**9
 _MC_CHUNK = 1 << 16
 
 
-def _check_budget(cost: int, budget: int, what: str, sampled: bool = False) -> None:
-    if cost > budget:
-        remedy = "lower d or samples" if sampled else "use gowers_norm_mc or a monte_carlo mode"
-        raise BudgetExceededError(f"{what} needs {cost:.2e} operations (> budget "
-                                  f"{budget:.2e}); {remedy}, or raise the budget")
-
-
 def _check_exact(n: int, d: int, budget: int, what: str) -> None:
     length = _smooth_length(2 * n - 1)  # nominal cost: one length-L transform per row
     cost = 2 * n if d == 1 else 2**d * n ** (d - 2) * length * (length - 1).bit_length()
-    _check_budget(cost, budget, f"exact {what} at N={n}, d={d}")
+    _check_budget(cost, budget, f"exact {what} at N={n}, d={d}",
+                  "use gowers_norm_mc or a monte_carlo mode")
 
 
 @dataclass(frozen=True)
@@ -281,7 +275,7 @@ def gowers_norm_mc(
     if samples < 100:
         raise ValueError("need at least 100 samples")
     n = f.group.modulus
-    _check_budget(2**d * samples, budget, f"sampled U^{d} norm", sampled=True)
+    _check_budget(2**d * samples, budget, f"sampled U^{d} norm", "lower d or samples")
     rows = [(1,) + om for om in itertools.product((0, 1), repeat=d)]
     weight = _form_product(f.values, rows, [0] * len(rows))
 
@@ -316,7 +310,8 @@ def dual_function(
     if mode == "monte_carlo":
         if samples is None or samples < 100:
             raise ValueError("monte_carlo mode needs samples >= 100")
-        _check_budget(2**d * samples * n, budget, f"sampled dual at N={n}, d={d}", sampled=True)
+        _check_budget(2**d * samples * n, budget, f"sampled dual at N={n}, d={d}",
+                      "lower d or samples")
         return _dual_mc(F, d, samples, seed)
     raise ValueError(f"unknown mode {mode!r}")
 

@@ -29,10 +29,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import (
-    BudgetExceededError,
     CyclicGroup,
     EstimatorResult,
     GridFunction,
+    _check_budget,
     _form_product,
     inner_product,
     mc_mean,
@@ -265,12 +265,8 @@ def verify_linear_forms(
     weight = _form_product(nu.values, *system.residue_matrix(N))
     if mode == "exact":
         points = N**system.t
-        cost = system.m * points
-        if cost > budget:
-            raise BudgetExceededError(
-                f"exact enumeration costs {cost:.2e} > budget {budget:.2e}; "
-                "use mode='monte_carlo'"
-            )
+        _check_budget(system.m * points, budget,
+                      f"exact enumeration of N^t = {points} points", "use mode='monte_carlo'")
         total = 0.0
         for start in range(0, points, _MC_CHUNK):
             flat = np.arange(start, min(start + _MC_CHUNK, points), dtype=np.int64)
@@ -434,8 +430,7 @@ def local_factor_omega(
         # system has no canonical integral model there; when p | W this does
         # not matter: every cleared coefficient W (D/den) num vanishes mod p
         raise ValueError(f"cannot clear denominators: p = {p} divides their lcm {D}")
-    if p**t > budget:
-        raise BudgetExceededError(f"p^t = {p**t} exceeds budget {budget}")
+    _check_budget(p**t, budget, f"enumeration of p^t = {p}^{t} points", "lower p")
     grid = np.indices((p,) * t, dtype=np.int64).reshape(t, -1)
     mask = np.ones(grid.shape[1], dtype=bool)
     for i in X:

@@ -23,6 +23,7 @@ from .core import (
     GroupMismatchError,
     SigmaAlgebra,
     _SHIFT_BLOCK,
+    _check_budget,
     _smooth_length,
     _translates,
     conditional_expectation,
@@ -235,10 +236,8 @@ def count_prime_aps(k: int, limit: int, budget: int = 10**9) -> int:
         return _count_aps_k3_convolution(primes, limit)
     terms = (limit - primes) // (6 * (k - 1))  # m_p
     cost = (k - 1) * int(terms[terms > 0].sum())
-    if cost > budget:
-        raise BudgetExceededError(
-            f"start/difference scan needs {cost:.2e} ops (> budget {budget:.2e})"
-        )
+    _check_budget(cost, budget, f"start/difference scan for {k}-APs to {limit}",
+                  "lower the limit")
     is_prime = np.zeros(limit + 1, dtype=bool)
     is_prime[primes] = True
     count = 0
@@ -411,7 +410,9 @@ def build_level_sigma(
 
 def exceptional_set(sigma: SigmaAlgebra, nu: GridFunction, eta: float) -> np.ndarray:
     """Read-only mask of the union of the atoms whose (nu + 1)-mass is at
-    most sqrt(eta)."""
+    most sqrt(eta), 0 < eta < 1/2."""
+    if not 0 < eta < 0.5:
+        raise ValueError("eta must lie in (0, 1/2)")
     sigma._check_same_group(nu)
     n = sigma.group.modulus
     masses = (

@@ -29,6 +29,19 @@ def random_partition(group: CyclicGroup, rng, atoms: int) -> SigmaAlgebra:
     return SigmaAlgebra.from_labels(group, labels)
 
 
+def first_occurrence_labels(keys) -> list[int]:
+    """The distinct keys numbered 0, 1, ... as they first occur, in pure
+    Python: the oracle for canonical relabelling."""
+    seen: dict = {}
+    return [seen.setdefault(key, len(seen)) for key in keys]
+
+
+def atoms_by_comparison(algebra: SigmaAlgebra) -> list[np.ndarray]:
+    """The atoms as sorted residue arrays, one N-length comparison per atom:
+    the oracle for core.atoms_of."""
+    return [np.flatnonzero(algebra.atom_label == k) for k in range(algebra.atom_count)]
+
+
 def two_pass_mc_mean(draw, samples: int, seed: int, stream: str, chunk: int):
     """(mean, std error) as core.mc_mean first computed them, with fresh
     arrays for each chunk's deviations and squares: the samplers' oracle."""

@@ -106,6 +106,37 @@ def test_linforms_verdict_exit_codes(capsys):
     assert json.loads(out)["result"]["passed"] is False
 
 
+def test_linforms_reads_a_rational_system_file(capsys, tmp_path):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"rows": [[1, 0], [1, "1/2"], [1, 1]]}))
+    code, out = run_cli(capsys, "linforms", "--n", "101", "--nu", "bernoulli",
+                        "--nu-seed", "4", "--system", str(path), "--mode", "exact")
+    assert code in (EXIT_OK, EXIT_VERDICT)
+    result = json.loads(out)["result"]
+    assert result["parameters"][:2] == [3, 2]
+    # 1/2 is 51 mod 101: E_(x,y) nu(x) nu(x + 51 y) nu(x + y), enumerated
+    nu = znkit.bernoulli_measure(101, 4).values
+    x, y = np.indices((101, 101))
+    expect = (nu[x] * nu[(x + 51 * y) % 101] * nu[(x + y) % 101]).mean()
+    assert result["estimate"] == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("data, reason", [
+    ({"rows": [[1, 0.5], [1, 1]]}, "must be rational, got float"),
+    ({"forms": [[1, 0], [1, 1]]}, '"rows"'),
+    ([[1, 0], [1, 1]], '"rows"'),
+])
+def test_linforms_refuses_a_malformed_system_file(capsys, tmp_path, data, reason):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(data))
+    code, out = run_cli(capsys, "linforms", "--n", "101", "--nu", "constant",
+                        "--system", str(path), "--mode", "exact")
+    assert code == EXIT_INVALID
+    error = json.loads(out)["error"]
+    assert error["type"] == "invalid"
+    assert str(path) in error["message"] and reason in error["message"]
+
+
 def test_budget_exit_code(capsys):
     code, out = run_cli(capsys, "gowers", "--n", "1009", "--d", "3",
                         "--input", "/nonexistent.csv", "--budget", "10")

@@ -1,9 +1,11 @@
+import collections
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from znkit import (
@@ -21,7 +23,8 @@ from znkit import (
     substream,
 )
 from znkit.core import _BLOCK, _TILE_CAP, _form_product, mc_mean
-from conftest import random_function, random_partition
+from conftest import (atoms_by_comparison, first_occurrence_labels, random_function,
+                      random_partition)
 
 
 def _grid(vals):
@@ -148,6 +151,116 @@ class TestAtoms:
         atoms = atoms_of(algebra)
         merged = np.sort(np.concatenate(atoms))
         assert np.array_equal(merged, np.arange(50))
+
+
+def _unique_rule(labels: np.ndarray, count: int) -> str | None:
+    """The message SigmaAlgebra's checks raise for integer labels, or None,
+    with canonicity tested as it first was: the first occurrences that
+    np.unique reports must increase with the label."""
+    if count < 1:
+        return "atom_count must be positive"
+    if set(labels.tolist()) != set(range(count)):
+        return "labels must use exactly 0..atom_count-1, each at least once"
+    _, first_seen = np.unique(labels, return_index=True)
+    if not np.all(np.diff(first_seen) > 0):
+        return "labels are not canonical (sorted by smallest member)"
+    return None
+
+
+_raw_labels = st.lists(st.integers(-2, 6), min_size=2, max_size=9)
+
+
+class TestCanonicalLabels:
+    """from_labels, join_sigma and atoms_of against pure-Python oracles."""
+
+    @given(st.lists(st.lists(st.integers(-3, 10**12), min_size=1, max_size=12),
+                    min_size=1, max_size=4),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    @example([[5, 5, -1, 5, 10**12, -1]], 0)
+    def test_relabelling_and_atoms_match_the_oracles(self, pools, seed):
+        rng = np.random.default_rng(seed)
+        n = len(pools[0]) + 1
+        g = CyclicGroup(n)
+        factors = []
+        for pool in pools:
+            raw = np.asarray(pool)[rng.integers(0, len(pool), size=n)]
+            algebra = SigmaAlgebra.from_labels(g, raw)
+            assert algebra.atom_label.tolist() == first_occurrence_labels(raw.tolist())
+            assert algebra.atom_count == len(set(raw.tolist()))
+            factors.append(algebra)
+        joined = join_sigma(factors)
+        keys = list(zip(*(f.atom_label.tolist() for f in factors)))
+        assert joined.atom_label.tolist() == first_occurrence_labels(keys)
+        assert joined.atom_count == len(set(keys))
+        atoms = atoms_of(joined)
+        expect = atoms_by_comparison(joined)
+        assert len(atoms) == len(expect)
+        assert all(np.array_equal(a, b) for a, b in zip(atoms, expect))
+
+    @given(_raw_labels, st.integers(-1, 8), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    @example([0, 1, 0, 2], 3, False)
+    @example([0, 2, 1, 2], 3, False)
+    @example([1, 0, 0], 2, False)
+    @example([0, 0, 1], 1, False)
+    @example([0, 0, 2], 3, False)
+    @example([0, -1, 1], 2, False)
+    @example([0, 1], 0, False)
+    def test_constructor_accepts_what_the_unique_rule_accepts(self, raw, count, relabel):
+        # relabel draws canonical arrays often enough to exercise acceptance
+        labels = np.asarray(first_occurrence_labels(raw) if relabel else raw)
+        if relabel and count > 0:
+            count = int(labels.max()) + 1
+        expect = _unique_rule(labels, count)
+        g = CyclicGroup(labels.size)
+        if expect is None:
+            assert SigmaAlgebra(g, labels, count).atom_label.tolist() == labels.tolist()
+        else:
+            with pytest.raises(ValueError, match=re.escape(expect)):
+                SigmaAlgebra(g, labels, count)
+
+    def test_wrong_shape_keeps_its_message(self):
+        with pytest.raises(ValueError, match="assign a label to every residue"):
+            SigmaAlgebra(CyclicGroup(3), np.zeros((1, 3), dtype=np.int64), 1)
+
+    def test_constructor_needs_integer_labels(self):
+        # a float array was truncated to [0, 0, 1] and accepted
+        with pytest.raises(ValueError, match="integers, got dtype float64"):
+            SigmaAlgebra(CyclicGroup(3), np.array([0.0, 0.9, 1.0]), 2)
+        for dtype in (np.int8, np.int32, np.uint16):
+            algebra = SigmaAlgebra(CyclicGroup(3), np.array([0, 1, 1], dtype=dtype), 2)
+            assert algebra.atom_label.dtype == np.int64
+
+    def test_a_huge_label_is_refused_before_counting(self):
+        with pytest.raises(ValueError, match="exactly 0..atom_count-1"):
+            SigmaAlgebra(CyclicGroup(2), np.array([0, 2**62]), 2)
+
+    def test_from_labels_needs_shape_n(self):
+        # a (1, N) array was flattened and accepted
+        with pytest.raises(ValueError, match=r"shape \(3,\), got \(1, 3\)"):
+            SigmaAlgebra.from_labels(CyclicGroup(3), np.array([[4, 4, 7]]))
+
+    def test_sorts_per_construction(self, monkeypatch):
+        calls = collections.Counter()
+        for name in ("unique", "argsort", "sort"):
+            def counted(*args, _real=getattr(np, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np, name, counted)
+        g = CyclicGroup(60)
+        rng = np.random.default_rng(9)
+        raw = [rng.integers(0, 5, size=60) for _ in range(4)]
+        SigmaAlgebra.trivial(g)
+        SigmaAlgebra.discrete(g)
+        SigmaAlgebra(g, np.asarray(first_occurrence_labels(raw[0].tolist())), 5)
+        assert not calls  # validation sorts nothing
+        factors = [SigmaAlgebra.from_labels(g, labels) for labels in raw]
+        assert calls["unique"] == 4  # one per from_labels
+        for m in range(1, 5):
+            calls.clear()
+            join_sigma(factors[:m])
+            assert calls["unique"] == m - 1
 
 
 class TestOperatorLaws:

@@ -29,7 +29,7 @@ from znkit import (
     verify_linear_forms,
 )
 from znkit.arith import divisor_sums_on_progression
-from znkit.core import mc_mean, substream
+from znkit.core import BudgetExceededError, mc_mean, substream
 from znkit.pseudo import (
     _MC_CHUNK,
     _shifted_product,
@@ -372,6 +372,12 @@ class TestLocalFactors:
     def test_empty_set_is_one(self):
         system = LinearFormSystem.progression(3)
         assert local_factor_omega(system, 6, 7, []) == Fraction(1)
+
+    def test_budget_refusal(self):
+        system = LinearFormSystem.progression(3)  # t = 2 variables
+        assert local_factor_omega(system, 6, 11, [0], budget=121) == Fraction(1, 11)
+        with pytest.raises(BudgetExceededError, match="11\\^2 points.*budget"):
+            local_factor_omega(system, 6, 11, [0], budget=120)
 
     def test_small_primes_vanish(self):
         system = LinearFormSystem.progression(3)

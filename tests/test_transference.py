@@ -560,6 +560,14 @@ class TestExceptionalSet:
         assert mask.dtype == bool and not mask.flags.writeable
         assert np.flatnonzero(mask).tolist() == [0]
 
+    @pytest.mark.parametrize("eta", [math.nan, -1.0, 0.0, 0.5, math.inf])
+    def test_eta_outside_the_open_half_interval_is_refused(self, eta):
+        # nan gave an empty mask and -1 a math domain error
+        g = CyclicGroup(11)
+        nu = GridFunction.constant(g, 1.0)
+        with pytest.raises(ValueError, match=r"eta must lie in \(0, 1/2\)"):
+            exceptional_set(SigmaAlgebra.discrete(g), nu, eta)
+
 
 class TestEnergy:
     def test_trivial_algebra(self):
