@@ -192,14 +192,21 @@ class MajorantParams:
             object.__setattr__(
                 self, "epsilon_k", float(Fraction(1, 2**self.k * math.factorial(self.k + 4)))
             )
-        if not 0 < self.epsilon_k <= 0.5:
-            raise ValueError("epsilon_k must lie in (0, 1/2]")
+        if not 0 < self.epsilon_k < math.inf:
+            raise ValueError(f"epsilon_k must be positive and finite, got {self.epsilon_k}")
+        lo, hi = self.window
+        if hi >= self.N:
+            raise ValueError(
+                f"epsilon_k = {self.epsilon_k} gives the window [{lo}, {hi}] at "
+                f"N = {self.N}, but residues stop at N - 1: need floor(2 epsilon_k N) "
+                "< N, so epsilon_k < 1/2"
+            )
         W = phi_W = 1  # the 63-bit check ends this scan by p = 53, whatever w is
         for p in range(2, self.w + 1):
             if is_prime_64(p):
                 W *= p
                 phi_W *= p - 1
-                if W * (self.window[1] + 1) + 1 > _INT63_MAX:
+                if W * (hi + 1) + 1 > _INT63_MAX:
                     raise OverflowError("W * (2 epsilon_k N) + 1 does not fit in 63 bits")
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "phi_W", phi_W)
@@ -214,7 +221,8 @@ class MajorantParams:
 
     @property
     def window(self) -> tuple[int, int]:
-        """Inclusive residue window [ceil(eps N), floor(2 eps N)]; may be empty."""
+        """Inclusive residue window [ceil(eps N), floor(2 eps N)] within [0, N - 1]
+        (construction refuses a top at N or beyond); may be empty."""
         lo = math.ceil(self.epsilon_k * self.N)
         hi = math.floor(2 * self.epsilon_k * self.N)
         return lo, hi

@@ -12,6 +12,12 @@ forms, the window moments, the sampled U^d norm and the sampled dual all
 evaluate.  It builds each index by in-place adds, gathers from a table
 tiled so that small coefficients need no remainder, and multiplies in
 cache-sized blocks.
+
+Exact cyclic correlations on Z_N share one private kernel: _spectrum, the
+rfft zero-padded to the least 5-smooth length L >= 2N - 1, and
+_folded_correlation, the irfft of conj(a_hat) b_hat folded mod N.  gowers'
+U^2 leaf and transference's three-term progression average both use it, so
+neither takes a length-N complex FFT (Bluestein's algorithm at prime N).
 """
 
 from __future__ import annotations
@@ -108,6 +114,26 @@ def _smooth_length(n: int) -> int:
             odd *= 3
         five *= 5
     return best
+
+
+def _spectrum(values: np.ndarray) -> np.ndarray:
+    """rfft along the last axis, zero-padded to the least 5-smooth length >= 2N - 1."""
+    return np.fft.rfft(values, _smooth_length(2 * values.shape[-1] - 1))
+
+
+def _folded_correlation(prod: np.ndarray, n: int) -> np.ndarray:
+    """c(h) = sum_x a(x) b(x + h mod n) in [..., :n] of a length-L array, from
+    prod = conj(rfft(a, L)) * rfft(b, L); the rest of the array is scratch.
+
+    The inverse transform is the linear correlation: shift h >= 0 at index h,
+    shift -m at index L - m.  L >= 2n - 1 keeps the two ranges apart, and
+    the cyclic shift h is linear shift h plus linear shift h - n, folded in
+    place.
+    """
+    length = _smooth_length(2 * n - 1)
+    lin = np.fft.irfft(prod, length)
+    lin[..., 1:n] += lin[..., length - n + 1 :]
+    return lin
 
 
 _SHIFT_BLOCK = 1 << 20  # floats in one block of translates (8 MiB)

@@ -17,7 +17,8 @@ row is
 sum_h c_(f00,f01)(h) c_(f10,f11)(h) / N^3, c_(a,b)(h) = sum_x a(x) b(x + h);
 keeping x, with the constant 1 at vertex 0, gives the dual function
 N^-2 sum_h c_(f10,f11)(h) f01(x + h).  Each correlation is rfft and irfft
-at the least 5-smooth length L >= 2N - 1, folded mod N: no length-N complex
+at the least 5-smooth length L >= 2N - 1, folded mod N, on core's
+correlation kernel (_spectrum, _folded_correlation): no length-N complex
 FFT, which for prime N is Bluestein's three padded transforms (at
 N = 999983 on a 2-vCPU host about three times the time, and 234 MB peak
 RSS against 118 MB for `znkit dual --mode fourier --output`).
@@ -45,8 +46,10 @@ from .core import (
     _BLOCK,
     _SHIFT_BLOCK,
     _check_budget,
+    _folded_correlation,
     _form_product,
     _smooth_length,
+    _spectrum,
     _translates,
     expectation,
     mc_mean,
@@ -230,26 +233,6 @@ def gowers_norm(f: GridFunction, d: int, budget: int = DEFAULT_BUDGET) -> Gowers
         raise ValueError("d must be a positive integer")
     _check_exact(f.group.modulus, d, budget, "uniformity norm")
     return GowersEstimate.from_raised(_derivative_recursion([f.values] * 2**d), d, "exact")
-
-
-def _spectrum(values: np.ndarray) -> np.ndarray:
-    """rfft along the last axis, zero-padded to the least 5-smooth length >= 2N - 1."""
-    return np.fft.rfft(values, _smooth_length(2 * values.shape[-1] - 1))
-
-
-def _folded_correlation(prod: np.ndarray, n: int) -> np.ndarray:
-    """c(h) = sum_x a(x) b(x + h mod n) in [..., :n] of a length-L array, from
-    prod = conj(rfft(a, L)) * rfft(b, L); the rest of the array is scratch.
-
-    The inverse transform is the linear correlation: shift h >= 0 at index h,
-    shift -m at index L - m.  L >= 2n - 1 keeps the two ranges apart, and
-    the cyclic shift h is linear shift h plus linear shift h - n, folded in
-    place.
-    """
-    length = _smooth_length(2 * n - 1)
-    lin = np.fft.irfft(prod, length)
-    lin[..., 1:n] += lin[..., length - n + 1 :]
-    return lin
 
 
 def gowers_norm_u2_fourier(f: GridFunction) -> GowersEstimate:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -127,13 +128,13 @@ class LinearFormSystem:
         coeffs = tuple(tuple(_as_fraction(c) for c in row) for row in rows)
         if constants is None:
             constants = (0,) * len(coeffs)
-        return cls(coeffs, tuple(int(b) for b in constants))
+        return cls(coeffs, tuple(operator.index(b) for b in constants))
 
     @classmethod
     def shifted(cls, h_list: Sequence[int]) -> "LinearFormSystem":
         """The equal-form system x + h_i in one variable (diagnostics only)."""
         rows = tuple((Fraction(1),) for _ in h_list)
-        return cls(rows, tuple(int(h) for h in h_list), allow_proportional=True)
+        return cls(rows, tuple(operator.index(h) for h in h_list), allow_proportional=True)
 
     @classmethod
     def cube(cls, d: int) -> "LinearFormSystem":
@@ -323,7 +324,7 @@ def _shifted_product(vals: np.ndarray, shifts: Sequence[int], out: np.ndarray) -
     (1 * v = v) and each further one multiplied in place, two slices each."""
     n = vals.size
     for i, shift in enumerate(shifts):
-        s = int(shift) % n
+        s = shift % n
         if i == 0:
             out[: n - s] = vals[s:]
             out[n - s :] = vals[:s]
@@ -368,6 +369,7 @@ def verify_correlation(
     for h in h_tuples:
         if len(h) != m:
             raise ValueError(f"tuple {h!r} does not have m = {m} entries")
+    h_tuples = [[operator.index(s) for s in h] for h in h_tuples]
     vals = nu.values
     prod = np.empty(N)
     max_ratio = -math.inf
@@ -375,7 +377,7 @@ def verify_correlation(
         lhs = float(_shifted_product(vals, h, prod).mean())
         bound = 0.0
         for i, j in itertools.combinations(range(m), 2):
-            bound += tau_weight(int(h[i]) - int(h[j]), m, N, c_tau, a_tau)
+            bound += tau_weight(h[i] - h[j], m, N, c_tau, a_tau)
         max_ratio = max(max_ratio, lhs / bound)
     del prod
     half = (N - 1) // 2
@@ -545,7 +547,7 @@ def gy2_correlation_check(
     is at most 2 N^2), so Delta itself is never factored.  Memory is
     O(m |box| + R) whatever W and the shifts (|h| <= N^2) are.
     """
-    h_list = [int(h) for h in h_list]
+    h_list = [operator.index(h) for h in h_list]
     if len(set(h_list)) != len(h_list):
         raise ValueError("shifts must be distinct")
     if any(abs(h) > params.N**2 for h in h_list):

@@ -24,7 +24,9 @@ from .core import (
     SigmaAlgebra,
     _SHIFT_BLOCK,
     _check_budget,
+    _folded_correlation,
     _smooth_length,
+    _spectrum,
     _translates,
     conditional_expectation,
     join_sigma,
@@ -56,13 +58,17 @@ __all__ = [
 def ap_expectation(fs: Sequence[GridFunction], cs: Sequence[int]) -> float:
     """E(prod_j f_j(x + c_j r) | x, r in Z_N); exact.
 
-    Three coefficients distinct mod N take the Fourier route, cost N log N:
-    the frequency triples with xi_0 + xi_1 + xi_2 = 0 and
-    c_0 xi_0 + c_1 xi_1 + c_2 xi_2 = 0 (mod N) are t (a_0, a_1, a_2) with
-    a_j = c_(j+1) - c_(j+2), so the average is sum_t prod_j f^_j(t a_j), where
-    f^ = fft(f) / N.  Any other case (k != 3, or coefficients distinct as
-    integers but congruent mod N) multiplies the translates
-    f_j((x + c_j r) mod N), gathered for a block of r at a time, cost k N^2.
+    Three coefficients distinct mod N take one correlation on core's
+    padded real-transform kernel.  u = x + c_0 r, v = x + c_1 r is a
+    bijection of Z_N^2, and x + c_2 r = (1 - l) u + l v with
+    l = (c_2 - c_0) / (c_1 - c_0) mod N, so l and 1 - l are nonzero.  With
+    g_0((1 - l) u) = f_0(u) and g_1(l v) = f_1(v) the average is
+    N^-2 sum_s g_0(s) c(s), c(s) = sum_t g_1(t) f_2(t + s): three real
+    transforms (two forward, one inverse) of the least 5-smooth length
+    L >= 2N - 1, cost N log N, and no length-N complex transform.  Any other
+    case (k != 3, or coefficients distinct as integers but congruent mod N)
+    multiplies the translates f_j((x + c_j r) mod N), gathered for a block
+    of r at a time, cost k N^2.
 
     Includes the degenerate r = 0 terms; callers comparing against integer
     progression counts must subtract them explicitly.
@@ -80,12 +86,13 @@ def ap_expectation(fs: Sequence[GridFunction], cs: Sequence[int]) -> float:
     group.ensure_prime()
     n = group.modulus
     if len(cs) == 3 and len({c % n for c in cs}) == 3:
-        t = np.arange(n, dtype=np.int64)
-        prod = np.ones(n, dtype=np.complex128)
-        for j, f in enumerate(fs):
-            a = (cs[(j + 1) % 3] - cs[(j + 2) % 3]) % n
-            prod *= (np.fft.fft(f.values) / n)[t * a % n]
-        return float(prod.sum().real)
+        lam = (cs[2] - cs[0]) * pow(int(cs[1] - cs[0]), -1, n) % n
+        u = np.arange(n, dtype=np.int64)
+        g0, g1 = np.empty(n), np.empty(n)
+        g0[(1 - lam) % n * u % n] = fs[0].values
+        g1[lam * u % n] = fs[1].values
+        c = _folded_correlation(_spectrum(g1).conj() * _spectrum(fs[2].values), n)
+        return float(g0 @ c[:n]) / n**2
     translates = [_translates(f.values) for f in fs]
     step = max(1, _SHIFT_BLOCK // n)
     total = 0.0

@@ -351,6 +351,14 @@ class TestDivisorSumsOnProgression:
             divisor_sums_on_progression(6, 1, 1, 5, 0.5)
 
 
+# small primes, desk sizes and primes just below 2^53, 2^61 and 2^62, where
+# 2 epsilon_k N is rounded
+_WINDOW_PRIMES = [2, 3, 5, 101, 1009, 999983, 2**31 - 1] + [
+    next(n for n in range(top - 1, 0, -1) if is_prime_64(n))
+    for top in (2**53, 2**61, 2**62)
+]
+
+
 class TestMajorant:
     def test_paper_style_defaults(self):
         params = MajorantParams(k=3, N=101)
@@ -404,6 +412,42 @@ class TestMajorant:
     def test_requires_prime_modulus(self):
         with pytest.raises(ValueError):
             MajorantParams(k=3, N=100)
+
+    def test_refuses_a_window_that_reaches_n(self):
+        # epsilon_k = 1/2 would give the window [51, 101] at N = 101; 101 is no residue
+        with pytest.raises(ValueError, match=r"epsilon_k = 0\.5 .*\[51, 101\] at N = 101"):
+            MajorantParams(k=3, N=101, w=2, epsilon_k=0.5)
+        for epsilon_k in (0.75, 1.0, 3.0):
+            with pytest.raises(ValueError, match="residues stop at N - 1"):
+                MajorantParams(k=3, N=101, w=2, epsilon_k=epsilon_k)
+        for epsilon_k in (-0.25, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                MajorantParams(k=3, N=101, w=2, epsilon_k=epsilon_k)
+        assert MajorantParams(k=3, N=101, w=2, epsilon_k=0.495).window == (50, 99)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(_WINDOW_PRIMES),
+        st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True),
+            st.floats(0.4999, 0.5001),
+            st.integers(1, 2**20).map(lambda k: 0.5 - k * 2.0**-54),
+        ),
+    )
+    @example(101, 0.5)
+    @example(101, float(np.nextafter(0.5, 0.0)))
+    @example(_WINDOW_PRIMES[-1], float(np.nextafter(0.5, 0.0)))
+    def test_accepted_windows_lie_in_z_n(self, N, epsilon_k):
+        # the refusal reads the window itself, so a top that rounds up to N
+        # is refused along with every epsilon_k >= 1/2
+        top = math.floor(2 * epsilon_k * N)
+        if top >= N:
+            with pytest.raises(ValueError, match="residues stop at N - 1"):
+                MajorantParams(k=3, N=N, w=2, epsilon_k=epsilon_k)
+            return
+        lo, hi = MajorantParams(k=3, N=N, w=2, epsilon_k=epsilon_k).window
+        assert 0 <= lo <= N - 1 and 0 <= hi <= N - 1
+        assert epsilon_k < 0.5
 
     def test_ones_outside_window(self):
         params = MajorantParams(k=3, N=10007, w=2, R_exponent=0.25, epsilon_k=0.25)

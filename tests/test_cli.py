@@ -125,6 +125,7 @@ def test_linforms_reads_a_rational_system_file(capsys, tmp_path):
     ({"rows": [[1, 0.5], [1, 1]]}, "must be rational, got float"),
     ({"forms": [[1, 0], [1, 1]]}, '"rows"'),
     ([[1, 0], [1, 1]], '"rows"'),
+    ({"rows": [[1, 0], [1, 1]], "constants": [0.5, 0]}, "'float'"),
 ])
 def test_linforms_refuses_a_malformed_system_file(capsys, tmp_path, data, reason):
     path = tmp_path / "system.json"
@@ -135,6 +136,17 @@ def test_linforms_refuses_a_malformed_system_file(capsys, tmp_path, data, reason
     error = json.loads(out)["error"]
     assert error["type"] == "invalid"
     assert str(path) in error["message"] and reason in error["message"]
+
+
+@pytest.mark.parametrize("command", ["majorant", "gycheck"])
+def test_window_past_n_is_refused(capsys, command):
+    # epsilon_k = 1/2 puts the window's top at N = 101, which is no residue
+    code, out = run_cli(capsys, command, "--n", "101", "--epsilon", "0.5",
+                        "--theta", "0.3")
+    assert code == EXIT_INVALID
+    error = json.loads(out)["error"]
+    assert error["type"] == "invalid"
+    assert "epsilon_k = 0.5" in error["message"] and "[51, 101]" in error["message"]
 
 
 def test_budget_exit_code(capsys):

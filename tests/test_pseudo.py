@@ -116,6 +116,16 @@ class TestLinearFormSystem:
         with pytest.raises(ValueError, match="zero"):
             LinearFormSystem.from_rows([(1, 1), (0, 0)])
 
+    def test_constants_and_shifts_must_be_integers(self):
+        # a float must be refused, not truncated: (0.5, 1.9) would run as (0, 1)
+        with pytest.raises(TypeError):
+            LinearFormSystem.from_rows([[1, 0], [1, 1]], [0.5, 1.9])
+        with pytest.raises(TypeError):
+            LinearFormSystem.shifted([0, 1.7])
+        system = LinearFormSystem.from_rows([[1, 0], [1, 1]], [np.int64(3), -2])
+        assert system.constants == (3, -2)
+        assert LinearFormSystem.shifted([np.int32(0), 5]).constants == (0, 5)
+
     def test_fraction_parsing_and_height(self):
         system = LinearFormSystem.from_rows([("1/2", 1), (1, "2/3")])
         assert system.coefficient_height == 3
@@ -644,6 +654,14 @@ class TestEmptyBoxes:
         params = MajorantParams(k=3, N=1009, w=2, R_exponent=0.3, epsilon_k=0.25)
         with pytest.raises(ValueError, match=r"\[10, 5\] is empty"):
             gy2_correlation_check(params, [0, 2], (10, 5))
+
+    def test_shifted_check_refuses_fractional_shifts(self):
+        # truncation would run the shift 2.5 as 2
+        params = MajorantParams(k=3, N=1009, w=2, R_exponent=0.3, epsilon_k=0.25)
+        with pytest.raises(TypeError):
+            gy2_correlation_check(params, [0, 2.5], (10, 50))
+        with pytest.raises(TypeError):
+            verify_correlation(GridFunction.constant(CyclicGroup(101), 1.0), 2, [(0, 2.5)])
 
     def test_shifted_check_refuses_nonpositive_values(self):
         params = MajorantParams(k=3, N=1009, w=2, R_exponent=0.3, epsilon_k=0.25)

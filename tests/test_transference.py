@@ -40,6 +40,20 @@ def brute_ap_expectation(fs, cs, n):
     return total / n**2
 
 
+def fourier_triple_ap_expectation(fs, cs, n):
+    """Three-term average from the frequency triples with xi_0 + xi_1 + xi_2 = 0
+    and c_0 xi_0 + c_1 xi_1 + c_2 xi_2 = 0 (mod N): they are t (a_0, a_1, a_2),
+    a_j = c_(j+1) - c_(j+2), so the average is sum_t prod_j f^_j(t a_j),
+    f^ = fft(f) / N.  Three length-N complex transforms, kept as the oracle
+    for the real-correlation route."""
+    t = np.arange(n, dtype=np.int64)
+    prod = np.ones(n, dtype=np.complex128)
+    for j, f in enumerate(fs):
+        a = (cs[(j + 1) % 3] - cs[(j + 2) % 3]) % n
+        prod *= (np.fft.fft(f.values) / n)[t * a % n]
+    return float(prod.sum().real)
+
+
 def brute_level_alpha(G, epsilon, eta, nu, alpha_grid=None):
     """The alpha that build_level_sigma chose by trying every grid point in
     turn, kept as the oracle for its cut-point search."""
@@ -181,11 +195,53 @@ class TestApExpectation:
     @example(59, [0, 1, 60], 3)
     @example(53, [-1, -5, 7], 4)
     @example(7, [0, 1, 2, 3], 5)
+    # l = (c_2 - c_0) / (c_1 - c_0) mod N is -1, or 1 - l is -1 (l = 2)
+    @example(59, [1, 0, 2], 7)  # l = -1
+    @example(13, [0, 1, 12], 8)  # l = 12 = -1 mod 13
+    @example(53, [0, 1, 2], 9)  # l = 2
+    @example(7, [5, 3, 1], 10)  # l = 2, coefficients falling
+    @example(5, [0, 2, 4], 11)  # l = 2 at N = 5
     def test_matches_brute_force_on_small_primes(self, n, cs, seed):
         rng = np.random.default_rng(seed)
         g = CyclicGroup(n)
         fs = [random_function(g, rng) for _ in cs]
         assert abs(ap_expectation(fs, cs) - brute_ap_expectation(fs, cs, n)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [7, 13])
+    def test_frequency_triple_oracle_matches_brute_force(self, n):
+        rng = np.random.default_rng(n)
+        g = CyclicGroup(n)
+        fs = [random_function(g, rng) for _ in range(3)]
+        for cs in ([0, 1, 2], [3, 1, 7], [-1, 0, 1]):
+            assert fourier_triple_ap_expectation(fs, cs, n) == pytest.approx(
+                brute_ap_expectation(fs, cs, n), abs=1e-12
+            )
+
+    @pytest.mark.parametrize("n", [10007, 100003])
+    @pytest.mark.parametrize("cs", [[0, 1, 2], [0, 2, 5], [3, 1, 7], [-1, 0, 1]])
+    def test_matches_frequency_triples_at_large_n(self, n, cs):
+        # nonnegative functions keep the average well away from 0, so the
+        # relative bound is a real one
+        rng = np.random.default_rng(n + sum(cs))
+        g = CyclicGroup(n)
+        fs = [GridFunction(g, rng.random(n)) for _ in range(3)]
+        for args in (fs, [fs[0]] * 3):
+            got = ap_expectation(args, cs)
+            want = fourier_triple_ap_expectation(args, cs, n)
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_three_terms_take_no_complex_transform(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("length-N complex FFT called")
+
+        n = 10007
+        rng = np.random.default_rng(3)
+        g = CyclicGroup(n)
+        fs = [GridFunction(g, rng.random(n)) for _ in range(3)]
+        want = fourier_triple_ap_expectation(fs, [0, 2, 5], n)
+        monkeypatch.setattr(np.fft, "fft", refuse)
+        monkeypatch.setattr(np.fft, "ifft", refuse)
+        assert ap_expectation(fs, [0, 2, 5]) == pytest.approx(want, rel=1e-12)
 
 
 class TestCountPrimeAps:
