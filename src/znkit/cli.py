@@ -477,7 +477,10 @@ def _cmd_gycheck(args) -> dict:
     params = _majorant_params(args)
     lo, hi = params.window
     if args.box:
-        lo, hi = (int(s) for s in args.box.split(":"))
+        try:
+            lo, hi = (int(s) for s in args.box.split(":"))
+        except ValueError:
+            raise ValueError(f"--box takes two integers lo:hi, got {args.box!r}") from None
     if args.h_list:
         shifts = [int(s) for s in args.h_list.split(",")]
         est = gy2_correlation_check(params, shifts, (lo, hi))

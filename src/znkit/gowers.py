@@ -43,6 +43,7 @@ import numpy as np
 from .core import (
     CyclicGroup,
     GridFunction,
+    GroupMismatchError,
     _BLOCK,
     _SHIFT_BLOCK,
     _check_budget,
@@ -99,7 +100,7 @@ class CubeFamily:
             )
         mods = {f.group.modulus for f in self.functions.values()}
         if len(mods) != 1:
-            raise ValueError("all vertex functions must share one group")
+            raise GroupMismatchError("all vertex functions must share one group")
 
     @property
     def group(self) -> CyclicGroup:

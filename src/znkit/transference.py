@@ -155,8 +155,9 @@ def gvn_check(
             else:
                 scale = rng.uniform(-1.0, 1.0, size=group.modulus)
                 fs.append(GridFunction(group, scale * envelope))
-        avg = abs(ap_expectation(fs, list(range(k))))
+        # the norms' budget gate refuses before the k N^2 progression gathers
         min_norm = min(gowers_norm(f, d, budget=budget).norm_value for f in fs)
+        avg = abs(ap_expectation(fs, list(range(k))))
         pairs.append((avg, min_norm))
     sum_xy = sum(a * m for a, m in pairs)
     sum_xx = sum(m * m for _, m in pairs)
@@ -302,16 +303,22 @@ def _level_alpha_index(
     frac: np.ndarray, weights: np.ndarray, grid: int, eta: float
 ) -> int:
     """First grid index j at which the alpha search of `build_level_sigma`
-    settles, found from the sorted ends of the points' runs.
+    settles, found from the sorted events of the points' runs.
 
     The mass at j, float(weights[_near_cut(frac, j)].sum()) / N, is constant
-    between run ends.  Each run adds +w at its start and -w past its end (a
-    wrapping run is also active at j = 0, a whole circle starts at 0 and
-    never ends, and an empty one ends where it starts), so a cumulative sum
-    over the ends sorted by j gives every constant segment, its first j and
-    its mass to within a running bound on the rounding of the sum and of
-    the pairwise sum the search takes.  The search keeps the first j
-    whose mass falls below the best so far by more than 1e-15, which only
+    between events.  A run [lo, hi] that covers a cut adds +w at its start
+    lo mod grid and -w at its end, start + hi - lo + 1; a run that wraps
+    past grid - 1 ends at end - grid instead and is also +w at 0, and an
+    end at grid (a whole circle, say) is never reached.  One opener at 0
+    starts the first segment.  A cumulative sum over the events sorted by
+    position gives every constant segment, its first j and its mass to
+    within a running bound on the rounding of the sum and of the pairwise
+    sum the search takes.  The sort's order among equal positions does not
+    matter: a run that covers no cut adds no event, so every end lies
+    strictly past its own start, and the events before any index, in any
+    order, leave a set of active runs, whose partial sum is bounded by
+    their total |w|, the running `size` below.  The search keeps the first
+    j whose mass falls below the best so far by more than 1e-15, which only
     a strict new minimum can do; so only segments whose lower bound lies
     below every earlier upper bound are candidates, and those whose lower
     bound clears the current threshold are skipped.  The rest get their
@@ -319,24 +326,25 @@ def _level_alpha_index(
     """
     n = frac.size
     lo, hi = _cut_runs(frac, grid, eta)
-    start = lo % grid
-    end = start + (hi - lo + 1)
-    wrap, inner = end > grid, end < grid
-    zero = np.zeros(1, dtype=np.int64)
-    ends = (  # (j, +1 or -1, weight): each run is active from its start to its end
-        (zero, 0, np.zeros(1)),  # opens the segment at j = 0
-        (start, 1, weights),
-        (end[inner], -1, weights[inner]),
-        (zero.repeat(wrap.sum()), 1, weights[wrap]),  # a wrapping run is active at 0
-        (end[wrap] - grid, -1, weights[wrap]),
-    )
-    pos = np.concatenate([j for j, _, _ in ends])
-    sign = np.concatenate([np.full(j.size, step) for j, step, _ in ends])
-    delta = sign * np.concatenate([weight for _, _, weight in ends])
-    order = np.argsort(pos, kind="stable")
-    pos, sign, delta = pos[order], sign[order], delta[order]
-    last = np.flatnonzero(np.diff(pos, append=grid))  # each position's last end
+    runs = lo <= hi  # a run that covers no cut adds no event
+    start = lo[runs] % grid
+    end = start + (hi - lo + 1)[runs]
+    del lo, hi
+    w = weights[runs]
+    wrap = end > grid
+    end[wrap] -= grid
+    # events: each start, each end, 0 for each wrapping run, and the opener
+    wraps = int(wrap.sum())
+    pos = np.concatenate((start, end, np.zeros(wraps + 1, dtype=np.int64)))
+    del start, end
+    order = np.argsort(pos)
+    pos = pos[order]
+    sign = np.repeat(np.int8([1, -1, 1, 0]), (w.size, w.size, wraps, 1))[order]
+    delta = np.concatenate((w, -w, w[wrap], (0.0,)))[order]
+    del order, w, wrap
+    last = np.flatnonzero(np.diff(pos, append=grid))  # each position's last event
     first_j = pos[last]
+    del pos
     counts = np.cumsum(sign)[last]
     mass = np.cumsum(delta)[last]
     size = np.cumsum(sign * np.abs(delta))  # sum of |w| over the active runs
@@ -382,12 +390,17 @@ def build_level_sigma(
     eta of the cut points; the minimum is no worse than the grid average,
     which is O(eta) for any measure of mean O(1).  The choice is that of
     trying every j in turn and keeping the first whose mass falls below the
-    best so far by more than 1e-15, but it is read off the 2N sorted ends
-    of the points' runs of nearby cuts: cost N log N for the sort, a few
-    passes of N to settle the run ends from their closed form (neither
-    grows with alpha_grid or 1/eta), plus N for each near-minimal mass
-    recomputed, and no array of alpha_grid entries.  A grid below 1 or
-    above 2^53 is refused.  Returns the partition and the chosen alpha.
+    best so far by more than 1e-15, but it is read off one list of at most
+    3N + 1 events: each point whose run of nearby cuts is not empty is +w
+    at the run's start and -w at its end (and +w at 0 if the run wraps).
+    Every end lies past its own start, so the default, unstable sort is
+    enough: any prefix of the sorted list is a set of active runs, and the
+    rounding bound on the running mass holds for every order of equal
+    positions.  Cost N log N for the sort, a few passes of N to settle the
+    run ends from their closed form (neither grows with alpha_grid or
+    1/eta), plus N for each near-minimal mass recomputed, and no array of
+    alpha_grid entries.  A grid below 1 or above 2^53 is refused.  Returns
+    the partition and the chosen alpha.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")

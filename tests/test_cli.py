@@ -325,6 +325,15 @@ def test_gycheck_empty_box_is_refused(capsys, extra):
     assert "[10, 5] is empty" in error["message"]
 
 
+@pytest.mark.parametrize("box", ["5", "1:2:3", "a:b", "1.5:9"])
+def test_gycheck_box_needs_two_integers(capsys, box):
+    code, out = run_cli(capsys, "gycheck", "--n", "1009", "--box", box)
+    assert code == EXIT_INVALID
+    error = json.loads(out)["error"]
+    assert error["type"] == "invalid"
+    assert error["message"] == f"--box takes two integers lo:hi, got {box!r}"
+
+
 def test_correlation_with_no_distinct_tuple_is_refused(capsys):
     code, out = run_cli(capsys, "correlation", "--n", "7", "--m", "8", "--tuples", "3")
     assert code == EXIT_INVALID

@@ -12,6 +12,7 @@ from znkit import (
     CubeFamily,
     CyclicGroup,
     GridFunction,
+    GroupMismatchError,
     bernoulli_measure,
     build_majorant,
     MajorantParams,
@@ -126,6 +127,13 @@ class TestCubeAverage:
                 funcs[om] = random_function(g, rng) if all(om) else pool[0, om[-1]]
         got = gowers_inner(CubeFamily(d, funcs))
         assert got == pytest.approx(brute_cube_average(funcs, d, n), abs=1e-12)
+
+    def test_vertex_functions_on_two_groups_are_refused(self):
+        funcs = {om: GridFunction.constant(CyclicGroup(11), 1.0)
+                 for om in itertools.product((0, 1), repeat=2)}
+        funcs[(1, 1)] = GridFunction.constant(CyclicGroup(13), 1.0)
+        with pytest.raises(GroupMismatchError, match="share one group"):
+            CubeFamily(2, funcs)
 
     def test_budget_refusal_names_the_sampler(self):
         g = CyclicGroup(101)

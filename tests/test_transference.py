@@ -10,6 +10,7 @@ from znkit import (
     CyclicGroup,
     DecompositionConfig,
     GridFunction,
+    MajorantParams,
     SigmaAlgebra,
     ap_expectation,
     bernoulli_measure,
@@ -171,6 +172,29 @@ class TestApExpectation:
         total = ap_expectation([ind] * 3, [0, 1, 2]) * n * n
         want = 2 * brute_count_aps(3, limit) + t.prime_count()
         assert total == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("n, w, eps, want", [
+        (10007, 2, 0.1, 5195),
+        (100003, 3, 0.25, 3929886),
+    ])
+    def test_prime_window_counts_its_integer_progressions(self, n, w, eps, want):
+        # A = the n in the window with W n + 1 prime.  The window is shorter
+        # than N / 2, so a residue 3-AP in it is an integer one, counted once
+        # per direction, plus the r = 0 diagonal
+        params = MajorantParams(k=3, N=n, w=w, epsilon_k=eps)
+        lo, hi = params.window
+        assert hi - lo < n / 2
+        members = [m for m in range(lo, hi + 1) if is_prime_64(params.W * m + 1)]
+        in_a = set(members)
+        aps = 0
+        for i, a in enumerate(members):
+            for b in members[i + 1:]:
+                if 2 * b - a > hi:
+                    break
+                aps += 2 * b - a in in_a
+        ind = GridFunction.indicator(CyclicGroup(n), members)
+        total = ap_expectation([ind] * 3, (0, 1, 2)) * n * n
+        assert round(total) == len(members) + 2 * aps == want
 
     def test_requires_distinct_coefficients(self):
         g = CyclicGroup(11)
@@ -490,6 +514,19 @@ class TestLevelSigma:
             nu = GridFunction(g, rng.choice(weights, n))
             _, alpha = build_level_sigma(G, 0.5, eta, nu, alpha_grid=grid)
             assert alpha == brute_level_alpha(G, 0.5, eta, nu, grid), (n, grid, eta)
+
+    def test_level_search_memory_per_point(self):
+        # the sorted event list and its cumulative sums, each freed once read
+        n = 100003
+        rng = np.random.default_rng(16)
+        frac, weights = rng.random(n), rng.uniform(1.0, 2.0, n)
+        tracemalloc.start()
+        try:
+            znkit.transference._level_alpha_index(frac, weights, 10**5, 1e-5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 160 * n
 
     @pytest.mark.parametrize("alpha_grid", [0, -3, 2**53 + 1, 10**17])
     def test_unresolvable_grid_is_refused_first(self, alpha_grid):
@@ -834,6 +871,15 @@ class TestGvnCheck:
         nu = GridFunction.constant(CyclicGroup(11), 1.0)
         with pytest.raises(ValueError, match="trials"):
             gvn_check(nu, k=3, trials=trials, seed=0)
+
+    def test_norm_budget_refuses_before_any_progression_average(self, monkeypatch):
+        def no_average(*args):
+            raise AssertionError("took a progression average before the budget gate")
+
+        monkeypatch.setattr(znkit.transference, "ap_expectation", no_average)
+        nu = GridFunction.constant(CyclicGroup(20011), 1.0)
+        with pytest.raises(BudgetExceededError):
+            gvn_check(nu, k=4, trials=1, seed=0)
 
     def test_deterministic(self):
         g = CyclicGroup(101)
