@@ -37,6 +37,7 @@ from .arith import (
     is_prime_64,
     lambda_r_table,
     lambda_tilde,
+    odd_prime_indicator,
     primes_up_to,
 )
 from .pseudo import (

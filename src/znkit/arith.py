@@ -1,11 +1,13 @@
 """Number-theoretic tables and the pseudorandom majorant.
 
-Integers are factored here only: primes_up_to for the primes alone (the
-prime progression counts and the tau moments of pseudo.verify_correlation),
-build_sieve for the Mobius and von Mangoldt tables over 0..limit, the
-private trial-division helper _distinct_prime_factors for a single integer
-(euler_phi, tau_weight, each pairwise difference of the GY shifts), and
-is_prime_64 for primality, including the primes p <= w behind W and phi(W).
+Integers are factored here only: odd_prime_indicator for the odd primes as
+a half-size bool table (the prime progression counts read it directly),
+primes_up_to for the primes as integers, taken from that table (the tau
+moments of pseudo.verify_correlation), build_sieve for the Mobius and von
+Mangoldt tables over 0..limit, the private trial-division helper
+_distinct_prime_factors for a single integer (euler_phi, tau_weight, each
+pairwise difference of the GY shifts), and is_prime_64 for primality,
+including the primes p <= w behind W and phi(W).
 
 The majorant construction: fix a small-prime cutoff w, let W be the product
 of the primes up to w, and restrict attention to the progression W n + 1 so
@@ -44,6 +46,7 @@ __all__ = [
     "MajorantParams",
     "build_sieve",
     "primes_up_to",
+    "odd_prime_indicator",
     "is_prime_64",
     "euler_phi",
     "lambda_tilde",
@@ -75,23 +78,44 @@ class SieveTables:
         return int(self.primes.size)
 
 
-def primes_up_to(limit: int) -> np.ndarray:
-    """The primes <= limit in increasing order, from a bool sieve of Eratosthenes.
+def odd_prime_indicator(limit: int) -> np.ndarray:
+    """The odd half of a sieve of Eratosthenes: is_p[a] is true exactly when
+    2 a + 1 is a prime <= limit, for 0 <= a < (limit + 1) // 2.
 
-    Each prime p <= sqrt(limit) marks its multiples from p^2 on as
-    composite; nothing else is tabulated, so the peak is about one byte per
-    integer plus the primes.  A limit above the cap (50 million) is refused
-    by the budget before anything is allocated.
+    Each odd prime p <= sqrt(limit) clears a = (p^2 - 1) / 2 + i p, its odd
+    multiples from p^2 on, so the peak is half a byte per integer.  A limit
+    above the cap (50 million) is refused by the budget before anything is
+    allocated.
+    """
+    if limit < 0:
+        raise ValueError("limit must be >= 0")
+    if limit > _SIEVE_LIMIT_CAP:
+        raise BudgetExceededError(f"sieve limit {limit} exceeds the cap {_SIEVE_LIMIT_CAP}")
+    is_p = np.ones((limit + 1) // 2, dtype=bool)
+    is_p[:1] = False  # a = 0 is 1
+    for a in range(1, (math.isqrt(limit) + 1) // 2):
+        if is_p[a]:
+            p = 2 * a + 1
+            is_p[p * p // 2 :: p] = False
+    return is_p
+
+
+def primes_up_to(limit: int) -> np.ndarray:
+    """The primes <= limit in increasing order, as int64, from odd_prime_indicator.
+
+    The odd primes are 2 a + 1 at the true entries; entry a = 0 (the number
+    1) is set true and relabelled as the prime 2, so the peak is half a byte
+    per integer plus the primes.  The cap is odd_prime_indicator's.
     """
     if limit < 2:
         raise ValueError("limit must be >= 2")
-    if limit > _SIEVE_LIMIT_CAP:
-        raise BudgetExceededError(f"sieve limit {limit} exceeds the cap {_SIEVE_LIMIT_CAP}")
-    composite = np.zeros(limit + 1, dtype=bool)
-    for p in range(2, math.isqrt(limit) + 1):
-        if not composite[p]:
-            composite[p * p :: p] = True
-    return np.flatnonzero(~composite[2:]) + 2
+    is_p = odd_prime_indicator(limit)
+    is_p[0] = True  # the slot of 1 holds 2
+    primes = np.flatnonzero(is_p)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
 
 
 def build_sieve(limit: int) -> SieveTables:

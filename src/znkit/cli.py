@@ -341,10 +341,16 @@ def _measure_from_args(args) -> GridFunction:
 
 
 def _system_from_args(spec: str) -> LinearFormSystem:
-    if spec.startswith("cube:"):
-        return LinearFormSystem.cube(int(spec.split(":", 1)[1]))
-    if spec.startswith("progression:"):
-        return LinearFormSystem.progression(int(spec.split(":", 1)[1]))
+    for name, arg, build in (("cube", "D", LinearFormSystem.cube),
+                             ("progression", "K", LinearFormSystem.progression)):
+        if spec.startswith(name + ":"):
+            try:
+                size = int(spec[len(name) + 1 :])
+            except ValueError:
+                raise ValueError(
+                    f"--system {name}:{arg} takes an integer {arg}, got {spec!r}"
+                ) from None
+            return build(size)
     with open(spec) as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or "rows" not in data:
@@ -482,7 +488,12 @@ def _cmd_gycheck(args) -> dict:
         except ValueError:
             raise ValueError(f"--box takes two integers lo:hi, got {args.box!r}") from None
     if args.h_list:
-        shifts = [int(s) for s in args.h_list.split(",")]
+        try:
+            shifts = [int(s) for s in args.h_list.split(",")]
+        except ValueError:
+            raise ValueError(
+                f"--h-list takes comma-separated integers, got {args.h_list!r}"
+            ) from None
         est = gy2_correlation_check(params, shifts, (lo, hi))
         kind = "shifted_correlation"
     else:

@@ -39,7 +39,7 @@ from .gowers import (
     gowers_norm,
     gowers_norm_mc,
 )
-from .arith import primes_up_to
+from .arith import odd_prime_indicator
 
 __all__ = [
     "DecompositionConfig",
@@ -166,95 +166,102 @@ def gvn_check(
     return GvnReport(k, trials, tuple(pairs), slope, max_residual, seed)
 
 
-def _count_aps_k3_convolution(primes: np.ndarray, limit: int) -> int:
-    """3-APs of primes <= limit, counted by four mod-6 autoconvolutions.
+def _count_aps_k3_convolution(is_p: np.ndarray) -> int:
+    """3-APs of primes <= limit, counted by four mod-6 autoconvolutions of
+    the odd-prime indicator is_p = odd_prime_indicator(limit).
 
     2 is in no 3-AP (2m - 2 is even); write each odd prime as p = 2a + 1,
     so p, m, q is a 3-AP when a_p + a_q = 2 a_m.
     For p > 3, a = 0, 2, 3 or 5 (mod 6) and 2 a_m = 0 or 4 (mod 6); two of
     those classes sum to 0 or 4 only when both are one class, r, say.
-    So class r, the i with 6 i + r an a_p, is squared on its own, in Fourier
-    space at a 5-smooth length S >= 2 len - 1 (cyclic = linear product), and
-    entry (a_m - r) / 3 counts the ordered pairs of class r centred on m.
-    The two classes r = a_m (mod 3) give 2 t_m + 1 between them, t_m the
-    3-APs centred on m with no end at 3, and the 1 is p = q = m.  Classes
-    run one after another, each freed before the next: every transform has
-    length about limit / 6.  p = 3 (a = 1) is in no class.  It starts
-    exactly the progressions (3, q, 2q - 3), q > 3, and those are counted
-    directly: the q with 2q - 3 <= limit found among the primes by binary
-    search.  Counts stay far below 2^53, so each entry must land within
-    rounding error of an integer; one that lies more than 0.25 off raises.
+    So class r, the strided view is_p[r::6], is squared on its own, in
+    Fourier space at the 5-smooth length L >= 2 len - 1 of the largest class
+    (cyclic = linear product), and entry s counts the ordered pairs of class
+    r centred on a_m = 3 s + r: the midpoints are the view is_p[r::3].  The
+    two classes r = a_m (mod 3) give 2 t_m + 1 between them, t_m the 3-APs
+    centred on m with no end at 3, and the 1 is p = q = m.  Every class
+    reuses one float buffer of L entries for its input and its product and
+    one complex buffer for its spectrum, whose float view, once spent, holds
+    the rounded counts.  p = 3 (a = 1) is in no class.  It starts exactly
+    the progressions (3, q, 2q - 3), q > 3, and 2q - 3 has a = 2 a_q - 1, so
+    those are counted from two strided views of is_p.  Counts stay far below
+    2^53, so every entry of a class product must land within rounding error
+    of an integer; one that lies more than 0.25 off raises.
     """
-    centres = primes[primes > 3]
-    half = centres // 2  # a = (p - 1) / 2, sorted
-    top = (limit - 1) // 2  # largest a of an odd number <= limit
-    total = -half.size  # one p = q = m pair per centre
+    top = is_p.size - 1  # largest a of an odd number <= limit
+    h = (top + 1) // 2  # largest a_q with 2 q - 3 <= limit
+    from_three = int(np.count_nonzero(is_p[2 : h + 1] & is_p[3 : 2 * h : 2]))
+    total = -int(np.count_nonzero(is_p[2:]))  # one p = q = m pair per centre
+    length = _smooth_length(2 * (top // 6 + 1) - 1)  # class 0 is the largest
+    lin = np.empty(length)
+    spec = np.empty(length // 2 + 1, dtype=np.complex128)
     for r in (0, 2, 3, 5):
-        if top < r:
+        size = is_p[r::6].size
+        if size == 0:
             continue
-        size = (top - r) // 6 + 1
-        length = _smooth_length(2 * size - 1)
-        x = np.zeros(size, dtype=np.float64)
-        x[(half[half % 6 == r] - r) // 6] = 1.0
-        spectrum = np.fft.rfft(x, n=length)
-        del x
+        np.copyto(lin[:size], is_p[r::6])
+        lin[size:] = 0.0
+        spectrum = np.fft.rfft(lin, n=length, out=spec)
         spectrum *= spectrum
-        at = (half[(half % 3 == r % 3) & (half >= r)] - r) // 3
-        # an index past 2 size - 2 lies beyond every pair sum of the class
-        pairs = np.fft.irfft(spectrum, n=length)[at[at < 2 * size - 1]]
-        del spectrum
-        counts = np.rint(pairs)
-        residue = float(np.abs(pairs - counts).max(initial=0.0))
-        if residue > 0.25:
+        conv = np.fft.irfft(spectrum, n=length, out=lin)
+        counts = spectrum.view(np.float64)[:length]
+        np.rint(conv, out=counts)
+        np.subtract(conv, counts, out=conv)
+        residue = float(np.abs(conv, out=conv).max())
+        if not residue <= 0.25:
             raise RuntimeError(
                 f"inexact pair-count transform: an entry lies {residue:.3g} from an integer"
             )
-        total += int(counts.sum())
-    ends = 2 * centres[2 * centres - 3 <= limit] - 3
-    found = primes[np.minimum(np.searchsorted(primes, ends), primes.size - 1)] == ends
-    return total // 2 + int(found.sum())
+        # an index past 2 size - 2 lies beyond every pair sum of the class
+        centres = is_p[r::3][: 2 * size - 1]
+        total += int(counts[: centres.size].sum(where=centres))
+    return total // 2 + from_three
 
 
 def count_prime_aps(k: int, limit: int, budget: int = 10**9) -> int:
     """Exact number of k-term progressions of primes <= limit, difference >= 1.
 
-    k = 2 is the closed-form pair count.  k = 3 splits the half-indices
-    (p - 1) / 2 of the primes p > 3 into their four classes mod 6, which
-    never pair across classes, squares each class's spectrum in turn (a
-    transform of 5-smooth length about limit / 6) and reads the pair counts
-    at the prime midpoints only; the progressions (3, q, 2q - 3) are counted
-    directly.  The primes come from the primes-only sieve, so no Mobius or
-    von Mangoldt table is built.  Other k scan starts p and differences
-    d = 6, 12, ..., 6 m_p, m_p = (limit - p) // (6 (k - 1)), reading each
-    term j of all m_p progressions as one strided slice of the prime
-    indicator (budget-gated on that scan, sum_p (k - 1) m_p entries): 6
+    Every route reads one odd-prime indicator, is_p[a] true when 2 a + 1 is
+    a prime <= limit (half a byte per integer); no list of primes and no
+    Mobius or von Mangoldt table is built.  k = 2 is the closed-form pair
+    count.  k = 3 squares, class by class, the spectra of the four classes
+    mod 6 of the half-indices a = (p - 1) / 2 of the primes p > 3, which never
+    pair across classes (transforms of 5-smooth length about limit / 6 in two
+    reused buffers), and reads the pair counts at the prime midpoints; the
+    progressions (3, q, 2q - 3) are counted directly.  Other k scan starts p
+    and differences d = 6, 12, ..., 6 m_p, m_p = (limit - p) // (6 (k - 1)),
+    reading each term j of all m_p progressions as one strided slice
+    is_p[a + 3j : a + 3 j m_p + 1 : 3j], a = (p - 1) / 2 (budget-gated on that
+    scan, sum_p (k - 1) m_p entries over every prime p, 2 included): 6
     divides the difference of every progression of four or more primes.  An
     odd d makes p + d (p odd) or p + 2d (p = 2) even and larger than 2; a d
     prime to 3 puts p, p + d, p + 2d in every residue class mod 3, so one of
     them is 3, which must be p, and then p + 3d = 3 (1 + d) is composite.
+    With 6 | d, 2 + d is even, so the scan runs over the odd primes only.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     if limit < 2:
         return 0
-    primes = primes_up_to(limit)
+    is_p = odd_prime_indicator(limit)
     if k == 2:
-        return int(primes.size) * (int(primes.size) - 1) // 2
+        count = 1 + int(np.count_nonzero(is_p))
+        return count * (count - 1) // 2
     if k == 3:
-        return _count_aps_k3_convolution(primes, limit)
-    terms = (limit - primes) // (6 * (k - 1))  # m_p
-    cost = (k - 1) * int(terms[terms > 0].sum())
+        return _count_aps_k3_convolution(is_p)
+    step = 6 * (k - 1)
+    starts = np.flatnonzero(is_p)  # a = (p - 1) / 2 of the odd primes
+    terms = (limit - 1 - 2 * starts) // step  # m_p
+    cost = (k - 1) * ((limit - 2) // step + int(terms[terms > 0].sum()))
     _check_budget(cost, budget, f"start/difference scan for {k}-APs to {limit}",
                   "lower the limit")
-    is_prime = np.zeros(limit + 1, dtype=bool)
-    is_prime[primes] = True
     count = 0
-    for p, m in zip(primes.tolist(), terms.tolist()):
+    for a, m in zip(starts.tolist(), terms.tolist()):
         if m < 1:
             break
-        ok = is_prime[p + 6 : p + 6 * m + 1 : 6].copy()
-        for j in range(2, k):
-            ok &= is_prime[p + 6 * j : p + 6 * j * m + 1 : 6 * j]
+        ok = is_p[a + 3 : a + 3 * m + 1 : 3] & is_p[a + 6 : a + 6 * m + 1 : 6]
+        for j in range(3, k):
+            ok &= is_p[a + 3 * j : a + 3 * j * m + 1 : 3 * j]
         count += int(np.count_nonzero(ok))
     return count
 

@@ -20,6 +20,7 @@ from znkit import (
     is_prime_64,
     lambda_r_table,
     lambda_tilde,
+    odd_prime_indicator,
     primes_up_to,
 )
 from znkit.arith import write_tables_csv
@@ -117,6 +118,27 @@ class TestSieve:
         primes = primes_up_to(10**6)
         assert primes.dtype == sieve_1e6.primes.dtype
         assert np.array_equal(primes, sieve_1e6.primes)
+
+    def test_odd_prime_indicator_for_every_limit_to_3000(self):
+        want = [is_prime_64(2 * a + 1) for a in range(1501)]
+        for limit in range(3001):
+            is_p = odd_prime_indicator(limit)
+            assert is_p.dtype == bool
+            assert is_p.tolist() == want[: (limit + 1) // 2], limit
+        with pytest.raises(ValueError, match=">= 0"):
+            odd_prime_indicator(-1)
+        with pytest.raises(BudgetExceededError, match="cap"):
+            odd_prime_indicator(10**9)
+
+    @pytest.mark.parametrize("limit", [2, 3, 4, 5, 8, 9, 25, 26, 121, 997, 1000, 65536, 10**6])
+    def test_primes_match_a_dense_sieve(self, limit):
+        composite = np.zeros(limit + 1, dtype=bool)
+        composite[:2] = True
+        for n in range(2, math.isqrt(limit) + 1):
+            composite[n * n :: n] = True
+        primes = primes_up_to(limit)
+        assert primes.dtype == np.int64
+        assert np.array_equal(primes, np.flatnonzero(~composite))
 
     def test_primes_alone_skip_the_tables(self):
         # the Mobius, remainder and von Mangoldt tables take about 13 bytes

@@ -334,6 +334,27 @@ def test_gycheck_box_needs_two_integers(capsys, box):
     assert error["message"] == f"--box takes two integers lo:hi, got {box!r}"
 
 
+@pytest.mark.parametrize("h_list", ["0,a", "0,,1", "0,1.5", ","])
+def test_gycheck_h_list_needs_integers(capsys, h_list):
+    code, out = run_cli(capsys, "gycheck", "--n", "1009", "--h-list", h_list)
+    assert code == EXIT_INVALID
+    error = json.loads(out)["error"]
+    assert error["type"] == "invalid"
+    assert error["message"] == f"--h-list takes comma-separated integers, got {h_list!r}"
+
+
+@pytest.mark.parametrize("spec, form", [("cube:x", "cube:D takes an integer D"),
+                                        ("cube:", "cube:D takes an integer D"),
+                                        ("progression:x", "progression:K takes an integer K"),
+                                        ("progression:2.5", "progression:K takes an integer K")])
+def test_linforms_system_size_needs_an_integer(capsys, spec, form):
+    code, out = run_cli(capsys, "linforms", "--n", "1009", "--system", spec)
+    assert code == EXIT_INVALID
+    error = json.loads(out)["error"]
+    assert error["type"] == "invalid"
+    assert error["message"] == f"--system {form}, got {spec!r}"
+
+
 def test_correlation_with_no_distinct_tuple_is_refused(capsys):
     code, out = run_cli(capsys, "correlation", "--n", "7", "--m", "8", "--tuples", "3")
     assert code == EXIT_INVALID

@@ -25,6 +25,7 @@ from znkit import (
     is_prime_64,
     kvn_decompose,
 )
+import znkit.arith
 import znkit.transference
 from znkit.core import BudgetExceededError, _smooth_length
 from conftest import random_function, random_partition
@@ -376,6 +377,45 @@ class TestCountPrimeAps:
         monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: real_irfft(*a, **kw) + 0.3)
         with pytest.raises(RuntimeError, match="inexact"):
             count_prime_aps(3, 1000)
+
+    def test_inexact_entry_off_the_midpoints_raises(self, monkeypatch):
+        # entry 0 of class 0 is centred on a = 0, the number 1, which is no
+        # midpoint: only a check over every entry of the product sees it
+        real_irfft = np.fft.irfft
+        calls = []
+
+        def irfft(*a, **kw):
+            out = real_irfft(*a, **kw)
+            if not calls:
+                out[0] += 0.3
+            calls.append(out.size)
+            return out
+
+        monkeypatch.setattr(np.fft, "irfft", irfft)
+        with pytest.raises(RuntimeError, match="inexact"):
+            count_prime_aps(3, 1000)
+        assert len(calls) == 1
+
+    def test_k3_memory_per_integer(self):
+        # the half-size indicator and two reused transform buffers: about
+        # 3.4 bytes per integer, where a dense sieve and the int64 primes,
+        # centres and half-indices with fresh buffers per class took 6.3
+        limit = 10**6
+        tracemalloc.start()
+        try:
+            count_prime_aps(3, limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * limit
+
+    def test_k3_route_builds_no_prime_list(self, monkeypatch):
+        def refuse(limit):
+            raise AssertionError("primes_up_to called")
+
+        monkeypatch.setattr(znkit.arith, "primes_up_to", refuse)
+        monkeypatch.setattr(znkit.transference, "primes_up_to", refuse, raising=False)
+        assert count_prime_aps(3, 10**5) == 2856331
 
 
 class TestLevelSigma:
