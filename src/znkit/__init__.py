@@ -35,7 +35,6 @@ from .arith import (
     divisor_sums_on_progression,
     euler_phi,
     is_prime_64,
-    lambda_r_table,
     lambda_tilde,
     odd_prime_indicator,
     primes_up_to,

@@ -25,8 +25,8 @@ their large-N limits.
 Divisor sums are computed on the progression only: each squarefree d <= R
 hits a n + b on one residue class of n, found once, so the work is one
 strided add per d over the window and memory is O(window + R), whatever W
-is.  The full table lambda_r_table (W N entries for the majorant) stays as
-the independent oracle and as the `sieve` command's export.
+is.  The `sieve` command's export is the same sums on the progression
+n = 1..limit (a = 1, b = 0).
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ __all__ = [
     "is_prime_64",
     "euler_phi",
     "lambda_tilde",
-    "lambda_r_table",
     "divisor_sums_on_progression",
     "build_majorant",
     "write_tables_csv",
@@ -262,29 +261,6 @@ def lambda_tilde(n: int, params: MajorantParams) -> float:
     return params.phi_W / params.W * math.log(m)
 
 
-def lambda_r_table(limit: int, R: float) -> np.ndarray:
-    """Truncated divisor sums for 1..limit at threshold R.
-
-    table[n] = sum over squarefree divisors d <= R of n of mu(d) log(R/d),
-    filled by one pass over d with a strided add to the multiples of d.
-    Entry 0 is unused and left at 0.
-    """
-    if R < 1:
-        raise ValueError("R must be >= 1")
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    d_max = min(int(R), limit)
-    small = build_sieve(max(d_max, 2))
-    table = np.zeros(limit + 1, dtype=np.float64)
-    log_r = math.log(R)
-    for d in range(1, d_max + 1):
-        mu = int(small.mobius[d])
-        if mu == 0:
-            continue
-        table[d::d] += mu * (log_r - math.log(d))
-    return table
-
-
 def divisor_sums_on_progression(a: int, b: int, lo: int, hi: int, R: float) -> np.ndarray:
     """L_R(a n + b) for lo <= n <= hi, as an array of length hi - lo + 1.
 
@@ -292,9 +268,9 @@ def divisor_sums_on_progression(a: int, b: int, lo: int, hi: int, R: float) -> n
     exactly when n solves a n = -b (mod d); that needs g = gcd(a, d) to
     divide b, and then n runs through one class modulo d / g, found once
     with Python ints.  Each entry receives the same additions in the same
-    order as in lambda_r_table, so the values are bit-identical to
-    lambda_r_table(a hi + b, R)[a n + b].  An empty window (lo > hi) gives
-    an empty array.
+    order as in a full table of L_R over 1..a hi + b filled by one strided
+    add per d, so the values are bit-identical to that table at a n + b.
+    An empty window (lo > hi) gives an empty array.
     """
     if R < 1:
         raise ValueError("R must be >= 1")

@@ -37,7 +37,13 @@ from .gowers import (
     gowers_norm_mc,
     gowers_norm_u2_fourier,
 )
-from .arith import MajorantParams, build_majorant, build_sieve, lambda_r_table, write_tables_csv
+from .arith import (
+    MajorantParams,
+    build_majorant,
+    build_sieve,
+    divisor_sums_on_progression,
+    write_tables_csv,
+)
 from .pseudo import (
     LinearFormSystem,
     bernoulli_measure,
@@ -48,6 +54,7 @@ from .pseudo import (
 )
 from .transference import (
     DecompositionConfig,
+    _k3_wheel_shape,
     count_prime_aps,
     gvn_check,
     kvn_decompose,
@@ -363,7 +370,9 @@ def _system_from_args(spec: str) -> LinearFormSystem:
 
 def _cmd_sieve(args) -> dict:
     tables = build_sieve(args.limit)
-    lam = lambda_r_table(args.limit, args.r) if args.r else np.zeros(args.limit + 1)
+    lam = np.zeros(args.limit + 1)
+    if args.r:
+        lam[1:] = divisor_sums_on_progression(1, 0, 1, args.limit, args.r)
     if args.output:
         write_tables_csv(tables, lam, args.output, limit=args.limit)
     return {
@@ -559,7 +568,12 @@ def _cmd_decompose(args) -> dict:
 
 
 def _cmd_apcount(args) -> dict:
-    return {"k": args.k, "limit": args.limit, "count": count_prime_aps(args.k, args.limit)}
+    count = count_prime_aps(args.k, args.limit)
+    if args.k == 3 and args.limit >= 2:
+        forward, inverse, length = _k3_wheel_shape(args.limit)
+        print(f"[znkit] apcount route: wheel 30 on half-indices, {forward} forward and "
+              f"{inverse} inverse transforms of length L' = {length}", file=sys.stderr)
+    return {"k": args.k, "limit": args.limit, "count": count}
 
 
 def _cmd_gvn(args) -> dict:

@@ -457,26 +457,32 @@ def join_sigma(
 ) -> SigmaAlgebra:
     """Common refinement: atoms are the nonempty intersections of input atoms.
 
-    Each further factor is folded in by one key per residue, label *
-    other.atom_count + other label, and one canonicalising np.unique of
-    those N keys: a join of m algebras sorts N keys m - 1 times, and the
-    result's O(N) validity check sorts nothing.  Labels stay below N, so
-    the keys stay below N^2.  An empty list yields the trivial algebra, in
-    which case the group must be supplied explicitly.
+    A factor with one atom is the identity of the join, so it is skipped:
+    the join starts from the first factor with more than one atom (as its
+    labels stand, canonical by construction) or, when there is none, is the
+    trivial algebra.  Each further factor is folded in by one key per
+    residue, label * other.atom_count + other label, and one canonicalising
+    np.unique of those N keys: a join of m algebras with more than one atom
+    sorts N keys m - 1 times, and the result's O(N) validity check sorts
+    nothing.  Labels stay below N, so the keys stay below N^2.  An empty
+    list yields the trivial algebra, in which case the group must be
+    supplied explicitly.
     """
     algebras = list(algebras)
     if not algebras:
         if group is None:
             raise ValueError("joining an empty list requires an explicit group")
         return SigmaAlgebra.trivial(group)
-    base = algebras[0]
     for other in algebras[1:]:
-        if other.group.modulus != base.group.modulus:
+        if other.group.modulus != algebras[0].group.modulus:
             raise GroupMismatchError("all algebras must live on the same group")
-    labels, count = base.atom_label, base.atom_count
-    for other in algebras[1:]:
+    factors = [a for a in algebras if a.atom_count > 1]
+    if len(factors) < 2:
+        return factors[0] if factors else algebras[0]
+    labels = factors[0].atom_label
+    for other in factors[1:]:
         labels, count = _canonical(labels * np.int64(other.atom_count) + other.atom_label)
-    return SigmaAlgebra(base.group, labels, count)
+    return SigmaAlgebra(factors[0].group, labels, count)
 
 
 def atoms_of(algebra: SigmaAlgebra) -> list[np.ndarray]:

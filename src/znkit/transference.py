@@ -166,56 +166,111 @@ def gvn_check(
     return GvnReport(k, trials, tuple(pairs), slope, max_residual, seed)
 
 
+def _wheel_classes() -> tuple:
+    """Per mod-6 class r of the half-indices: its live mod-30 subclasses i
+    (is_p[r + 6 i :: 30], 2 (r + 6 i) + 1 prime to 5) and, for each pair sum
+    s = x + y whose midpoints are prime to 5, the pairs (row of x, row of y)
+    of live subclasses x <= y."""
+    classes = []
+    for r in (0, 2, 3, 5):
+        live = [i for i in range(5) if (2 * (r + 6 * i) + 1) % 5]
+        sums: dict[int, list[tuple[int, int]]] = {}
+        for row, x in enumerate(live):
+            for col in range(row, len(live)):
+                s = x + live[col]
+                if (2 * (r + 3 * s) + 1) % 5:
+                    sums.setdefault(s, []).append((row, col))
+        classes.append((r, tuple(live), tuple(sorted(sums.items()))))
+    return tuple(classes)
+
+
+_WHEEL = _wheel_classes()
+
+
+def _k3_wheel_shape(limit: int) -> tuple[int, int, int]:
+    """(forward transforms, inverse transforms, length L') of the k = 3 count
+    to limit >= 2; L' is the least 5-smooth length >= 2 len - 1, len the
+    size of the largest subclass, is_p[0::30]."""
+    top = (limit - 1) // 2
+    forward = sum(len(live) for _, live, _ in _WHEEL)
+    inverse = sum(len(sums) for _, _, sums in _WHEEL)
+    return forward, inverse, _smooth_length(2 * (top // 30 + 1) - 1)
+
+
 def _count_aps_k3_convolution(is_p: np.ndarray) -> int:
-    """3-APs of primes <= limit, counted by four mod-6 autoconvolutions of
-    the odd-prime indicator is_p = odd_prime_indicator(limit).
+    """3-APs of primes <= limit, counted by autoconvolutions of the mod-30
+    subclasses of the odd-prime indicator is_p = odd_prime_indicator(limit).
 
     2 is in no 3-AP (2m - 2 is even); write each odd prime as p = 2a + 1,
     so p, m, q is a 3-AP when a_p + a_q = 2 a_m.
     For p > 3, a = 0, 2, 3 or 5 (mod 6) and 2 a_m = 0 or 4 (mod 6); two of
     those classes sum to 0 or 4 only when both are one class, r, say.
-    So class r, the strided view is_p[r::6], is squared on its own, in
-    Fourier space at the 5-smooth length L >= 2 len - 1 of the largest class
-    (cyclic = linear product), and entry s counts the ordered pairs of class
-    r centred on a_m = 3 s + r: the midpoints are the view is_p[r::3].  The
-    two classes r = a_m (mod 3) give 2 t_m + 1 between them, t_m the 3-APs
-    centred on m with no end at 3, and the 1 is p = q = m.  Every class
-    reuses one float buffer of L entries for its input and its product and
-    one complex buffer for its spectrum, whose float view, once spent, holds
-    the rounded counts.  p = 3 (a = 1) is in no class.  It starts exactly
-    the progressions (3, q, 2q - 3), q > 3, and 2q - 3 has a = 2 a_q - 1, so
-    those are counted from two strided views of is_p.  Counts stay far below
-    2^53, so every entry of a class product must land within rounding error
-    of an integer; one that lies more than 0.25 off raises.
+    Class r splits into the five subclasses x = 0..4, a = r + 6x (mod 30),
+    the strided views is_p[r + 6x :: 30]; the one with 2a + 1 = 0 (mod 5)
+    holds no prime but 5, and is dropped.  Each of the other four is
+    transformed once into a row of spectra, at the 5-smooth length
+    L' >= 2 len - 1 of the largest subclass (cyclic = linear product).
+    Subclasses x <= y pair at the midpoints a_m = 15 w + 3 (x + y) + r, the
+    view is_p[3 (x + y) + r :: 15], so the products with one sum x + y are
+    added in one spectrum (weight 1 on the diagonal, 2 off it) and inverted
+    once: entry w counts the ordered pairs centred on the midpoint w of that
+    view.  A sum whose midpoints are multiples of 5 is skipped.  Over all
+    classes that counts 2 t_m + 1 at each prime m >= 7, t_m the 3-APs
+    centred on m with no end at 3 or 5, and the 1 is p = q = m.  A class
+    takes 4 forward and at most 8 inverse transforms.  Beside is_p, memory
+    is the four spectra of L' / 2 + 1 entries, one float buffer of L' + 2
+    entries and one complex accumulator.  The float buffer holds each input,
+    each inverse and then the midpoint mask, and its complex view is the
+    scratch for each product; the accumulator's float view, once spent,
+    holds the rounded counts.  p = 3 (a = 1) is in no class.  It starts
+    exactly the progressions (3, q, 2q - 3), q > 3, and 2q - 3 has
+    a = 2 a_q - 1; p = 5 starts exactly the (5, q, 2q - 5), q > 5, and
+    2q - 5 has a = 2 a_q - 2, so both are counted from two strided views of
+    is_p.  Counts stay far below 2^53, so every entry of each inverse must
+    land within rounding error of an integer; one that lies more than 0.25
+    off raises, and the dot of the counts with the mask is exact.
     """
     top = is_p.size - 1  # largest a of an odd number <= limit
     h = (top + 1) // 2  # largest a_q with 2 q - 3 <= limit
-    from_three = int(np.count_nonzero(is_p[2 : h + 1] & is_p[3 : 2 * h : 2]))
-    total = -int(np.count_nonzero(is_p[2:]))  # one p = q = m pair per centre
-    length = _smooth_length(2 * (top // 6 + 1) - 1)  # class 0 is the largest
-    lin = np.empty(length)
-    spec = np.empty(length // 2 + 1, dtype=np.complex128)
-    for r in (0, 2, 3, 5):
-        size = is_p[r::6].size
-        if size == 0:
-            continue
-        np.copyto(lin[:size], is_p[r::6])
-        lin[size:] = 0.0
-        spectrum = np.fft.rfft(lin, n=length, out=spec)
-        spectrum *= spectrum
-        conv = np.fft.irfft(spectrum, n=length, out=lin)
-        counts = spectrum.view(np.float64)[:length]
-        np.rint(conv, out=counts)
-        np.subtract(conv, counts, out=conv)
-        residue = float(np.abs(conv, out=conv).max())
-        if not residue <= 0.25:
-            raise RuntimeError(
-                f"inexact pair-count transform: an entry lies {residue:.3g} from an integer"
-            )
-        # an index past 2 size - 2 lies beyond every pair sum of the class
-        centres = is_p[r::3][: 2 * size - 1]
-        total += int(counts[: centres.size].sum(where=centres))
-    return total // 2 + from_three
+    special = int(np.count_nonzero(is_p[2 : h + 1] & is_p[3 : 2 * h : 2]))
+    h = (top + 2) // 2  # largest a_q with 2 q - 5 <= limit
+    special += int(np.count_nonzero(is_p[3 : h + 1] & is_p[4 : 2 * h - 1 : 2]))
+    total = -int(np.count_nonzero(is_p[3:]))  # one p = q = m pair per centre m >= 7
+    _, _, length = _k3_wheel_shape(2 * top + 1)
+    half = length // 2 + 1
+    spectra = np.empty((4, half), dtype=np.complex128)
+    acc = np.empty(half, dtype=np.complex128)
+    buf = np.empty(2 * half)
+    lin, prod = buf[:length], buf.view(np.complex128)
+    counts = acc.view(np.float64)[:length]
+    for r, live, sums in _WHEEL:
+        for row, x in enumerate(live):
+            sub = is_p[r + 6 * x :: 30]
+            np.copyto(lin[: sub.size], sub)
+            lin[sub.size :] = 0.0
+            np.fft.rfft(lin, n=length, out=spectra[row])
+        for s, pairs in sums:
+            for n, (row, col) in enumerate(pairs):
+                term = prod if n else acc
+                np.multiply(spectra[row], spectra[col], out=term)
+                if row != col:
+                    term *= 2.0
+                if n:
+                    acc += prod
+            conv = np.fft.irfft(acc, n=length, out=lin)
+            np.rint(conv, out=counts)
+            np.subtract(conv, counts, out=conv)
+            residue = float(np.abs(conv, out=conv).max())
+            if not residue <= 0.25:
+                raise RuntimeError(
+                    f"inexact pair-count transform: an entry lies {residue:.3g} from an integer"
+                )
+            # an index past L' - 1 lies beyond every pair sum of the class
+            centres = is_p[3 * s + r :: 15][:length]
+            mask = lin[: centres.size]  # the residues are spent
+            np.copyto(mask, centres)
+            total += int(np.dot(counts[: centres.size], mask))
+    return total // 2 + special
 
 
 def count_prime_aps(k: int, limit: int, budget: int = 10**9) -> int:
@@ -224,11 +279,14 @@ def count_prime_aps(k: int, limit: int, budget: int = 10**9) -> int:
     Every route reads one odd-prime indicator, is_p[a] true when 2 a + 1 is
     a prime <= limit (half a byte per integer); no list of primes and no
     Mobius or von Mangoldt table is built.  k = 2 is the closed-form pair
-    count.  k = 3 squares, class by class, the spectra of the four classes
-    mod 6 of the half-indices a = (p - 1) / 2 of the primes p > 3, which never
-    pair across classes (transforms of 5-smooth length about limit / 6 in two
-    reused buffers), and reads the pair counts at the prime midpoints; the
-    progressions (3, q, 2q - 3) are counted directly.  Other k scan starts p
+    count.  k = 3 runs the W-trick with W = 30 on the half-indices
+    a = (p - 1) / 2 of the primes p > 5: within each of the four classes
+    mod 6, which never pair across classes, the four subclasses mod 30 that
+    can hold primes are transformed once each (5-smooth length about
+    limit / 30), the products of subclass pairs with one midpoint view are
+    summed and inverted once, and the pair counts are read at the prime
+    midpoints; the progressions (3, q, 2q - 3) and (5, q, 2q - 5) are counted
+    directly.  Other k scan starts p
     and differences d = 6, 12, ..., 6 m_p, m_p = (limit - p) // (6 (k - 1)),
     reading each term j of all m_p progressions as one strided slice
     is_p[a + 3j : a + 3 j m_p + 1 : 3j], a = (p - 1) / 2 (budget-gated on that

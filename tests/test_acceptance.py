@@ -35,14 +35,13 @@ from znkit import (
     inner_product,
     is_prime_64,
     kvn_decompose,
-    lambda_r_table,
     lq_norm,
     local_factor_omega,
     verify_linear_forms,
     CubeFamily,
 )
 from conftest import enumerated_dual, enumerated_norm, random_function, random_partition
-from test_arith import divisor_sum_oracle
+from test_arith import divisor_sum_oracle, lambda_r_table
 from test_transference import brute_count_aps
 
 BIG_BUDGET = 2 * 10**10

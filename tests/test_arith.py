@@ -18,12 +18,31 @@ from znkit import (
     divisor_sums_on_progression,
     euler_phi,
     is_prime_64,
-    lambda_r_table,
     lambda_tilde,
     odd_prime_indicator,
     primes_up_to,
 )
 from znkit.arith import write_tables_csv
+
+
+def lambda_r_table(limit: int, R: float) -> np.ndarray:
+    """Truncated divisor sums for 1..limit at threshold R, the full-table oracle.
+
+    table[n] = sum over squarefree divisors d <= R of n of mu(d) log(R/d),
+    filled by one pass over d with a strided add to the multiples of d.
+    Entry 0 is unused and left at 0.
+    """
+    assert R >= 1 and limit >= 1
+    d_max = min(int(R), limit)
+    small = build_sieve(max(d_max, 2))
+    table = np.zeros(limit + 1, dtype=np.float64)
+    log_r = math.log(R)
+    for d in range(1, d_max + 1):
+        mu = int(small.mobius[d])
+        if mu == 0:
+            continue
+        table[d::d] += mu * (log_r - math.log(d))
+    return table
 
 
 def trial_division_is_prime(n: int) -> bool:

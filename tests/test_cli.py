@@ -28,6 +28,8 @@ from znkit.cli import (
     emit_report,
     main,
 )
+from znkit.arith import build_sieve, write_tables_csv
+from test_arith import lambda_r_table
 
 
 def run_cli(capsys, *argv):
@@ -280,6 +282,33 @@ def test_benchmark_tracer_counters_read_their_parameters(capsys, tmp_path):
         assert metrics[f"{name}.self_s"] > 0, name
 
 
+@pytest.mark.parametrize("argv", [
+    ("decompose", "--n", "101", "--f", "interval", "--epsilon-dec", "1e-4", "--eta", "1e-5"),
+    ("decompose", "--n", "1009", "--nu", "bernoulli", "--nu-seed", "1", "--f", "nu-mask",
+     "--epsilon-dec", "1e-4", "--eta", "1e-5"),
+])
+def test_decompose_report_is_the_join_of_every_factor(capsys, monkeypatch, tmp_path, argv):
+    # skipping one-atom factors in join_sigma leaves the report byte-identical
+    # to a join that folds in and re-canonicalises every factor
+    def join_every_factor(algebras, group=None):
+        labels = algebras[0].atom_label
+        for other in algebras[1:]:
+            keys = labels * np.int64(other.atom_count) + other.atom_label
+            labels = znkit.SigmaAlgebra.from_labels(other.group, keys).atom_label
+        return znkit.SigmaAlgebra.from_labels(algebras[0].group, labels)
+
+    interval = tmp_path / "interval.csv"
+    interval.write_text("".join("1\n" if i < 50 else "0\n" for i in range(101)))
+    argv = [str(interval) if arg == "interval" else arg for arg in argv]
+    code, fast = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    monkeypatch.setattr(znkit.transference, "join_sigma", join_every_factor)
+    code, slow = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert fast == slow
+    assert json.loads(fast)["result"]["iterations"] >= 1
+
+
 def test_decompose_with_a_fine_level_grid_finishes(capsys):
     # 10^13 cut points per refinement: a per-alpha loop never finished this
     start = time.perf_counter()
@@ -403,6 +432,27 @@ def test_sieve_csv_columns(capsys, tmp_path):
     assert code == EXIT_OK
     with open(path) as fh:
         assert fh.readline().strip() == "n,mu,lambda,lambda_r"
+
+
+def test_sieve_r_csv_is_the_oracle_table(capsys, tmp_path):
+    path = tmp_path / "tables.csv"
+    code, _ = run_cli(capsys, "sieve", "--limit", "5000", "--r", "30", "--output", str(path))
+    assert code == EXIT_OK
+    want = tmp_path / "oracle.csv"
+    write_tables_csv(build_sieve(5000), lambda_r_table(5000, 30.0), str(want), limit=5000)
+    assert path.read_bytes() == want.read_bytes()
+
+
+def test_apcount_names_its_route_on_stderr(capsys):
+    code = main(["apcount", "--k", "3", "--limit", "1000000"])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    assert json.loads(captured.out)["result"]["count"] == 157300309
+    route = [line for line in captured.err.splitlines() if "route" in line]
+    assert route == ["[znkit] apcount route: wheel 30 on half-indices, "
+                     "16 forward and 28 inverse transforms of length L' = 33750"]
+    main(["apcount", "--k", "4", "--limit", "1000"])
+    assert "route" not in capsys.readouterr().err
 
 
 def test_stdout_is_deterministic(capsys):

@@ -22,6 +22,7 @@ from znkit import (
     lq_norm,
     substream,
 )
+import znkit.core
 from znkit.core import _BLOCK, _TILE_CAP, _form_product, mc_mean
 from conftest import (atoms_by_comparison, first_occurrence_labels, random_function,
                       random_partition)
@@ -125,6 +126,23 @@ class TestJoin:
         a = random_partition(g, rng, 6)
         joined = join_sigma([a, a])
         assert np.array_equal(joined.atom_label, a.atom_label)
+
+    def test_one_atom_factors_are_skipped(self, monkeypatch):
+        # a one-atom factor is the identity of the join: no key is built and
+        # nothing is re-canonicalised
+        g = CyclicGroup(30)
+        s = random_partition(g, np.random.default_rng(7), 5)
+        trivial = SigmaAlgebra.trivial(g)
+
+        def refuse(keys):
+            raise AssertionError("_canonical called")
+
+        monkeypatch.setattr(znkit.core, "_canonical", refuse)
+        for factors in ([trivial, s], [s, trivial], [trivial, s, trivial]):
+            joined = join_sigma(factors)
+            assert np.array_equal(joined.atom_label, s.atom_label)
+            assert joined.atom_count == s.atom_count
+        assert join_sigma([trivial, trivial]).atom_count == 1
 
     def test_empty_join_is_trivial(self):
         g = CyclicGroup(6)

@@ -22,7 +22,6 @@ from znkit import (
     gy2_correlation_check,
     gy_moment_check,
     halfway,
-    lambda_r_table,
     local_factor_omega,
     tau_weight,
     verify_correlation,
@@ -38,6 +37,7 @@ from znkit.pseudo import (
 )
 import znkit.pseudo
 from conftest import two_pass_mc_mean
+from test_arith import lambda_r_table
 
 
 class TestHalfway:
@@ -464,8 +464,6 @@ class TestWindowMoments:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             est = gy_moment_check(params, system, [(lo, hi)])
-        from znkit import lambda_r_table
-
         table = lambda_r_table(params.W * hi + 1, params.R)
         vals = table[params.W * np.arange(lo, hi + 1) + 1] ** 2
         want = vals.mean() / (params.W * params.log_R / params.phi_W)

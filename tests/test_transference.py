@@ -105,17 +105,54 @@ def _is_5_smooth(n):
     return n == 1
 
 
-def _wheel_sizes(limit):
+def mod6_count_aps_k3(limit):
+    """3-APs of primes <= limit by the mod-6 class route, the wheel's oracle.
+
+    The half-indices a = (p - 1) / 2 of the primes p > 3 fall in the classes
+    0, 2, 3, 5 mod 6, which never pair across classes; each class view
+    is_p[r::6] is squared on its own by one transform of the largest class's
+    5-smooth length L >= 2 len - 1, and entry s counts the ordered pairs
+    centred on a_m = 3 s + r.  Subtracting p = q = m and halving leaves the
+    3-APs with no end at 3; the (3, q, 2q - 3) are read off two strided views.
+    """
+    if limit < 2:
+        return 0
+    is_p = znkit.arith.odd_prime_indicator(limit)
+    top = is_p.size - 1
+    h = (top + 1) // 2
+    from_three = int(np.count_nonzero(is_p[2 : h + 1] & is_p[3 : 2 * h : 2]))
+    total = -int(np.count_nonzero(is_p[2:]))
+    length = _smooth_length(2 * (top // 6 + 1) - 1)
+    for r in (0, 2, 3, 5):
+        size = is_p[r::6].size
+        if size == 0:
+            continue
+        conv = np.fft.irfft(np.fft.rfft(is_p[r::6].astype(float), n=length) ** 2, n=length)
+        counts = np.rint(conv)
+        assert np.abs(conv - counts).max() <= 0.25
+        centres = is_p[r::3][: 2 * size - 1]
+        total += int(counts[: centres.size].sum(where=centres))
+    return total // 2 + from_three
+
+
+def _mod6_class_sizes(limit):
     """Lengths of the mod-6 classes of half-indices (p - 1) / 2, p <= limit."""
     top = (limit - 1) // 2
     return [(top - r) // 6 + 1 for r in (0, 2, 3, 5) if top >= r]
 
 
-# limits <= 3000 at which some class's transform length is exactly 2 len - 1:
-# no slack between the linear convolution and the cyclic one
+def _largest_subclass_size(limit):
+    """Length of is_p[0::30], the largest mod-30 subclass of half-indices."""
+    return (limit - 1) // 2 // 30 + 1
+
+
+# limits <= 3000 at which a transform length is exactly 2 len - 1, for some
+# class of the mod-6 oracle or for the wheel's largest subclass: no slack
+# between the linear convolution and the cyclic one
 _EXACT_LENGTH_LIMITS = tuple(
     limit for limit in range(2, 3001)
-    if any(_is_5_smooth(2 * size - 1) for size in _wheel_sizes(limit))
+    if any(_is_5_smooth(2 * size - 1)
+           for size in [*_mod6_class_sizes(limit), _largest_subclass_size(limit)])
 )
 
 
@@ -325,6 +362,14 @@ class TestCountPrimeAps:
     @example(11)  # = 2 * 7 - 3: the first (3, q, 2q - 3)
     @example(12)
     @example(13)
+    @example(16)
+    @example(17)  # = 2 * 11 - 5: the first (5, q, 2q - 5)
+    @example(29)
+    @example(59)  # a = 29: the first entry of the last subclass, is_p[29::30]
+    @example(60)
+    @example(61)  # a = 30: the first subclass's second entry
+    @example(119)
+    @example(120)
     @example(2038)
     @example(2039)  # = 2 * 1021 - 3, prime
     @example(2441)  # centre 2437 reads entry 2 len - 1 of class 3's exact-length transform
@@ -346,8 +391,17 @@ class TestCountPrimeAps:
         assert count_prime_aps(3, 10**6) == 157300309
         assert count_prime_aps(3, 10**7) == 9565120490
 
-    def test_k3_transforms_are_a_sixth_of_the_limit(self, monkeypatch):
-        # one transform over every odd number would be about limit long
+    def test_wheel_matches_the_mod6_oracle(self):
+        for limit in (10**5, 10**6, 10**7):
+            assert count_prime_aps(3, limit) == mod6_count_aps_k3(limit), limit
+
+    def test_mod6_oracle_matches_brute_force(self):
+        for limit in (*range(0, 200), 2441, 2446):
+            assert mod6_count_aps_k3(limit) == brute_count_aps(3, limit), limit
+
+    def test_k3_transforms_are_a_thirtieth_of_the_limit(self, monkeypatch):
+        # one transform over every odd number would be about limit long, one
+        # per mod-6 class about limit / 6: 4 of 168750 entries at 10^6
         limit = 10**6
         lengths = []
         real_rfft = np.fft.rfft
@@ -358,12 +412,13 @@ class TestCountPrimeAps:
 
         monkeypatch.setattr(np.fft, "rfft", rfft)
         assert count_prime_aps(3, limit) == 157300309
-        assert len(lengths) == 4
-        assert max(lengths) <= _smooth_length(2 * (limit // 12 + 1))
+        assert len(lengths) == 16
+        assert max(lengths) <= _smooth_length(2 * (limit // 60 + 1))
 
     def test_k3_memory_follows_the_primes(self):
         # a single transform over all odd numbers up to 10^6 peaks at
-        # 17.8 MiB here; the four mod-6 classes, one at a time, near 6 MiB
+        # 17.8 MiB here, the four mod-6 classes near 3.2 MiB and the mod-30
+        # wheel near 2.2 MiB
         tracemalloc.start()
         try:
             count_prime_aps(3, 10**6)
@@ -397,9 +452,10 @@ class TestCountPrimeAps:
         assert len(calls) == 1
 
     def test_k3_memory_per_integer(self):
-        # the half-size indicator and two reused transform buffers: about
-        # 3.4 bytes per integer, where a dense sieve and the int64 primes,
-        # centres and half-indices with fresh buffers per class took 6.3
+        # the half-size indicator, four subclass spectra and two buffers of
+        # the mod-30 wheel: about 2.3 bytes per integer, where the mod-6
+        # classes in two reused buffers took 3.4, and a dense sieve with the
+        # int64 primes, centres and half-indices 6.3
         limit = 10**6
         tracemalloc.start()
         try:
@@ -407,7 +463,7 @@ class TestCountPrimeAps:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * limit
+        assert peak <= 2.5 * limit
 
     def test_k3_route_builds_no_prime_list(self, monkeypatch):
         def refuse(limit):
