@@ -21,7 +21,6 @@ from .gowers import (
     GowersEstimate,
     dual_function,
     dual_function_u2_fourier,
-    dual_norm_u2_fourier,
     gowers_inner,
     gowers_norm,
     gowers_norm_mc,

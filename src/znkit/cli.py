@@ -46,6 +46,7 @@ from .arith import (
 )
 from .pseudo import (
     LinearFormSystem,
+    _correlation_shape,
     bernoulli_measure,
     gy2_correlation_check,
     gy_moment_check,
@@ -482,6 +483,10 @@ def _cmd_correlation(args) -> dict:
         nu, args.m, tuples, c_tau=args.c_tau, a_tau=args.a_tau,
         verdict_threshold=args.threshold,
     )
+    product_leaf, tau_leaf, tau_leaves, table = _correlation_shape(args.n)
+    print(f"[znkit] correlation route: product leaves of at most {product_leaf} points, "
+          f"{tau_leaves} tau leaves of at most {tau_leaf} residues, factor table of "
+          f"{table} entries, {len(tuples)} of {args.tuples} tuples kept", file=sys.stderr)
     out = report.to_dict()
     if not report.passed:
         raise VerdictError(out)

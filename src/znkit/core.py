@@ -11,7 +11,9 @@ product prod_i f((mat[i] . x + c_i) mod N) at columns x that the linear
 forms, the window moments, the sampled U^d norm and the sampled dual all
 evaluate.  It builds each index by in-place adds, gathers from a table
 tiled so that small coefficients need no remainder, and multiplies in
-cache-sized blocks.
+cache-sized blocks.  The private _pairwise_sum gives np.add.reduce of an
+array that is never formed whole, from sums over the leaves of numpy's own
+pairwise-sum tree.
 
 Exact cyclic correlations on Z_N share one private kernel: _spectrum, the
 rfft zero-padded to the least 5-smooth length L >= 2N - 1, and
@@ -421,6 +423,33 @@ def _form_product(
         return out
 
     return product
+
+
+_PW_BLOCK = 128  # numpy's pairwise sum adds a node this size with no split
+
+
+def _pairwise_sum(n: int, leaf: Callable[[int, int], object], cap: int):
+    """np.add.reduce of a contiguous float64 array of n entries, bit for bit,
+    from leaf(lo, hi), the sum of entries [lo, hi) that np.add.reduce gives.
+
+    numpy's pairwise sum splits a node of more than 128 entries at
+    n2 = n // 2 - (n // 2) % 8; this recursion splits the same way and calls
+    leaf on every node of at most cap entries, so only a leaf's entries need
+    exist at once.  The leaf may return an array (one sum per array of the
+    same length, say): the nodes are added elementwise, the same float
+    operations.  np.mean is the result divided by n.
+    """
+    if cap < _PW_BLOCK:
+        raise ValueError(f"cap = {cap}: leaves must hold at least {_PW_BLOCK} entries")
+
+    def node(lo: int, hi: int):
+        if hi - lo <= cap:
+            return leaf(lo, hi)
+        mid = (hi - lo) // 2
+        mid -= mid % 8
+        return node(lo, lo + mid) + node(lo + mid, hi)
+
+    return node(0, n)
 
 
 def expectation(f: GridFunction) -> float:

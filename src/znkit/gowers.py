@@ -67,7 +67,6 @@ __all__ = [
     "gowers_norm_mc",
     "dual_function",
     "dual_function_u2_fourier",
-    "dual_norm_u2_fourier",
 ]
 
 DEFAULT_BUDGET = 10**9
@@ -338,10 +337,3 @@ def dual_function_u2_fourier(F: GridFunction) -> GridFunction:
     """
     v = F.values
     return GridFunction(F.group, _u2_leaf([None, v, v, v], pointwise=True))
-
-
-def dual_norm_u2_fourier(g: GridFunction) -> float:
-    """The norm dual to U^2: the l^(4/3) norm of the Fourier coefficients."""
-    n = g.group.modulus
-    ghat = np.fft.fft(g.values) / n
-    return float(np.sum(np.abs(ghat) ** (4.0 / 3.0)) ** 0.75)

@@ -14,7 +14,8 @@ truncated divisor sums that power the majorant, plus the Bernoulli test
 measure.  Exact verdicts come from full enumeration; everything sampled
 reports a standard error, never a bare number.  Linear forms, exact or
 sampled, and both window moments take their products from one kernel,
-core._form_product.
+core._form_product; the exact correlation check sums in leaves of numpy's
+pairwise-sum tree, core._pairwise_sum.
 """
 
 from __future__ import annotations
@@ -35,12 +36,13 @@ from .core import (
     GridFunction,
     _check_budget,
     _form_product,
+    _pairwise_sum,
     inner_product,
     mc_mean,
     substream,
 )
 from .arith import (MajorantParams, _distinct_prime_factors,
-                    divisor_sums_on_progression, is_prime_64, primes_up_to)
+                    divisor_sums_on_progression, is_prime_64, odd_prime_indicator)
 
 __all__ = [
     "LinearFormSystem",
@@ -304,7 +306,9 @@ def tau_weight(
     a_tau are calibration knobs (scripts/calibrate_tau.py); the theory fixes
     their existence, not values.  This scalar route factors n by trial
     division: verify_correlation calls it only for each tuple's pairwise
-    bounds, and the tests use it as the oracle for its sieved moments.
+    bounds, and the tests use it as the oracle for its moments, which sieve
+    the same factors, (1 + p^(-1/2))^a_tau computed the same way, and
+    multiply them in the same order, leaf by leaf.
     """
     if abs(n) > N:
         raise ValueError("|n| must be at most N")
@@ -318,20 +322,72 @@ def tau_weight(
     return out
 
 
-def _shifted_product(vals: np.ndarray, shifts: Sequence[int], out: np.ndarray) -> np.ndarray:
-    """out[x] = 1 * vals[(x + s_1) mod N] * ... * vals[(x + s_m) mod N], the
-    floats of a product of np.roll copies: the first shift is copied in
-    (1 * v = v) and each further one multiplied in place, two slices each."""
-    n = vals.size
+_PRODUCT_LEAF = 1 << 14  # floats of a shifted-product leaf buffer (128 KiB)
+_TAU_LEAF_MIN = 1 << 14  # least residues per tau leaf
+_FACTOR_CHUNK = 1 << 12  # odd numbers whose primes' tau factors are computed at once
+
+
+def _tau_leaf(half: int) -> int:
+    """Residues per tau leaf: the least power of two >= 16 isqrt(half), and
+    at least _TAU_LEAF_MIN.  Each leaf loops in Python over the primes up to
+    isqrt(half), so the leaves grow with N to keep that loop a small share."""
+    return max(_TAU_LEAF_MIN, 1 << (16 * math.isqrt(half) - 1).bit_length())
+
+
+def _correlation_shape(N: int) -> tuple[int, int, int, int]:
+    """(product leaf, tau leaf, number of tau leaves, factor table entries)
+    of verify_correlation at modulus N."""
+    half = (N - 1) // 2
+    cap = _tau_leaf(half)
+    leaves = _pairwise_sum(half, lambda lo, hi: 1, cap)  # each leaf counts 1
+    return _PRODUCT_LEAF, cap, leaves, (half + 1) // 2
+
+
+def _shifted_product(vals: np.ndarray, shifts: Sequence[int], lo: int,
+                     out: np.ndarray) -> np.ndarray:
+    """out[x - lo] = 1 * vals[(x + s_1) mod N] * ... * vals[(x + s_m) mod N]
+    for x in [lo, lo + out.size), out.size <= N: the floats of a product of
+    np.roll copies.  The first shift is copied in (1 * v = v) and each
+    further one multiplied in place, at most two slices of vals each."""
+    n, size = vals.size, out.size
     for i, shift in enumerate(shifts):
-        s = shift % n
+        a = (lo + shift) % n
+        cut = min(size, n - a)  # entries before the index wraps past N
         if i == 0:
-            out[: n - s] = vals[s:]
-            out[n - s :] = vals[:s]
+            out[:cut] = vals[a : a + cut]
+            if cut < size:
+                out[cut:] = vals[: size - cut]
         else:
-            out[: n - s] *= vals[s:]
-            out[n - s :] *= vals[:s]
+            out[:cut] *= vals[a : a + cut]
+            if cut < size:
+                out[cut:] *= vals[: size - cut]
     return out
+
+
+def _tau_factors(half: int, exponent: float) -> tuple[list[tuple], np.ndarray]:
+    """The small primes p <= max(2, isqrt(half)) as (p, f(p), [p^2, p^3, ...
+    <= half]), and the table whose entry (P - 1) // 2 is f(P) at each larger
+    prime P <= half and 1.0 elsewhere, with f(p) = (1 + p^(-1/2))^exponent
+    computed as tau_weight does.  2 is small even when isqrt(half) < 2
+    (N <= 7): as the least prime it keeps the order, and entry 0 stays 1.0
+    for the cofactor 1.  The table has (half + 1) // 2 entries and is filled
+    from the odd-prime sieve, _FACTOR_CHUNK odd numbers at a time."""
+    is_p = odd_prime_indicator(half)  # is_p[a]: 2 a + 1 is a prime <= half
+    first_big = (math.isqrt(half) + 1) // 2  # odd 2 a + 1 > isqrt(half)
+    small = [2] + (2 * np.flatnonzero(is_p[:first_big]) + 1).tolist()
+    small_factors = []
+    for p in small:
+        powers = []
+        pk = p * p
+        while pk <= half:
+            powers.append(pk)
+            pk *= p
+        small_factors.append((p, (1.0 + p**-0.5) ** exponent, powers))
+    table = np.ones(is_p.size)
+    for start in range(first_big, is_p.size, _FACTOR_CHUNK):
+        idx = np.flatnonzero(is_p[start : start + _FACTOR_CHUNK]) + start
+        table[idx] = [(1.0 + p**-0.5) ** exponent for p in (2 * idx + 1).tolist()]
+    return small_factors, table
 
 
 def verify_correlation(
@@ -347,15 +403,21 @@ def verify_correlation(
 
     For each supplied tuple (h_1, ..., h_m) the left side
     E(nu(x+h_1) ... nu(x+h_m)) costs N; reported is the max ratio of left
-    side to sum_{i<j} tau(h_i - h_j); every product is formed in one N-float
-    buffer, freed before the moments.  Moments E(tau^q) run over the nonzero
-    symmetric residue representatives (the weight at 0 is a separate, huge
-    by construction, spike and is reported via tau_weight directly).  They
-    are filled from the sieve's primes in tau_weight's order, increasing p,
-    so every weight equals tau_weight's bit for bit: a prime p <= sqrt(half)
-    multiplies its multiples by one strided slice, and a larger p, the
-    largest prime factor of each of its multiples j p <= half (j < p), comes
-    last, one gather per j over the large primes p <= half / j.
+    side to sum_{i<j} tau(h_i - h_j).  Moments E(tau^q) run over the nonzero
+    symmetric residue representatives 1..(N - 1)/2 (the weight at 0 is a
+    separate, huge by construction, spike and is reported via tau_weight
+    directly).
+
+    Both sides stream in leaves of numpy's pairwise-sum tree
+    (core._pairwise_sum), so every average equals np.mean of the dense array
+    bit for bit, and beside nu only one table of N/4 floats (sieved from
+    N/4 bytes) and O(leaf) buffers are held.  A product leaf of at most _PRODUCT_LEAF points is
+    formed by _shifted_product.  A tau leaf fills its residues r with c_tau,
+    multiplies in f(p) = (1 + p^(-1/2))^a_tau for each prime p <= sqrt(half)
+    dividing r, in increasing p, while collecting r's part built from those
+    primes; what is left of r is 1 or its one larger prime factor P, whose
+    f(P) comes last from the factor table.  These are tau_weight's
+    multiplications in its order, so every weight equals it bit for bit.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
@@ -371,28 +433,49 @@ def verify_correlation(
             raise ValueError(f"tuple {h!r} does not have m = {m} entries")
     h_tuples = [[operator.index(s) for s in h] for h in h_tuples]
     vals = nu.values
-    prod = np.empty(N)
+    buf = np.empty(min(N, _PRODUCT_LEAF))
     max_ratio = -math.inf
     for h in h_tuples:
-        lhs = float(_shifted_product(vals, h, prod).mean())
+        shifts = [s % N for s in h]
+        total = _pairwise_sum(
+            N,
+            lambda lo, hi: np.add.reduce(_shifted_product(vals, shifts, lo, buf[: hi - lo])),
+            _PRODUCT_LEAF,
+        )
         bound = 0.0
         for i, j in itertools.combinations(range(m), 2):
             bound += tau_weight(h[i] - h[j], m, N, c_tau, a_tau)
-        max_ratio = max(max_ratio, lhs / bound)
-    del prod
+        max_ratio = max(max_ratio, float(total / N) / bound)
+    del buf
     half = (N - 1) // 2
-    factor_exponent = 2.0 * m if a_tau is None else a_tau
-    tau_vals = np.full(half, c_tau, dtype=np.float64)  # tau_vals[r - 1] = tau(r)
-    primes = primes_up_to(max(half, 2))
-    n_small = int(np.searchsorted(primes, math.isqrt(half), side="right"))
-    for p in primes[:n_small].tolist():
-        tau_vals[p - 1 :: p] *= (1.0 + p**-0.5) ** factor_exponent
-    big = primes[n_small:]  # p^2 > half; Bertrand keeps it nonempty
-    factors = np.array([(1.0 + p**-0.5) ** factor_exponent for p in big.tolist()])
-    for j in range(1, half // int(big[0]) + 1):
-        k = int(np.searchsorted(big, half // j, side="right"))
-        tau_vals[big[:k] * j - 1] *= factors[:k]
-    moments = {float(q): float((tau_vals ** q).mean()) for q in q_list}
+    small, table = _tau_factors(half, 2.0 * m if a_tau is None else a_tau)
+    cap = _tau_leaf(half)
+    size = min(half, cap)
+    tau_buf = np.empty(size)
+    part_buf = np.empty(size, dtype=np.int64)
+    rest_buf = np.empty(size, dtype=np.int64)
+
+    def tau_sums(lo: int, hi: int) -> np.ndarray:
+        # residues r = lo + 1 .. hi
+        tau, part, rest = tau_buf[: hi - lo], part_buf[: hi - lo], rest_buf[: hi - lo]
+        tau.fill(c_tau)
+        part.fill(1)
+        for p, f, powers in small:
+            first = -(lo + 1) % p
+            tau[first::p] *= f
+            part[first::p] *= p
+            for pk in powers:
+                if pk > hi:
+                    break
+                part[-(lo + 1) % pk :: pk] *= p
+        np.floor_divide(np.arange(lo + 1, hi + 1, dtype=np.int64), part, out=rest)
+        rest -= 1
+        rest >>= 1  # (P - 1) // 2, and 0 (factor 1.0) where r has no larger prime
+        tau *= table[rest]
+        return np.array([np.add.reduce(tau**q) for q in q_list])
+
+    sums = _pairwise_sum(half, tau_sums, cap)
+    moments = {float(q): s / half for q, s in zip(q_list, sums.tolist())}
     est = EstimatorResult(max_ratio, 0.0, len(h_tuples), 0)
     return PseudorandomnessReport(
         condition="correlation",

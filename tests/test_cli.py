@@ -1,4 +1,6 @@
+import contextlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -453,6 +455,94 @@ def test_apcount_names_its_route_on_stderr(capsys):
                      "16 forward and 28 inverse transforms of length L' = 33750"]
     main(["apcount", "--k", "4", "--limit", "1000"])
     assert "route" not in capsys.readouterr().err
+
+
+def test_correlation_names_its_route_on_stderr(capsys):
+    argv = ["correlation", "--n", "999983", "--tuples", "20", "--seed", "1"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    assert json.loads(captured.out)["result"]["condition"] == "correlation"
+    route = [line for line in captured.err.splitlines() if "route" in line]
+    assert route == ["[znkit] correlation route: product leaves of at most 16384 points, "
+                     "32 tau leaves of at most 16384 residues, factor table of 249996 "
+                     "entries, 20 of 20 tuples kept"]
+    # N = 7 draws repeated shifts: the line counts the tuples kept
+    main(["correlation", "--n", "7", "--m", "3", "--tuples", "6"])
+    route = [line for line in capsys.readouterr().err.splitlines() if "route" in line]
+    assert route == ["[znkit] correlation route: product leaves of at most 16384 points, "
+                     "1 tau leaves of at most 16384 residues, factor table of 2 entries, "
+                     "3 of 6 tuples kept"]
+
+
+MAJ_SMALL = ("--n", "10007", "--theta", "0.3333", "--epsilon", "0.25")
+LIN_SMALL = ("--n", "1009", "--nu", "majorant", "--k", "3", "--w", "2",
+             "--theta", "0.3333", "--epsilon", "0.1", "--seed", "1")
+
+# Each command of the three benchmark sessions, at small N and sample counts.
+BENCHMARK_SESSIONS = {
+    "majorant": [
+        ("majorant", *MAJ_SMALL, "--w", "2"),
+        ("majorant", *MAJ_SMALL, "--w", "3", "--output", "nu.csv"),
+        ("majorant", *MAJ_SMALL, "--w", "5"),
+        ("majorant", *MAJ_SMALL, "--w", "7"),
+        ("gycheck", *MAJ_SMALL, "--w", "2"),
+        ("gycheck", *MAJ_SMALL, "--w", "5"),
+        ("gycheck", *MAJ_SMALL, "--h-list", "0,2,6"),
+        ("gowers", "--n", "10007", "--d", "2", "--input", "nu.csv", "--mode", "fourier"),
+        ("dual", "--n", "10007", "--d", "2", "--input", "nu.csv", "--mode", "fourier",
+         "--output", "dual.csv"),
+    ],
+    "progressions": [
+        ("apcount", "--k", "3", "--limit", "100000"),
+        ("apcount", "--k", "4", "--limit", "10000"),
+        ("gvn", "--n", "101", "--trials", "5", "--seed", "1"),
+        ("gvn", "--n", "31", "--k", "4", "--trials", "5", "--seed", "1"),
+        ("gowers", "--n", "31", "--d", "3", "--input", "small.csv", "--mode", "exact"),
+        ("dual", "--n", "31", "--d", "3", "--input", "small.csv", "--mode", "exact"),
+        ("decompose", "--n", "101", "--f", "interval.csv", "--epsilon-dec", "1e-4",
+         "--eta", "1e-5"),
+    ],
+    "verifiers": [
+        ("linforms", *LIN_SMALL, "--system", "cube:2", "--samples", "20000"),
+        ("linforms", *LIN_SMALL, "--system", "cube:3", "--samples", "20000"),
+        ("gycheck", *MAJ_SMALL, "--w", "2", "--mode", "monte_carlo", "--samples", "20000",
+         "--seed", "1"),
+        ("gowers", "--n", "101", "--d", "3", "--input", "uniform.csv", "--mode", "mc",
+         "--samples", "4000", "--seed", "1"),
+        ("dual", "--n", "101", "--d", "3", "--input", "uniform.csv", "--mode", "mc",
+         "--samples", "100", "--seed", "1", "--output", "dual_mc.csv"),
+        ("decompose", "--n", "211", "--nu", "bernoulli", "--nu-seed", "1", "--k", "4",
+         "--mode", "monte_carlo", "--epsilon-dec", "1e-4", "--samples", "2000",
+         "--seed", "1"),
+        ("correlation", "--n", "10007", "--tuples", "5", "--seed", "1"),
+    ],
+}
+
+
+@pytest.mark.filterwarnings("ignore:box side")
+@pytest.mark.parametrize("session", sorted(BENCHMARK_SESSIONS))
+def test_in_process_runs_write_only_to_the_current_streams(capfd, monkeypatch, tmp_path,
+                                                           session):
+    # An in-process caller (a benchmark harness, say) redirects sys.stdout and
+    # sys.stderr around main(); nothing may bypass them to file descriptors
+    # 1 and 2, and the redirected stdout must end in the report.
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(0)
+    interval = np.zeros(101)
+    interval[:50] = 1.0
+    for name, col in (("small", rng.uniform(-1.0, 1.0, 31)), ("interval", interval),
+                      ("uniform", rng.random(101))):
+        _write_column(col, str(tmp_path / f"{name}.csv"))
+    capfd.readouterr()
+    for argv in BENCHMARK_SESSIONS[session]:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        assert code in (EXIT_OK, EXIT_VERDICT), (argv, out.getvalue())
+        assert json.loads(out.getvalue())["meta"]["command"] == argv[0]
+        assert f"[znkit] {argv[0]} finished in" in err.getvalue()
+        assert capfd.readouterr() == ("", ""), argv
 
 
 def test_stdout_is_deterministic(capsys):

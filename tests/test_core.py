@@ -23,7 +23,7 @@ from znkit import (
     substream,
 )
 import znkit.core
-from znkit.core import _BLOCK, _TILE_CAP, _form_product, mc_mean
+from znkit.core import _BLOCK, _TILE_CAP, _form_product, _pairwise_sum, mc_mean
 from conftest import (atoms_by_comparison, first_occurrence_labels, random_function,
                       random_partition)
 
@@ -475,3 +475,54 @@ class TestFormProduct:
     def test_refuses_indices_past_int64(self):
         with pytest.raises(OverflowError, match="int64"):
             _form_product(np.ones(3), [(2**62, 2**62)], [0])
+
+
+class TestPairwiseSum:
+    @pytest.mark.parametrize("cap", [128, 1000, 1 << 14])
+    def test_equals_add_reduce_bit_for_bit(self, cap):
+        # entries spread over 16 decades, so a different association of the
+        # adds would show in the last bits
+        rng = np.random.default_rng(cap)
+        sizes = {1, 7, 8, 9, 127, 128, 129, cap - 1, cap, cap + 1, 3 * cap + 5, 999983}
+        for n in sorted(sizes):
+            vals = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+            leaves = []
+
+            def leaf(lo, hi):
+                leaves.append((lo, hi))
+                return np.add.reduce(vals[lo:hi])
+
+            total = _pairwise_sum(n, leaf, cap)
+            assert total == np.add.reduce(vals) and total / n == vals.mean()
+            # the leaves tile [0, n) in order, none longer than cap
+            starts = [lo for lo, _ in leaves]
+            assert starts[0] == 0 and [hi for _, hi in leaves] == starts[1:] + [n]
+            assert all(0 < hi - lo <= cap for lo, hi in leaves)
+
+    def test_misaligned_leaf_buffer(self):
+        # a leaf summed from a copy at an odd offset of a reused buffer
+        rng = np.random.default_rng(5)
+        vals = rng.standard_normal(100003) * 10.0 ** rng.integers(-8, 8, 100003)
+        buf = np.empty(1000 + 3)
+
+        def leaf(lo, hi):
+            out = buf[3 : 3 + hi - lo]
+            out[:] = vals[lo:hi]
+            return np.add.reduce(out)
+
+        assert _pairwise_sum(vals.size, leaf, 1000) == np.add.reduce(vals)
+
+    def test_array_leaves_add_elementwise(self):
+        # one sum per power, as the correlation verifier's tau moments take them
+        rng = np.random.default_rng(6)
+        vals = rng.uniform(1.0, 50.0, 70001)
+        qs = (0.5, 1.0, 2.0, 3.7)
+        got = _pairwise_sum(
+            vals.size, lambda lo, hi: np.array([np.add.reduce(vals[lo:hi] ** q) for q in qs]),
+            1 << 12)
+        assert got.tolist() == [np.add.reduce(vals**q) for q in qs]
+
+    def test_refuses_leaves_below_numpys_block(self):
+        with pytest.raises(ValueError, match="at least 128"):
+            _pairwise_sum(1000, lambda lo, hi: 0.0, 127)
+

@@ -27,11 +27,14 @@ from znkit import (
     verify_correlation,
     verify_linear_forms,
 )
-from znkit.arith import divisor_sums_on_progression
+from znkit.arith import divisor_sums_on_progression, primes_up_to
 from znkit.core import BudgetExceededError, mc_mean, substream
 from znkit.pseudo import (
     _MC_CHUNK,
+    _PRODUCT_LEAF,
+    _TAU_LEAF_MIN,
     _shifted_product,
+    _tau_leaf,
     antiuniform_correlation,
     pseudorandom_condition_parameters,
 )
@@ -277,6 +280,49 @@ class TestTauWeight:
             tau_weight(200, 2, 101)
 
 
+def dense_verify_correlation(nu, m, h_tuples, q_list, c_tau, a_tau):
+    """The dense route, the oracle of verify_correlation's leaves: each
+    product in one N-float buffer from np.roll copies, then the full table
+    of the (N - 1)/2 weights and (tau ** q).mean().  The weights are sieved
+    in tau_weight's order: a prime p <= sqrt(half) multiplies its multiples
+    by one strided slice, and a larger prime, the largest prime factor of
+    each of its multiples j p <= half, comes last, one gather per j."""
+    N = nu.group.modulus
+    prod = np.empty(N)
+    max_ratio = -math.inf
+    for h in h_tuples:
+        prod[:] = 1.0
+        for s in h:
+            prod *= np.roll(nu.values, -(s % N))
+        bound = 0.0
+        for i, j in itertools.combinations(range(m), 2):
+            bound += tau_weight(h[i] - h[j], m, N, c_tau, a_tau)
+        max_ratio = max(max_ratio, float(prod.mean()) / bound)
+    del prod
+    half = (N - 1) // 2
+    factor_exponent = 2.0 * m if a_tau is None else a_tau
+    tau_vals = np.full(half, c_tau, dtype=np.float64)  # tau_vals[r - 1] = tau(r)
+    primes = primes_up_to(max(half, 2))
+    n_small = int(np.searchsorted(primes, math.isqrt(half), side="right"))
+    for p in primes[:n_small].tolist():
+        tau_vals[p - 1 :: p] *= (1.0 + p**-0.5) ** factor_exponent
+    big = primes[n_small:]  # p^2 > half; Bertrand keeps it nonempty
+    factors = np.array([(1.0 + p**-0.5) ** factor_exponent for p in big.tolist()])
+    for j in range(1, half // int(big[0]) + 1):
+        k = int(np.searchsorted(big, half // j, side="right"))
+        tau_vals[big[:k] * j - 1] *= factors[:k]
+    moments = {float(q): float((tau_vals**q).mean()) for q in q_list}
+    return max_ratio, moments
+
+
+def assert_matches_dense(nu, m, h_tuples, q_list=(1.0, 2.0, 4.0), c_tau=4.0, a_tau=None):
+    report = verify_correlation(nu, m, h_tuples, q_list, c_tau, a_tau)
+    max_ratio, moments = dense_verify_correlation(nu, m, h_tuples, q_list, c_tau, a_tau)
+    assert report.estimate.value.hex() == max_ratio.hex()
+    assert {q: v.hex() for q, v in report.moments.items()} == {
+        q: v.hex() for q, v in moments.items()}
+
+
 class TestVerifyCorrelation:
     def test_constant_measure_shifted_products_are_one(self):
         nu = GridFunction.constant(CyclicGroup(101), 1.0)
@@ -319,29 +365,35 @@ class TestVerifyCorrelation:
 
     def test_rejects_empty_tuple_list_before_any_work(self, monkeypatch):
         nu = GridFunction.constant(CyclicGroup(101), 1.0)
-        monkeypatch.setattr(znkit.pseudo, "primes_up_to", None)  # no tau pass reached
+        monkeypatch.setattr(znkit.pseudo, "odd_prime_indicator", None)  # no tau pass reached
         with pytest.raises(ValueError, match="h_tuples is empty"):
             verify_correlation(nu, 2, [])
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     @pytest.mark.parametrize("n", [1, 2, 101, 1000])
     def test_shifted_product_equals_rolled_copies(self, m, n):
-        # 0, N - 1, a repeated shift, a negative one and one past N
+        # 0, N - 1, a repeated shift, a negative one and one past N, on
+        # leaves at the start, inside, wrapping past N, and the whole group
         vals = np.random.default_rng(m).uniform(-2, 2, n)
         vals[::7] = -0.0
         pool = [0, n - 1, 3, 3, -5, n + 4, 2 * n + 1]
-        out = np.full(n, np.nan)
+        leaves = {(0, n), (0, min(n, 7)), (n // 3, n // 3 + n // 2), (n - 1, n),
+                  (max(0, n - 5), n)}
+        buf = np.full(n + 3, np.nan)
         for shifts in itertools.combinations(pool, m):
             want = np.ones(n)
             for s in shifts:
                 want *= np.roll(vals, -(s % n))
-            got = _shifted_product(vals, shifts, out)
-            assert got is out
-            assert got.tobytes() == want.tobytes()
+            for lo, hi in leaves:
+                out = buf[3 : 3 + hi - lo]
+                got = _shifted_product(vals, shifts, lo, out)
+                assert got is out
+                assert got.tobytes() == want[lo:hi].tobytes()
 
     def test_peak_memory_is_one_product_buffer(self):
-        # one N-float product buffer, freed before the tau weights (N/2
-        # floats) and one power of them; np.roll copies took 15.3 MiB
+        # beside nu: the large primes' tau factors ((N + 1)/4 floats, 1.9 MiB)
+        # and leaf buffers; the dense route held one N-float product buffer,
+        # then N/2 weights and one power of them, 8.27 MiB traced
         N = 999983
         nu = bernoulli_measure(N, seed=1)
         tracemalloc.start()
@@ -350,7 +402,58 @@ class TestVerifyCorrelation:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 10 * 2**20
+        assert peak <= 4 * 2**20
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        N=st.one_of(
+            st.integers(1, 1499).map(lambda j: 2 * j + 1),
+            st.sampled_from((_PRODUCT_LEAF - 1, _PRODUCT_LEAF + 1,
+                             2 * _TAU_LEAF_MIN - 1, 2 * _TAU_LEAF_MIN + 1,
+                             4 * _TAU_LEAF_MIN + 17, 3 * 7 * 11 * 13 * 17))),
+        m=st.sampled_from((2, 3, 4)),
+        data=st.data(),
+    )
+    @example(N=3, m=2, data=None)
+    @example(N=5, m=3, data=None)
+    @example(N=7, m=4, data=None)
+    @example(N=2 * 1024**2 + 1, m=2, data=None)  # isqrt(half) = 1024: 2^14 residues a leaf
+    @example(N=2 * 1025**2 + 1, m=3, data=None)  # isqrt(half) = 1025: 2^15 residues a leaf
+    def test_equals_dense_oracle(self, N, m, data):
+        # shifts from -N to 2N, pairwise at most N apart as tau_weight needs,
+        # on a Bernoulli measure or random nonnegative values
+        if data is None:
+            rng = np.random.default_rng(N)
+            base, offsets = int(rng.integers(-N, N + 1)), rng.integers(0, N + 1, (3, m))
+            nu = bernoulli_measure(N, seed=m)
+        else:
+            base = data.draw(st.integers(-N, N))
+            offsets = data.draw(st.lists(st.lists(st.integers(0, N), min_size=m, max_size=m),
+                                         min_size=1, max_size=3))
+            if data.draw(st.booleans()):
+                nu = bernoulli_measure(N, seed=data.draw(st.integers(0, 3)))
+            else:
+                rng = np.random.default_rng(data.draw(st.integers(0, 3)))
+                nu = GridFunction(CyclicGroup(N), rng.uniform(0.0, 3.0, N))
+        tuples = [[base + int(o) for o in row] for row in offsets]
+        assert_matches_dense(nu, m, tuples, (0.5, 1.0, 2.0, 4.0, 3.7), 2.5, None)
+
+    @pytest.mark.parametrize("random_nu", [False, True])
+    def test_equals_dense_oracle_at_999983(self, random_nu):
+        N = 999983
+        if random_nu:
+            nu = GridFunction(CyclicGroup(N), np.random.default_rng(3).uniform(0.0, 3.0, N))
+        else:
+            nu = bernoulli_measure(N, seed=1)
+        tuples = [[0, 5, 17], [-40, N - 41, 3], [N, 2 * N - 1, N + 123456]]
+        assert_matches_dense(nu, 3, tuples, a_tau=5.0)
+
+    def test_tau_leaves_grow_with_the_sieving_primes(self):
+        # the least power of two >= 16 isqrt(half), and at least 2^14
+        assert _TAU_LEAF_MIN == 1 << 14
+        assert _tau_leaf(1) == _tau_leaf(1024**2 + 1024) == 1 << 14
+        assert _tau_leaf(1025**2) == _tau_leaf(2048**2 + 4095) == 1 << 15
+        assert _tau_leaf(2049**2) == 1 << 16
 
     @settings(max_examples=60, deadline=None)
     @given(
