@@ -576,7 +576,7 @@ def _cmd_apcount(args) -> dict:
     count = count_prime_aps(args.k, args.limit)
     if args.k == 3 and args.limit >= 2:
         forward, inverse, length = _k3_wheel_shape(args.limit)
-        print(f"[znkit] apcount route: wheel 30 on half-indices, {forward} forward and "
+        print(f"[znkit] apcount route: wheel 210 on half-indices, {forward} forward and "
               f"{inverse} inverse transforms of length L' = {length}", file=sys.stderr)
     return {"k": args.k, "limit": args.limit, "count": count}
 

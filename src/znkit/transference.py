@@ -11,6 +11,7 @@ failing that, at the smallest integer exceeding 2^(2^k)/eps + 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -166,86 +167,92 @@ def gvn_check(
     return GvnReport(k, trials, tuple(pairs), slope, max_residual, seed)
 
 
+@functools.cache
 def _wheel_classes() -> tuple:
-    """Per mod-6 class r of the half-indices: its live mod-30 subclasses i
-    (is_p[r + 6 i :: 30], 2 (r + 6 i) + 1 prime to 5) and, for each pair sum
-    s = x + y whose midpoints are prime to 5, the pairs (row of x, row of y)
-    of live subclasses x <= y."""
+    """Per mod-6 class r of the half-indices: its live mod-210 subclasses x
+    (is_p[r + 6 x :: 210], 2 (r + 6 x) + 1 prime to 5 and 7) and, for each
+    pair sum s = x + y whose midpoints are prime to 5 and 7, the pairs
+    (row of x, row of y) of live subclasses x <= y."""
     classes = []
     for r in (0, 2, 3, 5):
-        live = [i for i in range(5) if (2 * (r + 6 * i) + 1) % 5]
+        live = [x for x in range(35) if math.gcd(2 * (r + 6 * x) + 1, 35) == 1]
         sums: dict[int, list[tuple[int, int]]] = {}
         for row, x in enumerate(live):
             for col in range(row, len(live)):
                 s = x + live[col]
-                if (2 * (r + 3 * s) + 1) % 5:
+                if math.gcd(2 * (r + 3 * s) + 1, 35) == 1:
                     sums.setdefault(s, []).append((row, col))
         classes.append((r, tuple(live), tuple(sorted(sums.items()))))
     return tuple(classes)
 
 
-_WHEEL = _wheel_classes()
-
-
 def _k3_wheel_shape(limit: int) -> tuple[int, int, int]:
     """(forward transforms, inverse transforms, length L') of the k = 3 count
     to limit >= 2; L' is the least 5-smooth length >= 2 len - 1, len the
-    size of the largest subclass, is_p[0::30]."""
+    size of the largest subclass, is_p[0::210]."""
     top = (limit - 1) // 2
-    forward = sum(len(live) for _, live, _ in _WHEEL)
-    inverse = sum(len(sums) for _, _, sums in _WHEEL)
-    return forward, inverse, _smooth_length(2 * (top // 30 + 1) - 1)
+    wheel = _wheel_classes()
+    forward = sum(len(live) for _, live, _ in wheel)
+    inverse = sum(len(sums) for _, _, sums in wheel)
+    return forward, inverse, _smooth_length(2 * (top // 210 + 1) - 1)
+
+
+def _first_term_count(is_p: np.ndarray, a: int) -> int:
+    """3-APs (p, q, 2q - p) of primes q > p, 2q - p <= limit, for the odd
+    prime p = 2a + 1: 2q - p has half-index 2 a_q - a, so the ends are two
+    strided views of is_p = odd_prime_indicator(limit)."""
+    h = (is_p.size - 1 + a) // 2  # largest a_q with 2 q - p <= limit
+    return int(np.count_nonzero(is_p[a + 1 : h + 1] & is_p[a + 2 : 2 * h - a + 1 : 2]))
 
 
 def _count_aps_k3_convolution(is_p: np.ndarray) -> int:
-    """3-APs of primes <= limit, counted by autoconvolutions of the mod-30
+    """3-APs of primes <= limit, counted by autoconvolutions of the mod-210
     subclasses of the odd-prime indicator is_p = odd_prime_indicator(limit).
 
     2 is in no 3-AP (2m - 2 is even); write each odd prime as p = 2a + 1,
     so p, m, q is a 3-AP when a_p + a_q = 2 a_m.
     For p > 3, a = 0, 2, 3 or 5 (mod 6) and 2 a_m = 0 or 4 (mod 6); two of
     those classes sum to 0 or 4 only when both are one class, r, say.
-    Class r splits into the five subclasses x = 0..4, a = r + 6x (mod 30),
-    the strided views is_p[r + 6x :: 30]; the one with 2a + 1 = 0 (mod 5)
-    holds no prime but 5, and is dropped.  Each of the other four is
-    transformed once into a row of spectra, at the 5-smooth length
+    Class r splits into the 35 subclasses x = 0..34, a = r + 6x (mod 210),
+    the strided views is_p[r + 6x :: 210]; those with 2a + 1 = 0 (mod 5) or
+    (mod 7) hold no prime but 5 or 7, and are dropped.  Each of the other 24
+    is transformed once into a row of spectra, at the 5-smooth length
     L' >= 2 len - 1 of the largest subclass (cyclic = linear product).
-    Subclasses x <= y pair at the midpoints a_m = 15 w + 3 (x + y) + r, the
-    view is_p[3 (x + y) + r :: 15], so the products with one sum x + y are
+    Subclasses x <= y pair at the midpoints a_m = 105 w + 3 (x + y) + r, the
+    view is_p[3 (x + y) + r :: 105], so the products with one sum x + y are
     added in one spectrum (weight 1 on the diagonal, 2 off it) and inverted
     once: entry w counts the ordered pairs centred on the midpoint w of that
-    view.  A sum whose midpoints are multiples of 5 is skipped.  Over all
-    classes that counts 2 t_m + 1 at each prime m >= 7, t_m the 3-APs
-    centred on m with no end at 3 or 5, and the 1 is p = q = m.  A class
-    takes 4 forward and at most 8 inverse transforms.  Beside is_p, memory
-    is the four spectra of L' / 2 + 1 entries, one float buffer of L' + 2
+    view.  A sum whose midpoints are multiples of 5 or 7 is skipped.  Over
+    all classes that counts 2 t_m + 1 at each prime m >= 11, t_m the 3-APs
+    centred on m with no end at 3, 5 or 7, and the 1 is p = q = m.  A class
+    takes 24 forward and at most 48 inverse transforms.  Beside is_p, memory
+    is the 24 spectra of L' / 2 + 1 entries, one float buffer of L' + 2
     entries and one complex accumulator.  The float buffer holds each input,
     each inverse and then the midpoint mask, and its complex view is the
     scratch for each product; the accumulator's float view, once spent,
-    holds the rounded counts.  p = 3 (a = 1) is in no class.  It starts
-    exactly the progressions (3, q, 2q - 3), q > 3, and 2q - 3 has
-    a = 2 a_q - 1; p = 5 starts exactly the (5, q, 2q - 5), q > 5, and
-    2q - 5 has a = 2 a_q - 2, so both are counted from two strided views of
-    is_p.  Counts stay far below 2^53, so every entry of each inverse must
-    land within rounding error of an integer; one that lies more than 0.25
-    off raises, and the dot of the counts with the mask is exact.
+    holds the rounded counts.  p = 3 (a = 1) is in no class.  A 3-AP that
+    holds 3, 5 or 7 has that prime as its least term, so the rest are the
+    (p, q, 2q - p), q > p, for p = 3, 5 and 7, each counted from two strided
+    views of is_p.  Counts stay far below 2^53, so every entry of each
+    inverse must land within rounding error of an integer; one that lies
+    more than 0.25 off raises, and the dot of the counts with the mask is
+    exact.
     """
     top = is_p.size - 1  # largest a of an odd number <= limit
-    h = (top + 1) // 2  # largest a_q with 2 q - 3 <= limit
-    special = int(np.count_nonzero(is_p[2 : h + 1] & is_p[3 : 2 * h : 2]))
-    h = (top + 2) // 2  # largest a_q with 2 q - 5 <= limit
-    special += int(np.count_nonzero(is_p[3 : h + 1] & is_p[4 : 2 * h - 1 : 2]))
-    total = -int(np.count_nonzero(is_p[3:]))  # one p = q = m pair per centre m >= 7
+    special = sum(_first_term_count(is_p, a) for a in (1, 2, 3))
+    total = -int(np.count_nonzero(is_p[4:]))  # one p = q = m pair per centre m >= 11
+    wheel = _wheel_classes()
     _, _, length = _k3_wheel_shape(2 * top + 1)
     half = length // 2 + 1
-    spectra = np.empty((4, half), dtype=np.complex128)
+    rows = max(len(live) for _, live, _ in wheel)
+    spectra = np.empty((rows, half), dtype=np.complex128)
     acc = np.empty(half, dtype=np.complex128)
     buf = np.empty(2 * half)
     lin, prod = buf[:length], buf.view(np.complex128)
     counts = acc.view(np.float64)[:length]
-    for r, live, sums in _WHEEL:
+    for r, live, sums in wheel:
         for row, x in enumerate(live):
-            sub = is_p[r + 6 * x :: 30]
+            sub = is_p[r + 6 * x :: 210]
             np.copyto(lin[: sub.size], sub)
             lin[sub.size :] = 0.0
             np.fft.rfft(lin, n=length, out=spectra[row])
@@ -266,7 +273,7 @@ def _count_aps_k3_convolution(is_p: np.ndarray) -> int:
                     f"inexact pair-count transform: an entry lies {residue:.3g} from an integer"
                 )
             # an index past L' - 1 lies beyond every pair sum of the class
-            centres = is_p[3 * s + r :: 15][:length]
+            centres = is_p[3 * s + r :: 105][:length]
             mask = lin[: centres.size]  # the residues are spent
             np.copyto(mask, centres)
             total += int(np.dot(counts[: centres.size], mask))
@@ -279,14 +286,16 @@ def count_prime_aps(k: int, limit: int, budget: int = 10**9) -> int:
     Every route reads one odd-prime indicator, is_p[a] true when 2 a + 1 is
     a prime <= limit (half a byte per integer); no list of primes and no
     Mobius or von Mangoldt table is built.  k = 2 is the closed-form pair
-    count.  k = 3 runs the W-trick with W = 30 on the half-indices
-    a = (p - 1) / 2 of the primes p > 5: within each of the four classes
-    mod 6, which never pair across classes, the four subclasses mod 30 that
-    can hold primes are transformed once each (5-smooth length about
-    limit / 30), the products of subclass pairs with one midpoint view are
-    summed and inverted once, and the pair counts are read at the prime
-    midpoints; the progressions (3, q, 2q - 3) and (5, q, 2q - 5) are counted
-    directly.  Other k scan starts p
+    count.  k = 3 runs the W-trick with W = 210 on the half-indices
+    a = (p - 1) / 2 of the primes p > 7: within each of the four classes
+    mod 6, which never pair across classes, the 24 subclasses mod 210 that
+    can hold primes are transformed once each (96 forward transforms of
+    5-smooth length L' about limit / 210), the products of subclass pairs
+    with one midpoint view are summed and inverted once (186 inverse
+    transforms), and the pair counts are read at the prime midpoints; the
+    progressions (p, q, 2q - p) that start at p = 3, 5 or 7 are counted
+    directly.  Beside the limit / 2-byte indicator, memory is the 24 spectra
+    of L' / 2 + 1 entries (9.2 MB at 10^7).  Other k scan starts p
     and differences d = 6, 12, ..., 6 m_p, m_p = (limit - p) // (6 (k - 1)),
     reading each term j of all m_p progressions as one strided slice
     is_p[a + 3j : a + 3 j m_p + 1 : 3j], a = (p - 1) / 2 (budget-gated on that

@@ -142,8 +142,8 @@ def _mod6_class_sizes(limit):
 
 
 def _largest_subclass_size(limit):
-    """Length of is_p[0::30], the largest mod-30 subclass of half-indices."""
-    return (limit - 1) // 2 // 30 + 1
+    """Length of is_p[0::210], the largest mod-210 subclass of half-indices."""
+    return (limit - 1) // 2 // 210 + 1
 
 
 # limits <= 3000 at which a transform length is exactly 2 len - 1, for some
@@ -364,12 +364,16 @@ class TestCountPrimeAps:
     @example(13)
     @example(16)
     @example(17)  # = 2 * 11 - 5: the first (5, q, 2q - 5)
+    @example(19)  # = 2 * 13 - 7: the first (7, q, 2q - 7)
     @example(29)
-    @example(59)  # a = 29: the first entry of the last subclass, is_p[29::30]
+    @example(59)
     @example(60)
-    @example(61)  # a = 30: the first subclass's second entry
+    @example(61)
     @example(119)
     @example(120)
+    @example(419)  # a = 209: the first entry of the last subclass, is_p[209::210]
+    @example(420)
+    @example(421)  # a = 210: the first subclass's second entry
     @example(2038)
     @example(2039)  # = 2 * 1021 - 3, prime
     @example(2441)  # centre 2437 reads entry 2 len - 1 of class 3's exact-length transform
@@ -399,9 +403,10 @@ class TestCountPrimeAps:
         for limit in (*range(0, 200), 2441, 2446):
             assert mod6_count_aps_k3(limit) == brute_count_aps(3, limit), limit
 
-    def test_k3_transforms_are_a_thirtieth_of_the_limit(self, monkeypatch):
+    def test_k3_transforms_are_a_two_hundred_and_tenth_of_the_limit(self, monkeypatch):
         # one transform over every odd number would be about limit long, one
-        # per mod-6 class about limit / 6: 4 of 168750 entries at 10^6
+        # per mod-6 class about limit / 6 and one per mod-30 subclass about
+        # limit / 30: 96 of 4800 entries at 10^6
         limit = 10**6
         lengths = []
         real_rfft = np.fft.rfft
@@ -412,20 +417,17 @@ class TestCountPrimeAps:
 
         monkeypatch.setattr(np.fft, "rfft", rfft)
         assert count_prime_aps(3, limit) == 157300309
-        assert len(lengths) == 16
-        assert max(lengths) <= _smooth_length(2 * (limit // 60 + 1))
+        assert len(lengths) == 96
+        assert max(lengths) <= _smooth_length(2 * (limit // 420 + 1))
 
-    def test_k3_memory_follows_the_primes(self):
-        # a single transform over all odd numbers up to 10^6 peaks at
-        # 17.8 MiB here, the four mod-6 classes near 3.2 MiB and the mod-30
-        # wheel near 2.2 MiB
-        tracemalloc.start()
-        try:
-            count_prime_aps(3, 10**6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 10 * 2**20
+    def test_progressions_starting_at_seven_match_brute_force(self):
+        # 7's subclass is dropped from the wheel, so the (7, q, 2q - 7) are
+        # read off two strided views of the indicator
+        primes = {n for n in range(3001) if is_prime_64(n)}
+        for limit in range(0, 3001):
+            is_p = znkit.arith.odd_prime_indicator(limit)
+            want = sum(1 for q in primes if 7 < q and 2 * q - 7 <= limit and 2 * q - 7 in primes)
+            assert znkit.transference._first_term_count(is_p, 3) == want, limit
 
     def test_inexact_transform_raises(self, monkeypatch):
         real_irfft = np.fft.irfft
@@ -452,18 +454,20 @@ class TestCountPrimeAps:
         assert len(calls) == 1
 
     def test_k3_memory_per_integer(self):
-        # the half-size indicator, four subclass spectra and two buffers of
-        # the mod-30 wheel: about 2.3 bytes per integer, where the mod-6
-        # classes in two reused buffers took 3.4, and a dense sieve with the
-        # int64 primes, centres and half-indices 6.3
+        # the half-size indicator, 24 subclass spectra and two buffers of the
+        # mod-210 wheel: about 1.57 bytes per integer, where the mod-30 wheel
+        # took 2.3, the mod-6 classes in two reused buffers 3.4, a dense sieve
+        # with the int64 primes, centres and half-indices 6.3, and a single
+        # transform over all odd numbers about 18.7
         limit = 10**6
+        np.fft.irfft(np.fft.rfft(np.ones(8)))  # numpy.fft loads its modules on first use
         tracemalloc.start()
         try:
             count_prime_aps(3, limit)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * limit
+        assert peak <= 1.7 * limit
 
     def test_k3_route_builds_no_prime_list(self, monkeypatch):
         def refuse(limit):
