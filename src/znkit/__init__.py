@@ -35,6 +35,7 @@ from .arith import (
     euler_phi,
     is_prime_64,
     lambda_tilde,
+    odd_prime_bits,
     odd_prime_indicator,
     primes_up_to,
 )

@@ -1,10 +1,13 @@
 """Number-theoretic tables and the pseudorandom majorant.
 
-Integers are factored here only: odd_prime_indicator for the odd primes as
-a half-size bool table (the prime progression counts read it directly),
-primes_up_to for the primes as integers, taken from that table (the tau
-moments of pseudo.verify_correlation), build_sieve for the Mobius and von
-Mangoldt tables over 0..limit, the private trial-division helper
+Integers are factored here only: odd_prime_bits for the odd primes as a
+packed bitset from one segmented sieve, 1/16 byte per integer (the 2- and
+3-term prime progression counts read it directly, through the strided
+reader _read_bits), odd_prime_indicator for the same bits unpacked into a
+bool per odd number (primes_up_to, the tau moments of
+pseudo.verify_correlation, the k >= 4 progression scan), primes_up_to for
+the primes as integers, build_sieve for the Mobius and von Mangoldt tables
+over 0..limit, the private trial-division helper
 _distinct_prime_factors for a single integer (euler_phi, tau_weight, each
 pairwise difference of the GY shifts), and is_prime_64 for primality,
 including the primes p <= w behind W and phi(W).
@@ -46,6 +49,7 @@ __all__ = [
     "MajorantParams",
     "build_sieve",
     "primes_up_to",
+    "odd_prime_bits",
     "odd_prime_indicator",
     "is_prime_64",
     "euler_phi",
@@ -56,6 +60,7 @@ __all__ = [
 ]
 
 _SIEVE_LIMIT_CAP = 50_000_000  # ~50M keeps the tables under ~1 GB
+_SIEVE_SEGMENT = 2**18  # odd numbers per sieve segment: a 256 KiB bool array
 _INT63_MAX = 2**63 - 1
 
 
@@ -77,34 +82,86 @@ class SieveTables:
         return int(self.primes.size)
 
 
-def odd_prime_indicator(limit: int) -> np.ndarray:
-    """The odd half of a sieve of Eratosthenes: is_p[a] is true exactly when
-    2 a + 1 is a prime <= limit, for 0 <= a < (limit + 1) // 2.
+def odd_prime_bits(limit: int) -> np.ndarray:
+    """The odd primes <= limit as a packed bitset: bit a (little bit order,
+    bit a % 8 of byte a // 8) is set exactly when 2 a + 1 is a prime <= limit,
+    for 0 <= a < (limit + 1) // 2; the padding bits of the last byte are 0.
 
-    Each odd prime p <= sqrt(limit) clears a = (p^2 - 1) / 2 + i p, its odd
-    multiples from p^2 on, so the peak is half a byte per integer.  A limit
-    above the cap (50 million) is refused by the budget before anything is
-    allocated.
+    A segmented sieve of Eratosthenes: the half-indices are sieved
+    _SIEVE_SEGMENT at a time in one reused bool segment, and each sieved
+    segment is packed into place, so the result is 1/16 byte per integer and
+    the peak adds one segment.  The first segment holds every odd prime
+    p <= sqrt(limit) below the cap, found there as the sieve reaches them;
+    each later segment clears, for each of those p, its odd multiples from
+    max(p^2, segment start) on.  A limit above the cap (50 million) is
+    refused by the budget before anything is allocated.
     """
     if limit < 0:
         raise ValueError("limit must be >= 0")
     if limit > _SIEVE_LIMIT_CAP:
         raise BudgetExceededError(f"sieve limit {limit} exceeds the cap {_SIEVE_LIMIT_CAP}")
-    is_p = np.ones((limit + 1) // 2, dtype=bool)
-    is_p[:1] = False  # a = 0 is 1
-    for a in range(1, (math.isqrt(limit) + 1) // 2):
-        if is_p[a]:
-            p = 2 * a + 1
-            is_p[p * p // 2 :: p] = False
-    return is_p
+    size = (limit + 1) // 2
+    bits = np.empty(-(-size // 8), dtype=np.uint8)
+    segment = np.empty(min(size, _SIEVE_SEGMENT), dtype=bool)
+    roots = (math.isqrt(limit) + 1) // 2  # p = 2 a + 1 <= sqrt(limit) for a < roots
+    primes: list[int] = []
+    for lo in range(0, size, _SIEVE_SEGMENT):
+        part = segment[: min(size - lo, _SIEVE_SEGMENT)]
+        part[:] = True
+        if lo == 0:
+            part[0] = False  # a = 0 is 1
+            for a in range(1, roots):
+                if part[a]:
+                    p = 2 * a + 1
+                    part[p * p // 2 :: p] = False
+            primes = (2 * np.flatnonzero(part[:roots]) + 1).tolist()
+        else:
+            for p in primes:
+                offset = p * p // 2 - lo
+                if offset >= part.size:
+                    break
+                part[max(offset, offset % p) :: p] = False
+        bits[lo // 8 : -(-(lo + part.size) // 8)] = np.packbits(part, bitorder="little")
+    return bits
+
+
+def odd_prime_indicator(limit: int) -> np.ndarray:
+    """odd_prime_bits(limit) unpacked: is_p[a] is true exactly when 2 a + 1
+    is a prime <= limit, for 0 <= a < (limit + 1) // 2.
+
+    A bool per odd number, half a byte per integer, for the callers that
+    index or scan it freely (primes_up_to, the tau table of
+    pseudo.verify_correlation, count_prime_aps for k >= 4); the cap is
+    odd_prime_bits'.
+    """
+    bits = odd_prime_bits(limit)
+    return np.unpackbits(bits, count=(limit + 1) // 2, bitorder="little").view(bool)
+
+
+def _read_bits(bits: np.ndarray, start: int, step: int, out: np.ndarray) -> np.ndarray:
+    """Fill out[i] with bit start + i step of the bitset bits, as 0 or 1.
+
+    Bits i and i + P, P = 8 / gcd(step, 8), sit step P / 8 bytes apart at
+    the same bit of their bytes, so out[j::P] is one byte-strided slice of
+    bits, shifted and masked: P slices, and no index array.  out is float
+    or uint8; every bit read must lie in bits.
+    """
+    period = 8 // math.gcd(step, 8)
+    stride = step * period // 8
+    for j in range(min(period, out.size)):
+        bit = start + j * step
+        dest = out[j::period]
+        np.bitwise_and(bits[bit // 8 :: stride][: dest.size] >> (bit % 8), 1, out=dest)
+    return out
 
 
 def primes_up_to(limit: int) -> np.ndarray:
     """The primes <= limit in increasing order, as int64, from odd_prime_indicator.
 
     The odd primes are 2 a + 1 at the true entries; entry a = 0 (the number
-    1) is set true and relabelled as the prime 2, so the peak is half a byte
-    per integer plus the primes.  The cap is odd_prime_indicator's.
+    1) is set true and relabelled as the prime 2, so the peak is the
+    unpacked indicator (half a byte per integer) beside the bitset it came
+    from (1/16), plus the primes.  The cap is odd_prime_bits'.
     """
     if limit < 2:
         raise ValueError("limit must be >= 2")

@@ -576,8 +576,9 @@ def _cmd_apcount(args) -> dict:
     count = count_prime_aps(args.k, args.limit)
     if args.k == 3 and args.limit >= 2:
         forward, inverse, length = _k3_wheel_shape(args.limit)
-        print(f"[znkit] apcount route: wheel 210 on half-indices, {forward} forward and "
-              f"{inverse} inverse transforms of length L' = {length}", file=sys.stderr)
+        print(f"[znkit] apcount route: odd-prime bitset, wheel 210 on half-indices, "
+              f"{forward} forward and {inverse} inverse transforms of length L' = {length}",
+              file=sys.stderr)
     return {"k": args.k, "limit": args.limit, "count": count}
 
 

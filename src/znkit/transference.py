@@ -40,7 +40,7 @@ from .gowers import (
     gowers_norm,
     gowers_norm_mc,
 )
-from .arith import odd_prime_indicator
+from .arith import _read_bits, odd_prime_bits, odd_prime_indicator
 
 __all__ = [
     "DecompositionConfig",
@@ -170,100 +170,132 @@ def gvn_check(
 @functools.cache
 def _wheel_classes() -> tuple:
     """Per mod-6 class r of the half-indices: its live mod-210 subclasses x
-    (is_p[r + 6 x :: 210], 2 (r + 6 x) + 1 prime to 5 and 7) and, for each
-    pair sum s = x + y whose midpoints are prime to 5 and 7, the pairs
-    (row of x, row of y) of live subclasses x <= y."""
+    (a = r + 6 x mod 210, 2 a + 1 prime to 5 and 7) and, for each midpoint
+    view s < 35 (a = 3 s + r mod 105, 2 a + 1 prime to 5 and 7) that some
+    pair reaches, the pairs (row of x, row of y) of live subclasses x <= y
+    with x + y = s + 35, then those with x + y = s."""
     classes = []
     for r in (0, 2, 3, 5):
         live = [x for x in range(35) if math.gcd(2 * (r + 6 * x) + 1, 35) == 1]
-        sums: dict[int, list[tuple[int, int]]] = {}
-        for row, x in enumerate(live):
-            for col in range(row, len(live)):
-                s = x + live[col]
-                if math.gcd(2 * (r + 3 * s) + 1, 35) == 1:
-                    sums.setdefault(s, []).append((row, col))
-        classes.append((r, tuple(live), tuple(sorted(sums.items()))))
+        pairs = [(row, col) for row in range(len(live)) for col in range(row, len(live))]
+        views = []
+        for s in range(35):
+            if math.gcd(2 * (r + 3 * s) + 1, 35) == 1:
+                shifted = tuple(p for p in pairs if live[p[0]] + live[p[1]] == s + 35)
+                plain = tuple(p for p in pairs if live[p[0]] + live[p[1]] == s)
+                if shifted or plain:
+                    views.append((s, shifted, plain))
+        classes.append((r, tuple(live), tuple(views)))
     return tuple(classes)
 
 
 def _k3_wheel_shape(limit: int) -> tuple[int, int, int]:
     """(forward transforms, inverse transforms, length L') of the k = 3 count
-    to limit >= 2; L' is the least 5-smooth length >= 2 len - 1, len the
-    size of the largest subclass, is_p[0::210]."""
+    to limit >= 2; L' is the least 5-smooth length >= 2 len, len the size of
+    the largest subclass, half-indices 0 mod 210."""
     top = (limit - 1) // 2
     wheel = _wheel_classes()
     forward = sum(len(live) for _, live, _ in wheel)
-    inverse = sum(len(sums) for _, _, sums in wheel)
-    return forward, inverse, _smooth_length(2 * (top // 210 + 1) - 1)
+    inverse = sum(len(views) for _, _, views in wheel)
+    return forward, inverse, _smooth_length(2 * (top // 210 + 1))
 
 
-def _first_term_count(is_p: np.ndarray, a: int) -> int:
+_TERM_CHUNK = 2**16  # entries of each view per read in _first_term_count
+
+
+def _first_term_count(bits: np.ndarray, top: int, a: int) -> int:
     """3-APs (p, q, 2q - p) of primes q > p, 2q - p <= limit, for the odd
-    prime p = 2a + 1: 2q - p has half-index 2 a_q - a, so the ends are two
-    strided views of is_p = odd_prime_indicator(limit)."""
-    h = (is_p.size - 1 + a) // 2  # largest a_q with 2 q - p <= limit
-    return int(np.count_nonzero(is_p[a + 1 : h + 1] & is_p[a + 2 : 2 * h - a + 1 : 2]))
+    prime p = 2a + 1, from bits = odd_prime_bits(limit) and top = (limit -
+    1) // 2: 2q - p has half-index 2 a_q - a, so the ends are the bits
+    a + 1, a + 2, ... and a + 2, a + 4, ..., read _TERM_CHUNK at a time."""
+    h = (top + a) // 2  # largest a_q with 2 q - p <= limit
+    near = np.empty(min(max(h - a, 0), _TERM_CHUNK), dtype=np.uint8)
+    far = np.empty_like(near)
+    count = 0
+    for i in range(0, h - a, _TERM_CHUNK):
+        n = min(_TERM_CHUNK, h - a - i)
+        ends = _read_bits(bits, a + 1 + i, 1, near[:n])
+        ends &= _read_bits(bits, a + 2 + 2 * i, 2, far[:n])
+        count += int(np.count_nonzero(ends))
+    return count
 
 
-def _count_aps_k3_convolution(is_p: np.ndarray) -> int:
+def _count_aps_k3_convolution(bits: np.ndarray, limit: int) -> int:
     """3-APs of primes <= limit, counted by autoconvolutions of the mod-210
-    subclasses of the odd-prime indicator is_p = odd_prime_indicator(limit).
+    subclasses of the odd-prime bitset bits = odd_prime_bits(limit).
 
     2 is in no 3-AP (2m - 2 is even); write each odd prime as p = 2a + 1,
     so p, m, q is a 3-AP when a_p + a_q = 2 a_m.
     For p > 3, a = 0, 2, 3 or 5 (mod 6) and 2 a_m = 0 or 4 (mod 6); two of
     those classes sum to 0 or 4 only when both are one class, r, say.
     Class r splits into the 35 subclasses x = 0..34, a = r + 6x (mod 210),
-    the strided views is_p[r + 6x :: 210]; those with 2a + 1 = 0 (mod 5) or
+    read from bits with stride 210; those with 2a + 1 = 0 (mod 5) or
     (mod 7) hold no prime but 5 or 7, and are dropped.  Each of the other 24
-    is transformed once into a row of spectra, at the 5-smooth length
-    L' >= 2 len - 1 of the largest subclass (cyclic = linear product).
+    is transformed once, in float64, at the 5-smooth length L' >= 2 len of
+    the largest subclass, and its spectrum is stored rounded to complex64.
     Subclasses x <= y pair at the midpoints a_m = 105 w + 3 (x + y) + r, the
-    view is_p[3 (x + y) + r :: 105], so the products with one sum x + y are
-    added in one spectrum (weight 1 on the diagonal, 2 off it) and inverted
-    once: entry w counts the ordered pairs centred on the midpoint w of that
-    view.  A sum whose midpoints are multiples of 5 or 7 is skipped.  Over
-    all classes that counts 2 t_m + 1 at each prime m >= 11, t_m the 3-APs
-    centred on m with no end at 3, 5 or 7, and the 1 is p = q = m.  A class
-    takes 24 forward and at most 48 inverse transforms.  Beside is_p, memory
-    is the 24 spectra of L' / 2 + 1 entries, one float buffer of L' + 2
-    entries and one complex accumulator.  The float buffer holds each input,
-    each inverse and then the midpoint mask, and its complex view is the
-    scratch for each product; the accumulator's float view, once spent,
-    holds the rounded counts.  p = 3 (a = 1) is in no class.  A 3-AP that
-    holds 3, 5 or 7 has that prime as its least term, so the rest are the
-    (p, q, 2q - p), q > p, for p = 3, 5 and 7, each counted from two strided
-    views of is_p.  Counts stay far below 2^53, so every entry of each
-    inverse must land within rounding error of an integer; one that lies
-    more than 0.25 off raises, and the dot of the counts with the mask is
-    exact.
+    bits of stride 105 from 3 (x + y) + r.  The view of a sum s + 35 is that
+    of s shifted by one entry, so for each s < 35 the products with x + y =
+    s + 35 are added up, multiplied by the phase e^(-2 pi i k / L') (a shift
+    by one entry, which L' >= 2 len keeps from wrapping), the products with
+    x + y = s are added (weight 1 on the diagonal, 2 off it, all in
+    complex128), and the sum is inverted once: entry w counts the ordered
+    pairs centred on the midpoint w of the view of s.  A view whose
+    midpoints are multiples of 5 or 7 is skipped, so a class takes 24
+    forward and 24 inverse transforms.  Over all classes that counts
+    2 t_m + 1 at each prime m >= 11, t_m the 3-APs centred on m with no end
+    at 3, 5 or 7, and the 1 is p = q = m: the primes m >= 11 are a popcount
+    of bits.  Beside bits (1/16 byte per integer), memory is the 24 complex64
+    spectra of L' / 2 + 1 entries, the phase, one float buffer of L' + 2
+    entries and one complex accumulator.  The accumulator takes each
+    forward transform before it is rounded into its row; the float buffer
+    holds each input, each inverse and then the midpoint mask, and its
+    complex view is the scratch for each product; the accumulator's float
+    view, once spent, holds the rounded counts.  p = 3 (a = 1) is in no
+    class.  A 3-AP that holds 3, 5 or 7 has that prime as its least term,
+    so the rest are the (p, q, 2q - p), q > p, for p = 3, 5 and 7, each
+    counted by _first_term_count.
+
+    Counts stay far below 2^53, so every entry of each inverse must land
+    within rounding error of an integer; one that lies more than 0.25 off
+    raises, and the dot of the counts with the mask is exact.  Rounding a
+    spectrum entry to complex64 moves it by at most 2^-24 of its modulus,
+    so a product moves by at most 2^-23 |X_x| |X_y|, and by Parseval and
+    Cauchy-Schwarz each entry of an inverse moves by at most
+    2^-23 sum w sqrt(n_x n_y) over the pairs of its two sums, n_x the
+    primes in subclass x and w the pair's weight: 0.012 at 10^7 and 0.056
+    at the cap, far inside 0.25 beside float64's own rounding.
     """
-    top = is_p.size - 1  # largest a of an odd number <= limit
-    special = sum(_first_term_count(is_p, a) for a in (1, 2, 3))
-    total = -int(np.count_nonzero(is_p[4:]))  # one p = q = m pair per centre m >= 11
+    top = (limit - 1) // 2  # largest a of an odd number <= limit
+    special = sum(_first_term_count(bits, top, a) for a in (1, 2, 3))
+    # one p = q = m pair per centre m >= 11, a >= 4
+    total = int(bits[0] & 0x0F).bit_count() - int(np.bitwise_count(bits).sum())
     wheel = _wheel_classes()
-    _, _, length = _k3_wheel_shape(2 * top + 1)
+    _, _, length = _k3_wheel_shape(limit)
     half = length // 2 + 1
     rows = max(len(live) for _, live, _ in wheel)
-    spectra = np.empty((rows, half), dtype=np.complex128)
+    spectra = np.empty((rows, half), dtype=np.complex64)
+    phase = np.exp(np.arange(half) * (-2j * np.pi / length))
     acc = np.empty(half, dtype=np.complex128)
     buf = np.empty(2 * half)
     lin, prod = buf[:length], buf.view(np.complex128)
     counts = acc.view(np.float64)[:length]
-    for r, live, sums in wheel:
+    for r, live, views in wheel:
         for row, x in enumerate(live):
-            sub = is_p[r + 6 * x :: 210]
-            np.copyto(lin[: sub.size], sub)
-            lin[sub.size :] = 0.0
-            np.fft.rfft(lin, n=length, out=spectra[row])
-        for s, pairs in sums:
-            for n, (row, col) in enumerate(pairs):
+            size = len(range(r + 6 * x, top + 1, 210))
+            _read_bits(bits, r + 6 * x, 210, lin[:size])
+            lin[size:] = 0.0
+            spectra[row] = np.fft.rfft(lin, n=length, out=acc)
+        for s, shifted, plain in views:
+            for n, (row, col) in enumerate(shifted + plain):
                 term = prod if n else acc
-                np.multiply(spectra[row], spectra[col], out=term)
+                np.multiply(spectra[row], spectra[col], out=term, dtype=np.complex128)
                 if row != col:
                     term *= 2.0
                 if n:
                     acc += prod
+                if n + 1 == len(shifted):
+                    acc *= phase
             conv = np.fft.irfft(acc, n=length, out=lin)
             np.rint(conv, out=counts)
             np.subtract(conv, counts, out=conv)
@@ -273,29 +305,32 @@ def _count_aps_k3_convolution(is_p: np.ndarray) -> int:
                     f"inexact pair-count transform: an entry lies {residue:.3g} from an integer"
                 )
             # an index past L' - 1 lies beyond every pair sum of the class
-            centres = is_p[3 * s + r :: 105][:length]
-            mask = lin[: centres.size]  # the residues are spent
-            np.copyto(mask, centres)
-            total += int(np.dot(counts[: centres.size], mask))
+            mask = lin[: min(len(range(3 * s + r, top + 1, 105)), length)]  # residues spent
+            _read_bits(bits, 3 * s + r, 105, mask)
+            total += int(np.dot(counts[: mask.size], mask))
     return total // 2 + special
 
 
 def count_prime_aps(k: int, limit: int, budget: int = 10**9) -> int:
     """Exact number of k-term progressions of primes <= limit, difference >= 1.
 
-    Every route reads one odd-prime indicator, is_p[a] true when 2 a + 1 is
-    a prime <= limit (half a byte per integer); no list of primes and no
-    Mobius or von Mangoldt table is built.  k = 2 is the closed-form pair
-    count.  k = 3 runs the W-trick with W = 210 on the half-indices
-    a = (p - 1) / 2 of the primes p > 7: within each of the four classes
-    mod 6, which never pair across classes, the 24 subclasses mod 210 that
-    can hold primes are transformed once each (96 forward transforms of
-    5-smooth length L' about limit / 210), the products of subclass pairs
-    with one midpoint view are summed and inverted once (186 inverse
+    Every route reads the odd primes from one segmented sieve, bit a of
+    odd_prime_bits(limit) set when 2 a + 1 is a prime <= limit; no list of
+    primes and no Mobius or von Mangoldt table is built.  k = 2 is the
+    closed-form pair count from one popcount of the bitset (1/16 byte per
+    integer).  k = 3 runs the W-trick with W = 210 on the half-indices
+    a = (p - 1) / 2 of the primes p > 7, on the bitset itself: within each
+    of the four classes mod 6, which never pair across classes, the 24
+    subclasses mod 210 that can hold primes are transformed once each (96
+    forward transforms of 5-smooth length L' about limit / 210), the
+    products of subclass pairs whose midpoint views are one view or that
+    view shifted by one entry are summed and inverted once (96 inverse
     transforms), and the pair counts are read at the prime midpoints; the
     progressions (p, q, 2q - p) that start at p = 3, 5 or 7 are counted
-    directly.  Beside the limit / 2-byte indicator, memory is the 24 spectra
-    of L' / 2 + 1 entries (9.2 MB at 10^7).  Other k scan starts p
+    directly.  Beside the limit / 16-byte bitset, memory is the 24 complex64
+    spectra of L' / 2 + 1 entries (4.6 MB at 10^7).  Other k read the
+    unpacked indicator is_p = odd_prime_indicator(limit), half a byte per
+    integer, and scan starts p
     and differences d = 6, 12, ..., 6 m_p, m_p = (limit - p) // (6 (k - 1)),
     reading each term j of all m_p progressions as one strided slice
     is_p[a + 3j : a + 3 j m_p + 1 : 3j], a = (p - 1) / 2 (budget-gated on that
@@ -310,12 +345,13 @@ def count_prime_aps(k: int, limit: int, budget: int = 10**9) -> int:
         raise ValueError("k must be >= 2")
     if limit < 2:
         return 0
-    is_p = odd_prime_indicator(limit)
     if k == 2:
-        count = 1 + int(np.count_nonzero(is_p))
+        bits = odd_prime_bits(limit)
+        count = 1 + int(np.bitwise_count(bits, out=bits).sum())
         return count * (count - 1) // 2
     if k == 3:
-        return _count_aps_k3_convolution(is_p)
+        return _count_aps_k3_convolution(odd_prime_bits(limit), limit)
+    is_p = odd_prime_indicator(limit)
     step = 6 * (k - 1)
     starts = np.flatnonzero(is_p)  # a = (p - 1) / 2 of the odd primes
     terms = (limit - 1 - 2 * starts) // step  # m_p

@@ -19,10 +19,25 @@ from znkit import (
     euler_phi,
     is_prime_64,
     lambda_tilde,
+    odd_prime_bits,
     odd_prime_indicator,
     primes_up_to,
 )
-from znkit.arith import write_tables_csv
+from znkit.arith import _read_bits, write_tables_csv
+
+
+def whole_array_odd_prime_indicator(limit: int) -> np.ndarray:
+    """The odd half of a sieve of Eratosthenes in one array, the oracle of
+    the segmented sieve: is_p[a] is true exactly when 2 a + 1 is a prime
+    <= limit, and each odd prime p <= sqrt(limit) clears its odd multiples
+    from p^2 on, a = (p^2 - 1) / 2 + i p."""
+    is_p = np.ones((limit + 1) // 2, dtype=bool)
+    is_p[:1] = False  # a = 0 is 1
+    for a in range(1, (math.isqrt(limit) + 1) // 2):
+        if is_p[a]:
+            p = 2 * a + 1
+            is_p[p * p // 2 :: p] = False
+    return is_p
 
 
 def lambda_r_table(limit: int, R: float) -> np.ndarray:
@@ -148,6 +163,34 @@ class TestSieve:
             odd_prime_indicator(-1)
         with pytest.raises(BudgetExceededError, match="cap"):
             odd_prime_indicator(10**9)
+
+    def test_odd_prime_bits_match_the_whole_array_sieve(self):
+        # every limit to 3000, then (limit + 1) // 2 half-indices on both
+        # sides of the first two 2^18-entry segment ends
+        for limit in (*range(3001), *range(2**19 - 4, 2**19 + 4), *range(2**20 - 4, 2**20 + 4)):
+            want = whole_array_odd_prime_indicator(limit)
+            bits = odd_prime_bits(limit)
+            assert bits.dtype == np.uint8
+            assert np.array_equal(bits, np.packbits(want, bitorder="little")), limit
+            assert np.array_equal(odd_prime_indicator(limit), want), limit
+        with pytest.raises(BudgetExceededError, match="cap"):
+            odd_prime_bits(10**9)
+
+    @pytest.mark.parametrize("step", [1, 2, 105, 210])
+    def test_read_bits_matches_slicing(self, step):
+        is_p = whole_array_odd_prime_indicator(200_000)
+        bits = odd_prime_bits(200_000)
+        rng = np.random.default_rng(step)
+        for trial in range(200):
+            start = int(rng.integers(0, is_p.size))
+            room = (is_p.size - 1 - start) // step + 1
+            # counts below the period 8 / gcd(step, 8), and any count that fits
+            count = int(rng.integers(0, min(room, 9) + 1 if trial % 2 else room + 1))
+            want = is_p[start::step][:count]
+            for dtype in (np.float64, np.uint8):
+                out = np.full(count, 7, dtype=dtype)
+                assert _read_bits(bits, start, step, out) is out
+                assert np.array_equal(out, want.astype(dtype)), (start, count)
 
     @pytest.mark.parametrize("limit", [2, 3, 4, 5, 8, 9, 25, 26, 121, 997, 1000, 65536, 10**6])
     def test_primes_match_a_dense_sieve(self, limit):

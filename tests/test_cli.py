@@ -451,8 +451,8 @@ def test_apcount_names_its_route_on_stderr(capsys):
     assert code == EXIT_OK
     assert json.loads(captured.out)["result"]["count"] == 157300309
     route = [line for line in captured.err.splitlines() if "route" in line]
-    assert route == ["[znkit] apcount route: wheel 210 on half-indices, "
-                     "96 forward and 186 inverse transforms of length L' = 4800"]
+    assert route == ["[znkit] apcount route: odd-prime bitset, wheel 210 on half-indices, "
+                     "96 forward and 96 inverse transforms of length L' = 4800"]
     main(["apcount", "--k", "4", "--limit", "1000"])
     assert "route" not in capsys.readouterr().err
 

@@ -415,19 +415,42 @@ class TestCountPrimeAps:
             lengths.append(n)
             return real_rfft(a, n=n, **kw)
 
+        real_irfft = np.fft.irfft
+        inverses = []
+
+        def irfft(a, n=None, **kw):
+            inverses.append(n)
+            return real_irfft(a, n=n, **kw)
+
         monkeypatch.setattr(np.fft, "rfft", rfft)
+        monkeypatch.setattr(np.fft, "irfft", irfft)
         assert count_prime_aps(3, limit) == 157300309
         assert len(lengths) == 96
-        assert max(lengths) <= _smooth_length(2 * (limit // 420 + 1))
+        # s and s + 35 share one inverse: 24 midpoint views per class
+        assert len(inverses) == 96
+        assert set(inverses) == set(lengths) == {_smooth_length(2 * (limit // 420 + 1))}
 
     def test_progressions_starting_at_seven_match_brute_force(self):
         # 7's subclass is dropped from the wheel, so the (7, q, 2q - 7) are
-        # read off two strided views of the indicator
+        # read off two strided views of the bitset
         primes = {n for n in range(3001) if is_prime_64(n)}
         for limit in range(0, 3001):
-            is_p = znkit.arith.odd_prime_indicator(limit)
+            bits = znkit.arith.odd_prime_bits(limit)
             want = sum(1 for q in primes if 7 < q and 2 * q - 7 <= limit and 2 * q - 7 in primes)
-            assert znkit.transference._first_term_count(is_p, 3) == want, limit
+            got = znkit.transference._first_term_count(bits, (limit - 1) // 2, 3)
+            assert got == want, limit
+
+    def test_first_terms_read_in_chunks(self, monkeypatch):
+        # chunks of 7 entries: every chunk end, and a short last chunk
+        primes = {n for n in range(1200) if is_prime_64(n)}
+        monkeypatch.setattr(znkit.transference, "_TERM_CHUNK", 7)
+        for limit in (0, 11, 40, 41, 99, 1000, 1199):
+            bits = znkit.arith.odd_prime_bits(limit)
+            for a in (1, 2, 3):
+                p = 2 * a + 1
+                want = sum(1 for q in primes if p < q and 2 * q - p <= limit and 2 * q - p in primes)
+                got = znkit.transference._first_term_count(bits, (limit - 1) // 2, a)
+                assert got == want, (limit, p)
 
     def test_inexact_transform_raises(self, monkeypatch):
         real_irfft = np.fft.irfft
@@ -454,10 +477,11 @@ class TestCountPrimeAps:
         assert len(calls) == 1
 
     def test_k3_memory_per_integer(self):
-        # the half-size indicator, 24 subclass spectra and two buffers of the
-        # mod-210 wheel: about 1.57 bytes per integer, where the mod-30 wheel
-        # took 2.3, the mod-6 classes in two reused buffers 3.4, a dense sieve
-        # with the int64 primes, centres and half-indices 6.3, and a single
+        # the odd-prime bitset, 24 complex64 subclass spectra, the phase and
+        # two buffers: about 0.77 bytes per integer, where the half-size
+        # indicator with complex128 spectra took 1.57, the mod-30 wheel 2.3,
+        # the mod-6 classes in two reused buffers 3.4, a dense sieve with
+        # the int64 primes, centres and half-indices 6.3, and a single
         # transform over all odd numbers about 18.7
         limit = 10**6
         np.fft.irfft(np.fft.rfft(np.ones(8)))  # numpy.fft loads its modules on first use
@@ -467,7 +491,40 @@ class TestCountPrimeAps:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.7 * limit
+        assert peak <= 0.85 * limit
+
+    def test_pair_count_reads_only_the_bitset(self):
+        # 1/16 byte per integer, plus one 2^18-entry sieve segment and its
+        # packed copy; the unpacked indicator alone would be 5 MB here
+        limit = 10**7
+        tracemalloc.start()
+        try:
+            count = count_prime_aps(2, limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 664579 * 664578 // 2
+        assert peak <= limit / 16 + 2**19
+
+    def test_complex64_spectra_error_bound_at_the_cap(self):
+        # Rounding each spectrum entry to complex64 moves an inverse entry by
+        # at most 2^-23 sum w sqrt(n_x n_y) over the pairs of its two sums
+        # (Parseval and Cauchy-Schwarz); at the cap that must stay below half
+        # the 0.25 residue threshold
+        limit = 50_000_000
+        bits = znkit.arith.odd_prime_bits(limit)
+        top = (limit - 1) // 2
+        worst = 0.0
+        for r, live, views in znkit.transference._wheel_classes():
+            primes = []
+            for x in live:
+                sub = np.empty(len(range(r + 6 * x, top + 1, 210)), dtype=np.uint8)
+                primes.append(int(znkit.arith._read_bits(bits, r + 6 * x, 210, sub).sum()))
+            for _, shifted, plain in views:
+                bound = sum((1 if row == col else 2) * math.sqrt(primes[row] * primes[col])
+                            for row, col in shifted + plain)
+                worst = max(worst, 2.0**-23 * bound)
+        assert 0.05 < worst < 0.125
 
     def test_k3_route_builds_no_prime_list(self, monkeypatch):
         def refuse(limit):
