@@ -2,9 +2,9 @@
 
 Every run prints one JSON report to stdout whose meta block records the tool
 version, command, full parameter set and seed, so any output can be
-reproduced from the file alone.  Timing is measured but written to stderr;
-the wall_time_ms slot in artifacts stays null unless --timing is passed, so
-that identical runs produce byte-identical files.
+reproduced from the file alone.  Timing and peak RSS are measured but
+written to stderr; the wall_time_ms slot in artifacts stays null unless
+--timing is passed, so that identical runs produce byte-identical files.
 
 Exit codes: 0 success, 2 invalid parameters, 3 cost budget exceeded,
 4 verification verdict failed.
@@ -22,6 +22,11 @@ import time
 import warnings
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 from . import __version__
 from .core import (
@@ -68,7 +73,7 @@ EXIT_INVALID = 2
 EXIT_BUDGET = 3
 EXIT_VERDICT = 4
 
-_COLUMN_CHUNK = 1 << 16
+_COLUMN_CHUNK = 1 << 15
 
 
 class VerdictError(Exception):
@@ -168,15 +173,18 @@ def _read_column(path: str, n: int) -> GridFunction:
     return GridFunction(CyclicGroup(n), vals)
 
 
-def _dekker_split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x = hi + lo exactly, each half with at most 26 significant bits."""
-    c = 134217729.0 * x  # 2^27 + 1
-    hi = c - (c - x)
-    return hi, x - hi
+def _dekker_split(x: np.ndarray, hi: np.ndarray,
+                  lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Set x = hi + lo exactly, each half with at most 26 significant bits."""
+    np.multiply(x, 134217729.0, out=hi)  # 2^27 + 1
+    np.subtract(hi, x, out=lo)
+    np.subtract(hi, lo, out=hi)
+    np.subtract(x, hi, out=lo)
+    return hi, lo
 
 
 _POW10 = np.array([float(10**k) for k in range(21)])  # exact doubles
-_POW10_HI, _POW10_LO = _dekker_split(_POW10)
+_POW10_HI, _POW10_LO = _dekker_split(_POW10, np.empty(21), np.empty(21))
 
 # One row of bytes per value.  Columns 1-6 hold "-0.000", 7 the leading digit
 # d0, 8-22 the digits d1..d15, 23 ".", 24-39 the digits d1..d16 again and
@@ -211,10 +219,10 @@ _NEG_KEY = 21 * 17  # row keys: neg * _NEG_KEY + (e10 + 4) * 17 + zeros, then th
 @functools.cache
 def _text_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The text of 0000..9999 as uint32, their trailing zero digits (4 for
-    0000) and the row masks by key; built on first use, not on import."""
+    0000) as int8 and the row masks by key; built on first use, not on import."""
     q = np.arange(10**4)
     quads = (q[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
-    quad_zeros = sum(q % 10**j == 0 for j in range(1, 5))
+    quad_zeros = sum(q % 10**j == 0 for j in range(1, 5)).astype(np.int8)
     keep = np.zeros((2 * _NEG_KEY + 25, _ROW.size), dtype=bool)
     for key, layout in enumerate(itertools.product((0, 1), range(-4, 17), range(17))):
         keep[key, _kept_columns(*layout)] = True
@@ -223,58 +231,86 @@ def _text_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return quads.view(np.uint32).ravel(), quad_zeros, keep
 
 
-def _times_pow10(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p, err) with p + err = a * 10^k exactly: Dekker's error-free product."""
-    p = a * _POW10[k]
-    a_hi, a_lo = _dekker_split(a)
-    b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
-    err = a_hi * b_hi
+def _times_pow10(a: np.ndarray, k: np.ndarray,
+                 out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, err) with p + err = a * 10^k exactly: Dekker's error-free product.
+
+    out is a float64 array of shape (5, a.size): p and err are its first two
+    rows, the other three are scratch.  The halves of 10^k are gathered
+    again where they are needed, so no more rows are live at once.
+    """
+    p, err, a_hi, a_lo, b = out
+    np.multiply(a, np.take(_POW10, k, out=b, mode="clip"), out=p)
+    _dekker_split(a, a_hi, a_lo)
+    np.multiply(a_hi, np.take(_POW10_HI, k, out=b, mode="clip"), out=err)
     err -= p
-    err += a_hi * b_lo
-    err += a_lo * b_hi
-    err += a_lo * b_lo
+    err += np.multiply(a_hi, np.take(_POW10_LO, k, out=b, mode="clip"), out=b)
+    err += np.multiply(a_lo, np.take(_POW10_HI, k, out=b, mode="clip"), out=b)
+    err += np.multiply(a_lo, np.take(_POW10_LO, k, out=b, mode="clip"), out=b)
     return p, err
 
 
-def _decimal_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _decimal_digits(a: np.ndarray, floats: np.ndarray,
+                    ints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For 1e-4 <= a < 1e17: the decimal exponent of a, and its 17
     significant digits as an integer in [10^16, 10^17), rounded half to even
-    on a's exact value, as format(a, ".17g") rounds them."""
-    e10 = np.floor(np.log10(a)).astype(np.int64)
+    on a's exact value, as format(a, ".17g") rounds them.
+
+    floats (float64) and ints (int64) are scratch of shapes (5, a.size) and
+    (3, a.size); the results are the first two rows of ints.
+    """
+    e10, digits, k = ints
+    np.log10(a, out=floats[0])
+    np.floor(floats[0], out=floats[0])
+    np.copyto(e10, floats[0], casting="unsafe")
     np.clip(e10, -4, 16, out=e10)
-    p, err = _times_pow10(a, 16 - e10)
+    np.subtract(16, e10, out=k)
+    p, err = _times_pow10(a, k, floats)
     # log10 may be off by one next to a power of ten; p and err tell exactly
-    step = ((p > 1e17) | ((p == 1e17) & (err >= 0))).astype(np.int64)
-    step -= (p < 1e16) | ((p == 1e16) & (err < 0))
-    fix = np.flatnonzero(step)
-    e10[fix] += step[fix]
-    p[fix], err[fix] = _times_pow10(a[fix], 16 - e10[fix])
+    up = (p > 1e17) | ((p == 1e17) & (err >= 0))
+    down = (p < 1e16) | ((p == 1e16) & (err < 0))
+    fix = np.flatnonzero(up | down)
+    e10[fix] += np.where(up[fix], 1, -1)
+    p[fix], err[fix] = _times_pow10(a[fix], 16 - e10[fix], np.empty((5, fix.size)))
     # p is an even integer, so rint rounds the sum half to even.  It never
     # carries to 10^17: no double lies within 5e-18 of its size below a power
     # of ten from 10^-4 to 10^17 (the nearest is 8.3e-17 below 0.1).
-    digits = p.astype(np.int64)
-    digits += np.rint(err).astype(np.int64)
+    np.copyto(digits, p, casting="unsafe")
+    np.rint(err, out=err)
+    np.copyto(k, err, casting="unsafe")
+    digits += k
     return e10, digits
 
 
-def _divmod(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.divmod by a scalar, in two passes: // by a scalar is far faster."""
-    q = x // m
-    return q, x - q * m
+def _divmod(x: np.ndarray, m: int, q: np.ndarray,
+            r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.divmod by a scalar into q and r (neither may be x), in two passes:
+    // by a scalar is far faster."""
+    np.floor_divide(x, m, out=q)
+    np.multiply(q, m, out=r)
+    np.subtract(x, r, out=r)
+    return q, r
 
 
-def _digit_rows(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _digit_rows(rows: np.ndarray, a: np.ndarray, floats: np.ndarray,
+                ints: np.ndarray, quad: np.ndarray) -> np.ndarray:
     """Write the 17 digits of each a (1e-4 <= a < 1e17) into its row; return
-    (e10 + 4) * 17 + zeros, the unsigned part of the row's key."""
+    (e10 + 4) * 17 + zeros, the unsigned part of the row's key, in ints[0].
+
+    floats, ints and quad are scratch: float64 (5, a.size), int64
+    (6, a.size) and uint32 (a.size,).
+    """
     quads, quad_zeros, _ = _text_tables()
-    e10, digits = _decimal_digits(a)
-    high, low = _divmod(digits, 10**8)
-    lead, high = _divmod(high, 10**8)
-    rows[:, 7] = lead + ord("0")
-    groups = [*_divmod(high, 10**4), *_divmod(low, 10**4)]
+    e10, digits = _decimal_digits(a, floats, ints[:3])
+    high, low = _divmod(digits, 10**8, ints[2], ints[3])
+    lead, high = _divmod(high, 10**8, ints[1], ints[4])
+    lead += ord("0")
+    rows[:, 7] = lead
+    groups = [*_divmod(high, 10**4, ints[1], ints[2]), *_divmod(low, 10**4, ints[4], ints[5])]
     row_quads = rows.view(np.uint32)
     for i, g in enumerate(groups):
-        row_quads[:, 2 + i] = row_quads[:, 6 + i] = quads[g]
+        np.take(quads, g, out=quad, mode="clip")
+        row_quads[:, 2 + i] = row_quads[:, 6 + i] = quad
     rows[:, 23] = ord(".")
 
     def trailing_zeros(high, low):  # of the 8-digit numbers 10^4 high + low
@@ -300,23 +336,33 @@ def _column_chunks(values: np.ndarray):
 
     Where %g prints fixed notation (1e-4 <= |v| < 1e17) the text is built in
     numpy from the exact 17-digit rounding; zeros, subnormals and the other
-    values of exponent notation go through _percent_rows.
+    values of exponent notation go through _percent_rows.  Every chunk-sized
+    array is allocated once and reused, so later chunks fault in no fresh
+    pages.  Each gather into one of them has its indices in range by
+    construction and passes mode="clip": the default mode copies through a
+    fresh buffer.
     """
     keep = _text_tables()[2]
-    canvas = np.tile(_ROW, (min(values.size, _COLUMN_CHUNK), 1))
+    size = min(values.size, _COLUMN_CHUNK)
+    canvas = np.tile(_ROW, (size, 1))
+    mask = np.empty(canvas.shape, dtype=bool)
+    floats = np.empty((6, size))
+    ints = np.empty((6, size), dtype=np.int64)
+    quad = np.empty(size, dtype=np.uint32)
     for start in range(0, values.size, _COLUMN_CHUNK):
         chunk = values[start : start + _COLUMN_CHUNK]
-        rows = canvas[: chunk.size]
-        a = np.abs(chunk)
+        n = chunk.size
+        rows = canvas[:n]
+        a = np.abs(chunk, out=floats[0, :n])
         other = np.flatnonzero(~((a >= 1e-4) & (a < 1e17)))
         a[other] = 1.0  # any value of the range; its row is overwritten below
-        key = _digit_rows(rows, a)
-        key += np.signbit(chunk) * _NEG_KEY
+        key = _digit_rows(rows, a, floats[1:, :n], ints[:, :n], quad[:n])
+        np.add(key, _NEG_KEY, out=key, where=np.signbit(chunk))
         if other.size:
             text = _percent_rows(chunk[other])
             rows[other, _PERCENT_AT : _PERCENT_AT + 24] = text
             key[other] = 2 * _NEG_KEY + (text != ord(" ")).sum(axis=1)
-        yield rows[keep[key]].tobytes()
+        yield rows[np.take(keep, key, axis=0, out=mask[:n], mode="clip")].tobytes()
 
 
 def _write_column(values: np.ndarray, path: str) -> None:
@@ -328,6 +374,18 @@ def _write_column(values: np.ndarray, path: str) -> None:
         raise ValueError("reports must contain finite numbers only")
     with open(path, "wb") as fh:
         fh.writelines(_column_chunks(values))
+
+
+def _finished_line(command: str, elapsed_ms: float) -> str:
+    """The stderr line that closes a run: its time and, where the platform
+    reports it, the process's peak RSS in MB (ru_maxrss is in KiB on Linux,
+    in bytes on macOS)."""
+    line = f"[znkit] {command} finished in {elapsed_ms:.1f} ms"
+    if resource is None:
+        return line
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak /= 2**20 if sys.platform == "darwin" else 2**10
+    return f"{line}, peak RSS {peak:.1f} MB"
 
 
 def _majorant_params(args) -> MajorantParams:
@@ -742,7 +800,7 @@ def main(argv: list[str] | None = None) -> int:
         print(_to_json({"error": {"type": "invalid", "message": str(exc)}}))
         return EXIT_INVALID
     elapsed_ms = 1000.0 * (time.monotonic() - started)
-    print(f"[znkit] {args.command} finished in {elapsed_ms:.1f} ms", file=sys.stderr)
+    print(_finished_line(args.command, elapsed_ms), file=sys.stderr)
     meta = {
         "version": __version__,
         "command": args.command,

@@ -11,7 +11,8 @@ product prod_i f((mat[i] . x + c_i) mod N) at columns x that the linear
 forms, the window moments, the sampled U^d norm and the sampled dual all
 evaluate.  It builds each index by in-place adds, gathers from a table
 tiled so that small coefficients need no remainder, and multiplies in
-cache-sized blocks.  The private _pairwise_sum gives np.add.reduce of an
+cache-sized blocks; _uniform_draw feeds it uniform points one block at a
+time.  The private _pairwise_sum gives np.add.reduce of an
 array that is never formed whole, from sums over the leaves of numpy's own
 pairwise-sum tree.
 
@@ -24,7 +25,6 @@ neither takes a length-N complex FFT (Bluestein's algorithm at prime N).
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -72,10 +72,15 @@ def substream(seed: int, *path: int | str) -> np.random.Generator:
     Worker/chunk i must use ``substream(seed, ..., i)`` so that results do
     not depend on how work is split.  String path components are hashed
     stably (blake2s), so streams are reproducible across runs and platforms.
+    hashlib is imported here, not at module level: it maps OpenSSL's
+    libcrypto, which only sampling commands need (numpy.random loads it
+    through secrets and hmac when a generator is built).
     """
     key = []
     for part in path:
         if isinstance(part, str):
+            import hashlib
+
             digest = hashlib.blake2s(part.encode("utf-8"), digest_size=8).digest()
             key.append(int.from_bytes(digest, "little"))
         else:
@@ -423,6 +428,25 @@ def _form_product(
         return out
 
     return product
+
+
+def _uniform_draw(weight: Callable[[np.ndarray], np.ndarray], n: int, t: int):
+    """draw(rng, count) for mc_mean: weight at count uniform points of Z_n^t.
+
+    The points are drawn _BLOCK at a time, so a chunk's int64 points are
+    never held whole.  The values are those of one
+    rng.integers(0, n, size=(count, t)) call, which fills its rows in order
+    from the same stream.
+    """
+
+    def draw(rng: np.random.Generator, count: int) -> np.ndarray:
+        out = np.empty(count)
+        for start in range(0, count, _BLOCK):
+            stop = min(start + _BLOCK, count)
+            out[start:stop] = weight(rng.integers(0, n, size=(stop - start, t)).T)
+        return out
+
+    return draw
 
 
 _PW_BLOCK = 128  # numpy's pairwise sum adds a node this size with no split

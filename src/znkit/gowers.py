@@ -52,6 +52,7 @@ from .core import (
     _smooth_length,
     _spectrum,
     _translates,
+    _uniform_draw,
     expectation,
     mc_mean,
     substream,
@@ -261,11 +262,8 @@ def gowers_norm_mc(
     _check_budget(2**d * samples, budget, f"sampled U^{d} norm", "lower d or samples")
     rows = [(1,) + om for om in itertools.product((0, 1), repeat=d)]
     weight = _form_product(f.values, rows, [0] * len(rows))
-
-    def draw(rng, count):  # columns (x, h_1, ..., h_d)
-        return weight(rng.integers(0, n, size=(count, d + 1)).T)
-
-    est = mc_mean(draw, samples, seed, "gowers_mc", _MC_CHUNK)
+    # columns (x, h_1, ..., h_d)
+    est = mc_mean(_uniform_draw(weight, n, d + 1), samples, seed, "gowers_mc", _MC_CHUNK)
     return GowersEstimate.from_raised(est.value, d, "monte_carlo", est.std_error)
 
 

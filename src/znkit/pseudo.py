@@ -37,6 +37,7 @@ from .core import (
     _check_budget,
     _form_product,
     _pairwise_sum,
+    _uniform_draw,
     inner_product,
     mc_mean,
     substream,
@@ -256,7 +257,8 @@ def verify_linear_forms(
     enumerates the full grid (cost m N^t, budget-gated) in chunks of flat
     indices, so memory stays bounded whatever N^t is; each chunk is summed
     by numpy's pairwise reduction and the chunk sums are added in order.
-    Otherwise uniform sampling with a reported standard error.
+    Otherwise uniform sampling with a reported standard error, gated at
+    m samples gathers before the first draw.
     """
     nu.group.ensure_prime()
     if system.allow_proportional:
@@ -276,11 +278,10 @@ def verify_linear_forms(
             total += float(weight(np.stack(np.unravel_index(flat, (N,) * system.t))).sum())
         est = EstimatorResult(total / points, 0.0, points, seed)
     elif mode == "monte_carlo":
-
-        def draw(rng, count):
-            return weight(rng.integers(0, N, size=(count, system.t)).T)
-
-        est = mc_mean(draw, samples, seed, "linforms", _MC_CHUNK)
+        _check_budget(system.m * samples, budget, f"sampling {samples} points of "
+                      f"{system.m} forms", "lower samples")
+        est = mc_mean(_uniform_draw(weight, N, system.t), samples, seed, "linforms",
+                      _MC_CHUNK)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     deviation = abs(est.value - 1.0)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -168,6 +169,15 @@ def test_sampled_huge_d_is_a_budget_refusal(capsys, tmp_path, argv):
     path = tmp_path / "f.csv"
     path.write_text("1.0\n" * 3)
     code, out = run_cli(capsys, *argv, "--samples", "100", "--input", str(path))
+    assert code == EXIT_BUDGET
+    assert json.loads(out)["error"]["type"] == "budget"
+
+
+def test_sampled_linear_forms_are_a_budget_refusal(capsys):
+    # m samples = 4e11 gathers against a budget of 1000: refused before any draw
+    code, out = run_cli(capsys, "linforms", "--n", "10007", "--nu", "constant",
+                        "--system", "cube:2", "--mode", "monte_carlo",
+                        "--samples", "100000000000", "--budget", "1000")
     assert code == EXIT_BUDGET
     assert json.loads(out)["error"]["type"] == "budget"
 
@@ -541,8 +551,62 @@ def test_in_process_runs_write_only_to_the_current_streams(capfd, monkeypatch, t
             code = main(list(argv))
         assert code in (EXIT_OK, EXIT_VERDICT), (argv, out.getvalue())
         assert json.loads(out.getvalue())["meta"]["command"] == argv[0]
-        assert f"[znkit] {argv[0]} finished in" in err.getvalue()
+        finished = re.search(rf"^\[znkit\] {argv[0]} finished in \d+\.\d ms, "
+                             r"peak RSS (\d+\.\d) MB$", err.getvalue(), re.M)
+        assert finished and float(finished[1]) > 0, err.getvalue()
         assert capfd.readouterr() == ("", ""), argv
+
+
+def _modules_after(code, cwd):
+    """The names in sys.modules after a fresh interpreter runs code."""
+    env = dict(os.environ, PYTHONPATH=str(Path(znkit.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code + "\nimport sys\n"
+                           "print(' '.join(sorted(sys.modules)))"],
+                          capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+OPENSSL_MODULES = {"_hashlib", "hashlib"}
+
+
+def test_importing_the_cli_loads_no_openssl_or_numpy_random(tmp_path):
+    # libcrypto costs about 3.5 MB RSS in every process that maps it
+    loaded = _modules_after("import znkit.cli", tmp_path)
+    assert "znkit.cli" in loaded
+    assert not loaded & (OPENSSL_MODULES | {"numpy.random"})
+
+
+def test_only_sampling_commands_load_openssl(tmp_path):
+    rng = np.random.default_rng(0)
+    interval = np.zeros(101)
+    interval[:50] = 1.0
+    for name, col in (("small", rng.uniform(-1.0, 1.0, 31)), ("interval", interval)):
+        _write_column(col, str(tmp_path / f"{name}.csv"))
+    commands = [
+        ("apcount", "--k", "3", "--limit", "100000"),
+        ("apcount", "--k", "4", "--limit", "10000"),
+        ("majorant", *MAJ_SMALL, "--w", "3", "--output", "nu.csv"),
+        ("gycheck", *MAJ_SMALL, "--w", "2"),
+        ("gycheck", *MAJ_SMALL, "--h-list", "0,2,6"),
+        ("gowers", "--n", "31", "--d", "3", "--input", "small.csv", "--mode", "exact"),
+        ("dual", "--n", "31", "--d", "3", "--input", "small.csv", "--mode", "exact"),
+        ("gowers", "--n", "10007", "--d", "2", "--input", "nu.csv", "--mode", "fourier"),
+        ("dual", "--n", "10007", "--d", "2", "--input", "nu.csv", "--mode", "fourier",
+         "--output", "dual.csv"),
+        ("sieve", "--limit", "1000", "--r", "5", "--output", "tables.csv"),
+        ("decompose", "--n", "101", "--f", "interval.csv", "--epsilon-dec", "1e-4",
+         "--eta", "1e-5"),
+    ]
+    run = ("import contextlib, io\nfrom znkit.cli import main\n"
+           f"for argv in {commands!r}:\n"
+           "    with contextlib.redirect_stdout(io.StringIO()), "
+           "contextlib.redirect_stderr(io.StringIO()):\n"
+           "        assert main(list(argv)) == 0, argv")
+    assert not _modules_after(run, tmp_path) & OPENSSL_MODULES
+    # a sampling command in the same interpreter does load it
+    sampled = run + "\nmain(['gvn', '--n', '101', '--trials', '2'])"
+    assert OPENSSL_MODULES <= _modules_after(sampled, tmp_path)
 
 
 def test_stdout_is_deterministic(capsys):
@@ -614,8 +678,11 @@ class TestColumnFiles:
         _write_column(np.array(self.EDGES), str(path))
         assert path.read_text() == per_value_text(self.EDGES)
 
+    # the second chunk boundary runs the reused buffers again, full and
+    # then for one value
     @pytest.mark.parametrize(
-        "size", [1, _COLUMN_CHUNK - 1, _COLUMN_CHUNK, _COLUMN_CHUNK + 1])
+        "size", [1, _COLUMN_CHUNK - 1, _COLUMN_CHUNK, _COLUMN_CHUNK + 1,
+                 2 * _COLUMN_CHUNK - 1, 2 * _COLUMN_CHUNK, 2 * _COLUMN_CHUNK + 1])
     def test_chunk_boundaries_round_trip_bit_identical(self, tmp_path, size):
         rng = np.random.default_rng(size)
         values = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)

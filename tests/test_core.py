@@ -23,7 +23,8 @@ from znkit import (
     substream,
 )
 import znkit.core
-from znkit.core import _BLOCK, _TILE_CAP, _form_product, _pairwise_sum, mc_mean
+from znkit.core import (_BLOCK, _TILE_CAP, _form_product, _pairwise_sum, _uniform_draw,
+                        mc_mean)
 from conftest import (atoms_by_comparison, first_occurrence_labels, random_function,
                       random_partition)
 
@@ -389,6 +390,47 @@ def test_substream_is_deterministic_and_keyed():
     c = substream(42, "x", 2).integers(0, 1000, size=5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# substream(1, name, 0).integers(0, 2**32, size=4) for every stream name the
+# library uses, recorded before hashlib's import moved into substream: a
+# change to the hashing path must not move any stream.
+GOLDEN_STREAMS = {
+    "bernoulli": [289227597, 3606994539, 2598174805, 3680294152],
+    "correlation_tuples": [254767707, 824505148, 1402991759, 3266201118],
+    "dense01": [2012200504, 3219490515, 1960484297, 1676203887],
+    "dual_mc": [857878251, 3160634664, 3680693014, 4024790985],
+    "gowers_mc": [3189305227, 134517538, 2056167520, 731977607],
+    "gvn": [2866465777, 3603978068, 3805669167, 959381901],
+    "gy_moment": [1659650315, 2391054045, 112029791, 2967440672],
+    "linforms": [1555472974, 383020834, 4139058486, 2225011692],
+    "nu_mask": [874474074, 2285254225, 3783428761, 117573314],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STREAMS))
+def test_substream_golden_values(name):
+    got = substream(1, name, 0).integers(0, 2**32, size=4).tolist()
+    assert got == GOLDEN_STREAMS[name]
+
+
+@pytest.mark.parametrize("n", [101, 10007, 999983, 2**31 - 1, 2**32 + 15])
+@pytest.mark.parametrize("t", [1, 3, 4])
+def test_uniform_draw_takes_the_values_of_one_integers_call(n, t):
+    # block by block, the points are those of one (count, t) draw; the
+    # identity table makes the product a function of the points' first row
+    count = 2 * _BLOCK + 77
+    seen = []
+
+    def weight(x):
+        seen.append(x.T.copy())
+        return x[0].astype(np.float64)
+
+    got = _uniform_draw(weight, n, t)(substream(3, "blocks", 0), count)
+    want = substream(3, "blocks", 0).integers(0, n, size=(count, t))
+    assert [x.shape[0] for x in seen] == [_BLOCK, _BLOCK, 77]
+    assert np.array_equal(np.concatenate(seen), want)
+    assert np.array_equal(got, want[:, 0].astype(np.float64))
 
 
 class TestMonteCarloEngine:

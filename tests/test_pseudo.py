@@ -261,6 +261,38 @@ class TestVerifyLinearForms:
             tracemalloc.stop()
         assert peak < draw_peak + 8 * _MC_CHUNK + 2**18
 
+    def test_monte_carlo_draws_eight_variables_a_block_at_a_time(self):
+        # the Conlon-Fox-Zhao system at k = 4: forms sum_i (j - i) x_i^(omega_i),
+        # j = 1..4, omega over the other three i, in t = 2k = 8 variables.
+        # A whole chunk of its points would take 8 MiB; drawn a block at a
+        # time, one chunk's output and a block's points and buffers remain
+        k = 4
+        rows = []
+        for j in range(1, k + 1):
+            others = [i for i in range(1, k + 1) if i != j]
+            for omega in itertools.product((0, 1), repeat=k - 1):
+                row = [0] * (2 * k)
+                for i, w in zip(others, omega):
+                    row[2 * (i - 1) + w] = j - i
+                rows.append(row)
+        system = LinearFormSystem.from_rows(rows)
+        assert (system.m, system.t) == (32, 8)
+        nu = bernoulli_measure(999983, seed=1)
+        tracemalloc.start()
+        try:
+            verify_linear_forms(nu, system, mode="monte_carlo",
+                                samples=2 * _MC_CHUNK + 7, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * _MC_CHUNK + 2**20
+
+    def test_monte_carlo_budget_is_checked_before_sampling(self):
+        nu = GridFunction.constant(CyclicGroup(10007), 1.0)
+        with pytest.raises(BudgetExceededError, match="4.00e\\+11"):
+            verify_linear_forms(nu, LinearFormSystem.cube(2), mode="monte_carlo",
+                                samples=10**11, budget=1000)
+
 
 class TestTauWeight:
     def test_empty_product(self):
