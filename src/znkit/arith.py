@@ -318,7 +318,9 @@ def lambda_tilde(n: int, params: MajorantParams) -> float:
     return params.phi_W / params.W * math.log(m)
 
 
-def divisor_sums_on_progression(a: int, b: int, lo: int, hi: int, R: float) -> np.ndarray:
+def divisor_sums_on_progression(
+    a: int, b: int, lo: int, hi: int, R: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """L_R(a n + b) for lo <= n <= hi, as an array of length hi - lo + 1.
 
     Walks the squarefree d <= R in increasing order.  d divides a n + b
@@ -327,13 +329,22 @@ def divisor_sums_on_progression(a: int, b: int, lo: int, hi: int, R: float) -> n
     with Python ints.  Each entry receives the same additions in the same
     order as in a full table of L_R over 1..a hi + b filled by one strided
     add per d, so the values are bit-identical to that table at a n + b.
-    An empty window (lo > hi) gives an empty array.
+    An empty window (lo > hi) gives an empty array.  Given out, a float64
+    vector of hi - lo + 1 entries (a slice of a larger table, say), the sums
+    are written there, over zeros, and out is returned.
     """
     if R < 1:
         raise ValueError("R must be >= 1")
     if a < 1:
         raise ValueError("a must be >= 1")
-    out = np.zeros(max(hi - lo + 1, 0), dtype=np.float64)
+    size = max(hi - lo + 1, 0)
+    if out is None:
+        out = np.zeros(size, dtype=np.float64)
+    elif out.dtype != np.float64 or out.shape != (size,):
+        raise ValueError(f"out must be a float64 vector of {size} entries, "
+                         f"got {out.dtype} of shape {out.shape}")
+    else:
+        out.fill(0.0)
     if out.size == 0:
         return out
     if a * lo + b < 1:
@@ -352,22 +363,35 @@ def divisor_sums_on_progression(a: int, b: int, lo: int, hi: int, R: float) -> n
     return out
 
 
+_SCALE_BLOCK = 1 << 16  # window entries scaled per pass in build_majorant (512 KiB)
+
+
 def build_majorant(params: MajorantParams) -> GridFunction:
     """The majorant measure on Z_N: normalized squared truncated divisor sums
     of W n + 1 on the window, and 1 off the window.
 
     Deterministic: identical params give bit-identical values.  An empty
-    window (possible when epsilon_k N < 1) yields the constant function 1.
+    window (possible when epsilon_k N < 1) yields the constant function 1,
+    held as one float (GridFunction.constant).  The divisor sums are written
+    into the window of the values and scaled there, _SCALE_BLOCK entries at
+    a time through one buffer, in the order (phi(W)/W) lam, then times lam,
+    then over log R, so beside the N values only that buffer is held.
     """
     group = CyclicGroup(params.N)
-    values = np.ones(params.N, dtype=np.float64)
     lo, hi = params.window
     if lo > hi:
-        return GridFunction(group, values)
+        return GridFunction.constant(group, 1.0)
     if params.log_R <= 0:
         raise ValueError("R must exceed 1 on a nonempty window")
-    lam = divisor_sums_on_progression(params.W, 1, lo, hi, params.R)
-    values[lo : hi + 1] = (params.phi_W / params.W) * lam * lam / params.log_R
+    values = np.ones(params.N, dtype=np.float64)
+    window = divisor_sums_on_progression(params.W, 1, lo, hi, params.R,
+                                         out=values[lo : hi + 1])
+    buf = np.empty(min(window.size, _SCALE_BLOCK))
+    for start in range(0, window.size, buf.size):
+        lam = window[start : start + buf.size]
+        scaled = np.multiply(params.phi_W / params.W, lam, out=buf[: lam.size])
+        scaled *= lam
+        np.divide(scaled, params.log_R, out=lam)
     return GridFunction(group, values)
 
 

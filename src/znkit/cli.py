@@ -542,9 +542,12 @@ def _cmd_correlation(args) -> dict:
         verdict_threshold=args.threshold,
     )
     product_leaf, tau_leaf, tau_leaves, table = _correlation_shape(args.n)
+    held = (f"broadcast constant ({nu.values.itemsize} B)" if nu.is_broadcast
+            else f"dense ({nu.values.nbytes / 1e6:.1f} MB)")
     print(f"[znkit] correlation route: product leaves of at most {product_leaf} points, "
           f"{tau_leaves} tau leaves of at most {tau_leaf} residues, factor table of "
-          f"{table} entries, {len(tuples)} of {args.tuples} tuples kept", file=sys.stderr)
+          f"{table} entries, {len(tuples)} of {args.tuples} tuples kept, measure: {held}",
+          file=sys.stderr)
     out = report.to_dict()
     if not report.passed:
         raise VerdictError(out)

@@ -1,6 +1,7 @@
 """Measure-theoretic primitives on the cyclic group Z_N.
 
-Functions on Z_N are stored densely as float64 vectors.  Expectations use
+Functions on Z_N are float64 vectors, dense or one value broadcast over Z_N
+(a zero-stride view, which is how a constant is held).  Expectations use
 numpy's pairwise reduction, which keeps results deterministic and accurate
 to ~1e-13 relative error for N up to 10^7.  Everything here is pure: values
 and partitions are frozen after construction, so concurrent reads are safe.
@@ -172,20 +173,39 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """A real-valued function on Z_N, stored densely."""
+    """A real-valued function on Z_N: float64 values, dense, or one value
+    broadcast over Z_N.
+
+    A broadcast (zero-stride) float64 vector is kept as it is, so a constant
+    costs one float whatever N is; every reader of values only slices,
+    gathers and applies ufuncs, and arithmetic on it returns a dense array.
+    Any other input is made a contiguous float64 vector.  The function takes
+    ownership of its array: one that is already a contiguous float64 vector
+    is not copied but frozen in place, so the caller's array turns read-only.
+    """
 
     group: CyclicGroup
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.ascontiguousarray(self.values, dtype=np.float64)
+        vals = self.values
+        broadcast = (isinstance(vals, np.ndarray) and vals.dtype == np.float64
+                     and vals.strides == (0,))
+        if not broadcast:
+            vals = np.ascontiguousarray(vals, dtype=np.float64)
         if vals.shape != (self.group.modulus,):
             raise ValueError(
                 f"expected {self.group.modulus} values, got shape {vals.shape}"
             )
-        if not np.all(np.isfinite(vals)):
+        # a broadcast vector holds one float, so one entry is checked
+        if not np.all(np.isfinite(vals[:1] if broadcast else vals)):
             raise ValueError("values must be finite (no NaN/Inf)")
         object.__setattr__(self, "values", _freeze(vals))
+
+    @property
+    def is_broadcast(self) -> bool:
+        """True when values is one float broadcast over Z_N (see constant)."""
+        return self.values.strides == (0,)
 
     @classmethod
     def from_values(cls, group: CyclicGroup, values: Iterable[float]) -> "GridFunction":
@@ -193,7 +213,8 @@ class GridFunction:
 
     @classmethod
     def constant(cls, group: CyclicGroup, c: float) -> "GridFunction":
-        return cls(group, np.full(group.modulus, float(c)))
+        """c at every residue, held as one float broadcast over Z_N."""
+        return cls(group, np.broadcast_to(float(c), (group.modulus,)))
 
     @classmethod
     def indicator(cls, group: CyclicGroup, residues: Iterable[int]) -> "GridFunction":

@@ -544,7 +544,8 @@ def _window_weight(
     For each form the divisor sums are computed on the progression
     W k + W c_i + 1 over the range of k = mat[i] . x across the box (its ends
     are attained at corners), so memory is O(m |box| + R) whatever W is.
-    Their squares share one table, and the product runs on the linear-forms
+    They are sieved straight into their slices of one table and squared
+    there, and the product runs on the linear-forms
     kernel core._form_product with no remainder.
     """
     mat, consts = system.integer_matrix()
@@ -562,8 +563,9 @@ def _window_weight(
     shifts = []
     start = 0
     for k_lo, k_hi, b in forms:
-        lam = divisor_sums_on_progression(W, b, k_lo, k_hi, params.R)
-        np.multiply(lam, lam, out=table[start : start + lam.size])
+        lam = divisor_sums_on_progression(W, b, k_lo, k_hi, params.R,
+                                          out=table[start : start + k_hi - k_lo + 1])
+        lam *= lam
         shifts.append(start - k_lo)
         start += lam.size
     weight = _form_product(table, mat, shifts, bound=table.size)

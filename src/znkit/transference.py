@@ -238,10 +238,14 @@ def _count_aps_k3_convolution(bits: np.ndarray, limit: int) -> int:
     of s shifted by one entry, so for each s < 35 the products with x + y =
     s + 35 are added up, multiplied by the phase e^(-2 pi i k / L') (a shift
     by one entry, which L' >= 2 len keeps from wrapping), the products with
-    x + y = s are added (weight 1 on the diagonal, 2 off it, all in
-    complex128), and the sum is inverted once: entry w counts the ordered
-    pairs centred on the midpoint w of the view of s.  A view whose
-    midpoints are multiples of 5 or 7 is skipped, so a class takes 24
+    x + y = s are added (all in complex128), and the sum is doubled and
+    inverted once: entry w counts the ordered pairs centred on the midpoint
+    w of the view of s.  The products enter at weight 1 off the diagonal and
+    1/2 on it, so the doubling gives them weights 2 and 1.  Scaling by 2 or
+    1/2 is exact, so the sum equals the one that doubles each off-diagonal
+    product (a zero may change sign), for two passes per view (each view has
+    one diagonal product) in place of one per off-diagonal product.  A view
+    whose midpoints are multiples of 5 or 7 is skipped, so a class takes 24
     forward and 24 inverse transforms.  Over all classes that counts
     2 t_m + 1 at each prime m >= 11, t_m the 3-APs centred on m with no end
     at 3, 5 or 7, and the 1 is p = q = m: the primes m >= 11 are a popcount
@@ -264,7 +268,9 @@ def _count_aps_k3_convolution(bits: np.ndarray, limit: int) -> int:
     Cauchy-Schwarz each entry of an inverse moves by at most
     2^-23 sum w sqrt(n_x n_y) over the pairs of its two sums, n_x the
     primes in subclass x and w the pair's weight: 0.012 at 10^7 and 0.056
-    at the cap, far inside 0.25 beside float64's own rounding.
+    at the cap, far inside 0.25 beside float64's own rounding.  The exact
+    halving and doubling leave each term's precision, and these bounds, as
+    they are.
     """
     top = (limit - 1) // 2  # largest a of an odd number <= limit
     special = sum(_first_term_count(bits, top, a) for a in (1, 2, 3))
@@ -287,15 +293,17 @@ def _count_aps_k3_convolution(bits: np.ndarray, limit: int) -> int:
             lin[size:] = 0.0
             spectra[row] = np.fft.rfft(lin, n=length, out=acc)
         for s, shifted, plain in views:
+            # weight 1 off the diagonal and 1/2 on it, then the sum doubled once
             for n, (row, col) in enumerate(shifted + plain):
                 term = prod if n else acc
                 np.multiply(spectra[row], spectra[col], out=term, dtype=np.complex128)
-                if row != col:
-                    term *= 2.0
+                if row == col:
+                    term *= 0.5
                 if n:
                     acc += prod
                 if n + 1 == len(shifted):
                     acc *= phase
+            acc *= 2.0
             conv = np.fft.irfft(acc, n=length, out=lin)
             np.rint(conv, out=counts)
             np.subtract(conv, counts, out=conv)

@@ -426,6 +426,20 @@ class TestDivisorSumsOnProgression:
             got = divisor_sums_on_progression(params.W, 1, lo, hi, params.R)
             assert got.tobytes() == want.tobytes()
 
+    def test_out_is_zero_filled_and_returned(self):
+        want = divisor_sums_on_progression(30, 7, 10, 500, 40.0)
+        table = np.full(600, np.nan)
+        got = divisor_sums_on_progression(30, 7, 10, 500, 40.0, out=table[50:541])
+        assert np.shares_memory(got, table) and got.size == 491
+        assert got.tobytes() == want.tobytes()
+        # only the slice is written
+        assert np.isnan(table[:50]).all() and np.isnan(table[541:]).all()
+        empty = np.empty(0)
+        assert divisor_sums_on_progression(30, 7, 10, 9, 40.0, out=empty) is empty
+        for bad in (np.empty(490), np.empty(491, dtype=np.float32)):
+            with pytest.raises(ValueError, match="float64 vector of 491 entries"):
+                divisor_sums_on_progression(30, 7, 10, 500, 40.0, out=bad)
+
     def test_nonpositive_values_are_refused(self):
         with pytest.raises(ValueError, match=">= 1"):
             divisor_sums_on_progression(6, -11, 1, 5, 10.0)
@@ -573,7 +587,7 @@ class TestMajorant:
         params = MajorantParams(k=3, N=10007, w=2, R_exponent=1 / 12)
         assert params.window[0] > params.window[1]
         nu = build_majorant(params)
-        assert np.all(nu.values == 1.0)
+        assert np.all(nu.values == 1.0) and nu.is_broadcast
 
     def test_memory_does_not_depend_on_w(self):
         # at w = 13 the full table would hold W N = 1.5e10 floats
@@ -594,6 +608,27 @@ class TestMajorant:
                 assert nu.values[n] == pytest.approx(expected, rel=1e-12)
                 hits += 1
         assert hits > 1000
+
+    def test_window_scaled_in_place_as_the_dense_expression(self):
+        # (phi(W)/W) lam lam / log R in one numpy expression is the oracle;
+        # the window of 249996 entries spans several scaling blocks
+        params = MajorantParams(k=3, N=999983, w=5, R_exponent=0.3333, epsilon_k=0.25)
+        lo, hi = params.window
+        lam = divisor_sums_on_progression(params.W, 1, lo, hi, params.R)
+        want = np.ones(params.N)
+        want[lo : hi + 1] = (params.phi_W / params.W) * lam * lam / params.log_R
+        assert build_majorant(params).values.tobytes() == want.tobytes()
+
+    def test_memory_is_the_values_and_one_block(self):
+        # the window's sums and their scaled copy were 2 x 1.9 MiB more
+        params = MajorantParams(k=3, N=999983, w=2, R_exponent=0.3333, epsilon_k=0.25)
+        tracemalloc.start()
+        try:
+            build_majorant(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * params.N + 2 * 2**20
 
     def test_mean_near_one_at_desk_scale(self):
         params = MajorantParams(k=3, N=100003, w=2, R_exponent=0.25, epsilon_k=0.25)

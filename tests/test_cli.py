@@ -476,13 +476,18 @@ def test_correlation_names_its_route_on_stderr(capsys):
     route = [line for line in captured.err.splitlines() if "route" in line]
     assert route == ["[znkit] correlation route: product leaves of at most 16384 points, "
                      "32 tau leaves of at most 16384 residues, factor table of 249996 "
-                     "entries, 20 of 20 tuples kept"]
+                     "entries, 20 of 20 tuples kept, measure: broadcast constant (8 B)"]
     # N = 7 draws repeated shifts: the line counts the tuples kept
     main(["correlation", "--n", "7", "--m", "3", "--tuples", "6"])
     route = [line for line in capsys.readouterr().err.splitlines() if "route" in line]
     assert route == ["[znkit] correlation route: product leaves of at most 16384 points, "
                      "1 tau leaves of at most 16384 residues, factor table of 2 entries, "
-                     "3 of 6 tuples kept"]
+                     "3 of 6 tuples kept, measure: broadcast constant (8 B)"]
+    # any other measure is held densely, 8 bytes per residue
+    main(["correlation", "--n", "999983", "--tuples", "2", "--nu", "bernoulli",
+          "--threshold", "1e300"])
+    route = [line for line in capsys.readouterr().err.splitlines() if "route" in line]
+    assert route[0].endswith(", 2 of 2 tuples kept, measure: dense (8.0 MB)")
 
 
 MAJ_SMALL = ("--n", "10007", "--theta", "0.3333", "--epsilon", "0.25")

@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -368,6 +369,48 @@ class TestValidation:
         f = GridFunction.constant(CyclicGroup(4), 1.0)
         with pytest.raises(ValueError):
             f.values[0] = 5.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_constant_rejects_nonfinite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            GridFunction.constant(CyclicGroup(7), bad)
+        with pytest.raises(ValueError, match="finite"):
+            GridFunction(CyclicGroup(7), np.broadcast_to(bad, (7,)))
+
+    def test_constant_is_one_broadcast_float(self):
+        f = GridFunction.constant(CyclicGroup(7), 2.5)
+        assert f.is_broadcast and f.values.strides == (0,)
+        assert f.values.dtype == np.float64 and f.values.tolist() == [2.5] * 7
+        # arithmetic on it is dense
+        assert not (f + 1.0).is_broadcast and (f * f).values.tolist() == [6.25] * 7
+
+    def test_constant_costs_no_array_of_n(self):
+        # the dense ones would be 80 MB and their finite check 10 MB
+        tracemalloc.start()
+        try:
+            GridFunction.constant(CyclicGroup(10**7), 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    def test_other_broadcasts_are_made_dense(self):
+        # a zero-stride vector of another dtype is converted, and so copied
+        f = GridFunction(CyclicGroup(5), np.broadcast_to(np.int64(3), (5,)))
+        assert not f.is_broadcast and f.values.tolist() == [3.0] * 5
+        with pytest.raises(ValueError, match="expected 5 values"):
+            GridFunction(CyclicGroup(5), np.broadcast_to(1.0, (4,)))
+
+    def test_takes_ownership_of_a_contiguous_float_array(self):
+        # zero copy: the caller's array becomes the function's, read-only
+        a = np.zeros(7)
+        f = GridFunction(CyclicGroup(7), a)
+        assert f.values is a and not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+        # any other input is copied, and the caller's array stays writable
+        b = np.zeros(7, dtype=np.float32)
+        assert GridFunction(CyclicGroup(7), b).values is not b and b.flags.writeable
 
     def test_modulus_lower_bound(self):
         with pytest.raises(ValueError):

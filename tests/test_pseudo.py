@@ -35,6 +35,7 @@ from znkit.pseudo import (
     _TAU_LEAF_MIN,
     _shifted_product,
     _tau_leaf,
+    _window_weight,
     antiuniform_correlation,
     pseudorandom_condition_parameters,
 )
@@ -717,6 +718,21 @@ class TestProgressionRouteMatchesTable:
         est = gy2_correlation_check(params, shifts, (lo, hi), a_tau=0.0)
         assert est.value == float(prod.mean()) / denom
         assert est.samples == xs.size
+
+
+@pytest.mark.parametrize("shifts", [[0], [0, 2, 6]])
+def test_window_weight_holds_only_its_table(shifts):
+    # each form's divisor sums are sieved into the table and squared there,
+    # with no array of the window beside it
+    params = MajorantParams(k=3, N=999983, w=2, R_exponent=0.3333, epsilon_k=0.25)
+    lo, hi = params.window
+    tracemalloc.start()
+    try:
+        _window_weight(params, LinearFormSystem.shifted(shifts), [(lo, hi)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(shifts) * (hi - lo + 1) + 2**19
 
 
 class TestSamplersMatchOldFormulas:
