@@ -363,9 +363,6 @@ def divisor_sums_on_progression(
     return out
 
 
-_SCALE_BLOCK = 1 << 16  # window entries scaled per pass in build_majorant (512 KiB)
-
-
 def build_majorant(params: MajorantParams) -> GridFunction:
     """The majorant measure on Z_N: normalized squared truncated divisor sums
     of W n + 1 on the window, and 1 off the window.
@@ -373,9 +370,9 @@ def build_majorant(params: MajorantParams) -> GridFunction:
     Deterministic: identical params give bit-identical values.  An empty
     window (possible when epsilon_k N < 1) yields the constant function 1,
     held as one float (GridFunction.constant).  The divisor sums are written
-    into the window of the values and scaled there, _SCALE_BLOCK entries at
-    a time through one buffer, in the order (phi(W)/W) lam, then times lam,
-    then over log R, so beside the N values only that buffer is held.
+    into the window of the values and scaled there in the order
+    (phi(W)/W) lam, then times lam, then over log R, so beside the N values
+    only one window-sized temporary is held.
     """
     group = CyclicGroup(params.N)
     lo, hi = params.window
@@ -384,14 +381,9 @@ def build_majorant(params: MajorantParams) -> GridFunction:
     if params.log_R <= 0:
         raise ValueError("R must exceed 1 on a nonempty window")
     values = np.ones(params.N, dtype=np.float64)
-    window = divisor_sums_on_progression(params.W, 1, lo, hi, params.R,
-                                         out=values[lo : hi + 1])
-    buf = np.empty(min(window.size, _SCALE_BLOCK))
-    for start in range(0, window.size, buf.size):
-        lam = window[start : start + buf.size]
-        scaled = np.multiply(params.phi_W / params.W, lam, out=buf[: lam.size])
-        scaled *= lam
-        np.divide(scaled, params.log_R, out=lam)
+    lam = divisor_sums_on_progression(params.W, 1, lo, hi, params.R,
+                                      out=values[lo : hi + 1])
+    lam[:] = (params.phi_W / params.W) * lam * lam / params.log_R
     return GridFunction(group, values)
 
 

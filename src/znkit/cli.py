@@ -542,7 +542,7 @@ def _cmd_correlation(args) -> dict:
         verdict_threshold=args.threshold,
     )
     product_leaf, tau_leaf, tau_leaves, table = _correlation_shape(args.n)
-    held = (f"broadcast constant ({nu.values.itemsize} B)" if nu.is_broadcast
+    held = (f"broadcast constant ({nu.values.itemsize} B)" if nu.values.strides == (0,)
             else f"dense ({nu.values.nbytes / 1e6:.1f} MB)")
     print(f"[znkit] correlation route: product leaves of at most {product_leaf} points, "
           f"{tau_leaves} tau leaves of at most {tau_leaf} residues, factor table of "

@@ -178,7 +178,8 @@ class GridFunction:
 
     A broadcast (zero-stride) float64 vector is kept as it is, so a constant
     costs one float whatever N is; every reader of values only slices,
-    gathers and applies ufuncs, and arithmetic on it returns a dense array.
+    gathers and applies ufuncs (_form_product gathers it from its one
+    entry), and arithmetic on it returns a dense array.
     Any other input is made a contiguous float64 vector.  The function takes
     ownership of its array: one that is already a contiguous float64 vector
     is not copied but frozen in place, so the caller's array turns read-only.
@@ -201,11 +202,6 @@ class GridFunction:
         if not np.all(np.isfinite(vals[:1] if broadcast else vals)):
             raise ValueError("values must be finite (no NaN/Inf)")
         object.__setattr__(self, "values", _freeze(vals))
-
-    @property
-    def is_broadcast(self) -> bool:
-        """True when values is one float broadcast over Z_N (see constant)."""
-        return self.values.strides == (0,)
 
     @classmethod
     def from_values(cls, group: CyclicGroup, values: Iterable[float]) -> "GridFunction":
@@ -415,8 +411,11 @@ def _form_product(
     mat and consts are nonnegative.  When reps = ceil(bound / n) copies of
     the table hold at most _TILE_CAP entries, the indices gather from that
     tiled table with no remainder; a larger bound (a rational coefficient
-    inverted mod N, say) takes one in-place np.remainder per form.  The
-    columns run in blocks of _BLOCK, multiplied in place into one output
+    inverted mod N, say) takes one in-place np.remainder per form.  A
+    broadcast table (one value, strides (0,)) gathers from its first entry,
+    which clip hands every nonnegative index: np.take would otherwise copy
+    the zero-stride table into a contiguous one of n floats on every call.
+    The columns run in blocks of _BLOCK, multiplied in place into one output
     array, so no temporary grows with the number of columns.
     """
     n = table.size
@@ -426,8 +425,11 @@ def _form_product(
     if bound > 2**63:
         raise OverflowError(f"form indices reach {bound - 1}, past the int64 range")
     reps = -(-bound // n)
-    reduce = reps > 1 and reps * n > _TILE_CAP
-    source = table if reps == 1 or reduce else np.tile(table, reps)
+    if table.strides == (0,):
+        reps, reduce, source = 1, False, table[:1]
+    else:
+        reduce = reps > 1 and reps * n > _TILE_CAP
+        source = table if reps == 1 or reduce else np.tile(table, reps)
 
     def product(x: np.ndarray) -> np.ndarray:
         count = x.shape[1]

@@ -2,7 +2,9 @@
 
 GridFunction.constant keeps a zero-stride view of one float.  Every public
 consumer of a measure must give the same floats, bit for bit, on it as on
-np.full of the same constant: these tests run each one on both.
+np.full of the same constant: these tests run each one on both.  The
+sampled products also run above the tiling cap of _form_product, where a
+dense table is gathered untiled and a broadcast one from its one entry.
 """
 
 import tracemalloc
@@ -24,6 +26,7 @@ from znkit import (
     verify_correlation,
     verify_linear_forms,
 )
+from znkit.core import _TILE_CAP, _form_product
 
 SIZES = (101, 1009)
 CONSTANTS = (1.0, 1 / 3)
@@ -34,7 +37,7 @@ def _pair(n: int, c: float) -> tuple[GridFunction, GridFunction]:
     group = CyclicGroup(n)
     broadcast = GridFunction.constant(group, c)
     dense = GridFunction(group, np.full(n, c))
-    assert broadcast.is_broadcast and not dense.is_broadcast
+    assert broadcast.values.strides == (0,) and dense.values.strides == (8,)
     return broadcast, dense
 
 
@@ -132,3 +135,50 @@ def test_correlation_on_a_constant_holds_no_copy_of_it():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("n, rows", [
+    (1009, [(1,), (2,)]),        # tiled: 2 copies of the table
+    (999983, [(1,)]),            # bound n: gathered untiled
+    (999983, [(1, 1), (1, 2)]),  # past the tiling cap: one remainder per form
+])
+def test_form_product_on_every_route(n, rows):
+    x = np.random.default_rng(n).integers(0, n, size=(len(rows[0]), 5000))
+    products = [_form_product(nu.values, rows, [0] * len(rows))(x) for nu in _pair(n, 1 / 3)]
+    assert _bits(products[0]) == _bits(products[1])
+
+
+def test_sampled_consumers_past_the_tiling_cap():
+    n = 999983
+    assert 2 * n > _TILE_CAP
+    outs = []
+    for nu in _pair(n, 1 / 3):
+        outs.append([repr(verify_linear_forms(nu, system, mode="monte_carlo",
+                                              samples=3000, seed=8, verdict_threshold=10.0))
+                     for system in (LinearFormSystem.cube(2), LinearFormSystem.progression(3))]
+                    + [repr(gowers_norm_mc(nu, 2, 3000, seed=9))])
+    assert outs[0] == outs[1]
+
+
+def test_sampled_dual_past_the_tiling_cap():
+    n = 131101  # the rows (1, 1) reach 2n - 2, so 2 copies exceed the cap
+    assert 2 * n > _TILE_CAP
+    duals = [_bits(dual_function(nu, 1, mode="monte_carlo", samples=100, seed=10).values)
+             for nu in _pair(n, 1 / 3)]
+    assert duals[0] == duals[1]
+
+
+def test_sampled_products_on_a_constant_copy_nothing_of_size_n():
+    # np.take on the zero-stride table would copy it into 7.6 MiB of
+    # contiguous floats on every call: 9.5 MiB traced for linforms
+    nu = GridFunction.constant(CyclicGroup(999983), 1.0)
+    for run in (lambda: verify_linear_forms(nu, LinearFormSystem.cube(2),
+                                            mode="monte_carlo", samples=10**5, seed=1),
+                lambda: gowers_norm_mc(nu, 2, 10**5, seed=1)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20

@@ -379,10 +379,10 @@ class TestValidation:
 
     def test_constant_is_one_broadcast_float(self):
         f = GridFunction.constant(CyclicGroup(7), 2.5)
-        assert f.is_broadcast and f.values.strides == (0,)
+        assert f.values.strides == (0,)
         assert f.values.dtype == np.float64 and f.values.tolist() == [2.5] * 7
         # arithmetic on it is dense
-        assert not (f + 1.0).is_broadcast and (f * f).values.tolist() == [6.25] * 7
+        assert (f + 1.0).values.strides == (8,) and (f * f).values.tolist() == [6.25] * 7
 
     def test_constant_costs_no_array_of_n(self):
         # the dense ones would be 80 MB and their finite check 10 MB
@@ -397,7 +397,7 @@ class TestValidation:
     def test_other_broadcasts_are_made_dense(self):
         # a zero-stride vector of another dtype is converted, and so copied
         f = GridFunction(CyclicGroup(5), np.broadcast_to(np.int64(3), (5,)))
-        assert not f.is_broadcast and f.values.tolist() == [3.0] * 5
+        assert f.values.strides == (8,) and f.values.tolist() == [3.0] * 5
         with pytest.raises(ValueError, match="expected 5 values"):
             GridFunction(CyclicGroup(5), np.broadcast_to(1.0, (4,)))
 
