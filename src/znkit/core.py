@@ -13,9 +13,9 @@ forms, the window moments, the sampled U^d norm and the sampled dual all
 evaluate.  It builds each index by in-place adds, gathers from a table
 tiled so that small coefficients need no remainder, and multiplies in
 cache-sized blocks; _uniform_draw feeds it uniform points one block at a
-time.  The private _pairwise_sum gives np.add.reduce of an
-array that is never formed whole, from sums over the leaves of numpy's own
-pairwise-sum tree.
+time.  The private _pairwise_sum gives np.add.reduce of an array that is
+never formed whole, from sums over the leaves of numpy's own pairwise-sum
+tree; _box_sum, on its leaves, is the one enumerator of exact form averages.
 
 Exact cyclic correlations on Z_N share one private kernel: _spectrum, the
 rfft zero-padded to the least 5-smooth length L >= 2N - 1, and
@@ -473,6 +473,7 @@ def _uniform_draw(weight: Callable[[np.ndarray], np.ndarray], n: int, t: int):
 
 
 _PW_BLOCK = 128  # numpy's pairwise sum adds a node this size with no split
+_BOX_LEAF = 1 << 17  # points of one _box_sum leaf
 
 
 def _pairwise_sum(n: int, leaf: Callable[[int, int], object], cap: int):
@@ -497,6 +498,20 @@ def _pairwise_sum(n: int, leaf: Callable[[int, int], object], cap: int):
         return node(lo, lo + mid) + node(lo + mid, hi)
 
     return node(0, n)
+
+
+def _box_sum(weight: Callable[[np.ndarray], np.ndarray], box: Sequence[tuple[int, int]]):
+    """np.add.reduce of weight over a box, bit for bit: one inclusive (lo, hi) per variable,
+    row-major, in int64 points, one per column, at most _BOX_LEAF per _pairwise_sum leaf."""
+
+    def leaf(lo: int, hi: int):
+        points, rest = np.empty((len(box), hi - lo), dtype=np.int64), np.arange(lo, hi)
+        for j, (first, last) in reversed(list(enumerate(box))):  # digits of the flat index
+            np.divmod(rest, last - first + 1, out=(rest, points[j]))
+            points[j] += first
+        return np.add.reduce(weight(points))
+
+    return _pairwise_sum(math.prod(hi - lo + 1 for lo, hi in box), leaf, _BOX_LEAF)
 
 
 def expectation(f: GridFunction) -> float:

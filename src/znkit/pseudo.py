@@ -34,6 +34,7 @@ from .core import (
     CyclicGroup,
     EstimatorResult,
     GridFunction,
+    _box_sum,
     _check_budget,
     _form_product,
     _pairwise_sum,
@@ -253,12 +254,10 @@ def verify_linear_forms(
 
     Both modes evaluate one product of nu over the forms at columns of
     points, core._form_product, which builds each form's index by in-place
-    adds and needs no remainder for small coefficients.  Exact mode
-    enumerates the full grid (cost m N^t, budget-gated) in chunks of flat
-    indices, so memory stays bounded whatever N^t is; each chunk is summed
-    by numpy's pairwise reduction and the chunk sums are added in order.
-    Otherwise uniform sampling with a reported standard error, gated at
-    m samples gathers before the first draw.
+    adds and needs no remainder for small coefficients.  Exact mode sums
+    the full grid (cost m N^t, budget-gated) on core._box_sum, in bounded
+    memory.  Otherwise uniform sampling with a reported standard error,
+    gated at m samples gathers before the first draw.
     """
     nu.group.ensure_prime()
     if system.allow_proportional:
@@ -272,11 +271,8 @@ def verify_linear_forms(
         points = N**system.t
         _check_budget(system.m * points, budget,
                       f"exact enumeration of N^t = {points} points", "use mode='monte_carlo'")
-        total = 0.0
-        for start in range(0, points, _MC_CHUNK):
-            flat = np.arange(start, min(start + _MC_CHUNK, points), dtype=np.int64)
-            total += float(weight(np.stack(np.unravel_index(flat, (N,) * system.t))).sum())
-        est = EstimatorResult(total / points, 0.0, points, seed)
+        total = _box_sum(weight, [(0, N - 1)] * system.t)
+        est = EstimatorResult(float(total) / points, 0.0, points, seed)
     elif mode == "monte_carlo":
         _check_budget(system.m * samples, budget, f"sampling {samples} points of "
                       f"{system.m} forms", "lower samples")
@@ -517,16 +513,12 @@ def local_factor_omega(
         # not matter: every cleared coefficient W (D/den) num vanishes mod p
         raise ValueError(f"cannot clear denominators: p = {p} divides their lcm {D}")
     _check_budget(p**t, budget, f"enumeration of p^t = {p}^{t} points", "lower p")
-    grid = np.indices((p,) * t, dtype=np.int64).reshape(t, -1)
-    mask = np.ones(grid.shape[1], dtype=bool)
-    for i in X:
-        row = system.coefficients[i]
-        cleared = np.asarray(
-            [c.numerator * (D // c.denominator) for c in row], dtype=np.int64
-        )
-        theta = (W * (cleared @ grid) + W * system.constants[i] + 1) % p
-        mask &= theta == 0
-    return Fraction(int(mask.sum()), p**t)
+    # W psi_i + 1 mod p in Python ints, so no int64 product overflows; a root
+    # is a point where each form's indicator of 0 mod p, np.eye(1, p)[0], is 1
+    mat = [[int(W * D * c) % p for c in system.coefficients[i]] for i in X]
+    consts = [(W * system.constants[i] + 1) % p for i in X]
+    roots = _box_sum(_form_product(np.eye(1, p)[0], mat, consts), [(0, p - 1)] * t)
+    return Fraction(int(roots), p**t)
 
 
 def _require_nonempty(box: Sequence[tuple[int, int]]) -> None:
@@ -607,8 +599,8 @@ def gy_moment_check(
         )
     weight, denom = _window_weight(params, system, box)
     if mode == "exact":
-        xs = np.arange(box[0][0], box[0][1] + 1, dtype=np.int64)[None, :]
-        return EstimatorResult(float(weight(xs).mean()) / denom, 0.0, xs.shape[1], seed)
+        size = box[0][1] - box[0][0] + 1
+        return EstimatorResult(float(_box_sum(weight, box)) / size / denom, 0.0, size, seed)
 
     def draw(rng, count):
         return weight(np.stack([rng.integers(lo, hi + 1, size=count) for lo, hi in box]))
@@ -641,7 +633,7 @@ def gy2_correlation_check(
     lo, hi = box
     _require_nonempty([box])
     weight, denom = _window_weight(params, LinearFormSystem.shifted(h_list), [box])
-    lhs = float(weight(np.arange(lo, hi + 1, dtype=np.int64)[None, :]).mean())
+    lhs = float(_box_sum(weight, [box])) / (hi - lo + 1)
     if a_tau is None:
         a_tau = 2.0 * len(h_list)
     primes = set()

@@ -23,9 +23,10 @@ from .core import (
     GridFunction,
     GroupMismatchError,
     SigmaAlgebra,
-    _SHIFT_BLOCK,
+    _BOX_LEAF,
     _check_budget,
     _folded_correlation,
+    _pairwise_sum,
     _smooth_length,
     _spectrum,
     _translates,
@@ -68,8 +69,8 @@ def ap_expectation(fs: Sequence[GridFunction], cs: Sequence[int]) -> float:
     transforms (two forward, one inverse) of the least 5-smooth length
     L >= 2N - 1, cost N log N, and no length-N complex transform.  Any other
     case (k != 3, or coefficients distinct as integers but congruent mod N)
-    multiplies the translates f_j((x + c_j r) mod N), gathered for a block
-    of r at a time, cost k N^2.
+    multiplies the translates f_j((x + c_j r) mod N), cost k N^2, summed in
+    r-major order on core._pairwise_sum, each leaf from the whole rows r it meets.
 
     Includes the degenerate r = 0 terms; callers comparing against integer
     progression counts must subtract them explicitly.
@@ -95,15 +96,17 @@ def ap_expectation(fs: Sequence[GridFunction], cs: Sequence[int]) -> float:
         c = _folded_correlation(_spectrum(g1).conj() * _spectrum(fs[2].values), n)
         return float(g0 @ c[:n]) / n**2
     translates = [_translates(f.values) for f in fs]
-    step = max(1, _SHIFT_BLOCK // n)
-    total = 0.0
-    for start in range(0, n, step):
-        r = np.arange(start, min(start + step, n))
-        prod = translates[0][(cs[0] % n) * r % n]  # [r, x] = f_0(x + c_0 r)
+    buf = np.empty((min(n, _BOX_LEAF // n + 2), n))  # the most rows r a leaf meets
+
+    def leaf(lo: int, hi: int):
+        r = np.arange(lo // n, (hi - 1) // n + 1)
+        prod = buf[: r.size]
+        prod[...] = translates[0][(cs[0] % n) * r % n]  # [r, x] = f_0(x + c_0 r)
         for t, c in zip(translates[1:], cs[1:]):
             prod *= t[(c % n) * r % n]
-        total += float(prod.sum())
-    return total / n**2
+        return np.add.reduce(prod.reshape(-1)[lo - r[0] * n : hi - r[0] * n])
+
+    return float(_pairwise_sum(n * n, leaf, max(_BOX_LEAF, n))) / n**2
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,8 @@ from znkit import (
     substream,
 )
 import znkit.core
-from znkit.core import (_BLOCK, _TILE_CAP, _form_product, _pairwise_sum, _uniform_draw,
-                        mc_mean)
+from znkit.core import (_BLOCK, _TILE_CAP, _box_sum, _form_product, _pairwise_sum,
+                        _uniform_draw, mc_mean)
 from conftest import (atoms_by_comparison, first_occurrence_labels, random_function,
                       random_partition)
 
@@ -611,3 +611,31 @@ class TestPairwiseSum:
         with pytest.raises(ValueError, match="at least 128"):
             _pairwise_sum(1000, lambda lo, hi: 0.0, 127)
 
+
+class TestBoxSum:
+    @pytest.mark.parametrize("box", [
+        [(0, 127)], [(0, 128)], [(-37, 1200)],  # one leaf, one split, many
+        [(5, 17), (-3, 40)],  # 572 points: leaves end inside rows
+        [(0, 6), (2, 9), (-4, 11)],
+        [(1, 31), (100, 160), (7, 9)],
+    ])
+    def test_equals_add_reduce_of_dense_vector(self, monkeypatch, box):
+        # weight reads each point's entry of a dense vector in row-major
+        # order, spread over 16 decades, so a wrong point, order or
+        # association of the adds would show in the last bits
+        monkeypatch.setattr(znkit.core, "_BOX_LEAF", 128)
+        shape = tuple(hi - lo + 1 for lo, hi in box)
+        lows = np.array([lo for lo, _ in box])[:, None]
+        size = math.prod(shape)
+        rng = np.random.default_rng(size)
+        vals = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
+        seen = []
+
+        def weight(x):
+            assert x.dtype == np.int64 and x.shape[1] <= 128
+            seen.append(np.ravel_multi_index(tuple(x - lows), shape))
+            return vals[seen[-1]]
+
+        assert _box_sum(weight, box) == np.add.reduce(vals)
+        # every point once, in row-major order
+        assert np.array_equal(np.concatenate(seen), np.arange(size))

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import time
@@ -216,7 +217,7 @@ class TestVerifyLinearForms:
         assert (got.estimate.value, got.estimate.std_error) == (want.value, want.std_error)
 
     def test_exact_matches_full_grid_product(self):
-        N = 401  # N^2 points: more than one enumeration chunk
+        N = 401  # N^2 points: more than one leaf of core._box_sum
         nu = bernoulli_measure(N, seed=6)
         for system in (
             LinearFormSystem.progression(3),
@@ -228,7 +229,7 @@ class TestVerifyLinearForms:
             for i in range(system.m):
                 prod *= nu.values[(mat[i] @ grid + consts[i]) % N]
             report = verify_linear_forms(nu, system, mode="exact")
-            assert report.estimate.value == pytest.approx(float(prod.mean()), rel=1e-12)
+            assert report.estimate.value == float(np.add.reduce(prod)) / prod.size
             assert report.estimate.samples == N**system.t
 
     def test_exact_memory_is_bounded(self):
@@ -573,6 +574,37 @@ class TestLocalFactors:
         with pytest.raises(ValueError, match="denominators"):
             local_factor_omega(system, 6, 7, [0])
 
+    @pytest.mark.parametrize("p", [53, 101])
+    def test_large_w_matches_python_int_brute_force(self, p):
+        # W psi + 1 near 2^60 * p: int64 products of W would wrap
+        W = math.prod(q for q in range(2, 48) if all(q % r for r in range(2, q)))
+        assert W == 614889782588491410
+        system = LinearFormSystem.cube(2)  # form 0 is x, form 3 is x + h_1 + h_2
+        assert [system.coefficients[i] for i in (0, 3)] == [(1, 0, 0), (1, 1, 1)]
+        counts = collections.Counter()
+        for x, h1, h2 in itertools.product(range(p), repeat=3):
+            first = (W * x + 1) % p == 0
+            last = (W * (x + h1 + h2) + 1) % p == 0
+            counts[0] += first
+            counts[3] += last
+            counts[(0, 3)] += first and last
+        for forms, key in (([0], 0), ([3], 3), ([0, 3], (0, 3))):
+            want = Fraction(counts[key], p**system.t)
+            assert local_factor_omega(system, W, p, forms) == want
+
+    def test_memory_at_the_budget_edge(self):
+        # p^t = 211^3 = 9393931 points, which the default budget admits;
+        # an int64 grid of them alone would take 215 MiB
+        system = LinearFormSystem.cube(2)
+        tracemalloc.start()
+        try:
+            omega = local_factor_omega(system, 6, 211, [0, 1, 2, 3])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert omega == Fraction(1, 211**3)
+        assert peak <= 16 * 2**20
+
 
 class TestWindowMoments:
     def test_closed_form_when_r_is_below_three(self):
@@ -604,6 +636,20 @@ class TestWindowMoments:
         vals = table[params.W * np.arange(lo, hi + 1) + 1] ** 2
         want = vals.mean() / (params.W * params.log_R / params.phi_W)
         assert est.value == pytest.approx(want, rel=1e-12)
+
+    def test_exact_reports_at_the_benchmark_window(self):
+        # the gycheck window of N = 999983, w = 2, theta = 0.3333, eps = 0.25:
+        # 249996 points, more than one leaf of core._box_sum; these are the
+        # reprs the whole-window np.mean gave
+        params = MajorantParams(k=3, N=999983, w=2, R_exponent=0.3333, epsilon_k=0.25)
+        assert params.window == (249996, 499991)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            moment = gy_moment_check(params, LinearFormSystem.from_rows([(1,)]),
+                                     [params.window])
+        shifted = gy2_correlation_check(params, [0, 2, 6], params.window)
+        assert repr(moment.value) == "0.8444112568016682"
+        assert repr(shifted.value) == "0.0013446104143601664"
 
     def test_monte_carlo_consistent_and_reproducible(self):
         params = MajorantParams(k=3, N=10007, w=2, R_exponent=0.25, epsilon_k=0.25)

@@ -187,17 +187,24 @@ class TestApExpectation:
                 brute_ap_expectation(fs, cs, 7), abs=1e-12
             )
 
-    @pytest.mark.parametrize("block", [1, 3 * 13, 100 * 13])
+    @pytest.mark.parametrize("block", [1, 3 * 131, 100 * 131])
     def test_blocks_of_r_match_brute_force(self, monkeypatch, block):
-        # one r per block, blocks of 3 with a short last one, and one block
-        monkeypatch.setattr(znkit.transference, "_SHIFT_BLOCK", block)
+        # leaves of max(block, N) products: at most one row's worth (N = 131
+        # >= 128, numpy's least pairwise node), three rows' worth that end
+        # inside rows, and one leaf for all N^2
+        monkeypatch.setattr(znkit.transference, "_BOX_LEAF", block)
+        n = 131
         rng = np.random.default_rng(2)
-        g = CyclicGroup(13)
+        g = CyclicGroup(n)
         fs = [random_function(g, rng) for _ in range(4)]
-        for cs in ([0, 1, 2, 3], [-2, 5, 14, 30]):
-            assert ap_expectation(fs, cs) == pytest.approx(
-                brute_ap_expectation(fs, cs, 13), abs=1e-12
-            )
+        x, r = np.arange(n), np.arange(n)[:, None]
+        for cs in ([0, 1, 2, 3], [-2, 5, 14, 30 + n]):
+            dense = np.ones((n, n))  # [r, x], r-major
+            for f, c in zip(fs, cs):
+                dense *= f.values[(x + c * r) % n]
+            got = ap_expectation(fs, cs)
+            assert got == float(np.add.reduce(dense.reshape(-1))) / n**2
+            assert got == pytest.approx(brute_ap_expectation(fs, cs, n), abs=1e-12)
 
     def test_cross_oracle_with_integer_progressions(self):
         # wraparound-free regime: N > 2 * limit makes residue progressions
