@@ -76,6 +76,16 @@ EXIT_VERDICT = 4
 _COLUMN_CHUNK = 1 << 15
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser (subparsers inherit it) whose refusals print the JSON error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        print(_to_json({"error": {"type": "invalid", "message": f"{self.prog}: {message}"}}))
+        self.exit(EXIT_INVALID)
+
+
 class VerdictError(Exception):
     """A verification command's check did not pass."""
 
@@ -670,7 +680,7 @@ def _add_measure_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="znkit",
         description="uniformity norms, prime majorants, and decompositions on Z_N",
     )
@@ -743,7 +753,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_majorant_flags(p, w=2)
     p.add_argument("--h-list", default=None, dest="h_list",
                    help="comma-separated shifts; switches to the shifted check")
-    p.add_argument("--box", default=None, help="lo:hi overriding the window")
+    p.add_argument("--box", default=None,
+                   help="lo:hi overriding the window (--box=-5:5 for a negative lo)")
     p.add_argument("--mode", choices=("exact", "monte_carlo"), default="exact")
     p.add_argument("--samples", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=0)

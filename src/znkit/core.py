@@ -6,16 +6,16 @@ numpy's pairwise reduction, which keeps results deterministic and accurate
 to ~1e-13 relative error for N up to 10^7.  Everything here is pure: values
 and partitions are frozen after construction, so concurrent reads are safe.
 
-Every sampled estimate runs on two pieces here: mc_mean, the chunked engine
-with one named sub-stream per chunk, and the private _form_product, the
-product prod_i f((mat[i] . x + c_i) mod N) at columns x that the linear
-forms, the window moments, the sampled U^d norm and the sampled dual all
-evaluate.  It builds each index by in-place adds, gathers from a table
-tiled so that small coefficients need no remainder, and multiplies in
-cache-sized blocks; _uniform_draw feeds it uniform points one block at a
-time.  The private _pairwise_sum gives np.add.reduce of an array that is
-never formed whole, from sums over the leaves of numpy's own pairwise-sum
-tree; _box_sum, on its leaves, is the one enumerator of exact form averages.
+Every sampled estimate runs on two pieces here: the chunked engine (_chunks,
+the one map from chunk i to substream(seed, stream, i), walked by mc_mean
+and, for a mean at every x, _pointwise_mean) and the private _form_product,
+the product prod_i f((mat[i] . x + c_i) mod N) at columns x that the linear
+forms, window moments, sampled U^d norm and sampled dual all evaluate.  It
+builds each index by in-place adds, gathers from a table tiled so that small
+coefficients need no remainder, and multiplies in cache-sized blocks, fed
+uniform points a block at a time by _uniform_draw.  _pairwise_sum gives
+np.add.reduce of an array never formed whole, from sums over the leaves of
+numpy's pairwise-sum tree; on its leaves, _box_sum sums exact form averages.
 
 Exact cyclic correlations on Z_N share one private kernel: _spectrum, the
 rfft zero-padded to the least 5-smooth length L >= 2N - 1, and
@@ -331,6 +331,13 @@ class EstimatorResult:
             raise ValueError("samples must be positive")
 
 
+def _chunks(total: int, size: int, seed: int, stream: str):
+    """(rng, lo, hi) for chunk i = [lo, hi) of range(total), `size` at a time,
+    rng = substream(seed, stream, i): the one map from a chunk to its stream."""
+    for i, lo in enumerate(range(0, total, size)):
+        yield substream(seed, stream, i), lo, min(lo + size, total)
+
+
 def mc_mean(
     draw: Callable[[np.random.Generator, int], np.ndarray],
     samples: int,
@@ -350,9 +357,9 @@ def mc_mean(
         raise ValueError(f"monte carlo needs at least 2 samples, got {samples}")
     total = 0.0
     m2 = 0.0
-    for i, done in enumerate(range(0, samples, chunk)):
-        count = min(chunk, samples - done)
-        dev = draw(substream(seed, stream, i), count)
+    for rng, done, stop in _chunks(samples, chunk, seed, stream):
+        count = stop - done
+        dev = draw(rng, count)
         chunk_total = float(dev.sum())
         np.subtract(dev, chunk_total / count, out=dev)
         np.multiply(dev, dev, out=dev)
@@ -470,6 +477,24 @@ def _uniform_draw(weight: Callable[[np.ndarray], np.ndarray], n: int, t: int):
         return out
 
     return draw
+
+
+def _pointwise_mean(weight: Callable[[np.ndarray], np.ndarray], n: int, t: int,
+                    samples: int, seed: int, stream: str, chunk: int) -> np.ndarray:
+    """E_h weight(x, h) at every x of Z_n, from `samples` uniform h in Z_n^t: mc_mean's
+    per-point counterpart.  The x of a chunk of max(1, chunk // samples) points share
+    one rng.integers(0, n, size=(samples, t)); their columns (x, h), x repeated once
+    per draw, are built max(1, _BLOCK // samples) points at a time in one buffer."""
+    out, x_block = np.empty(n), max(1, _BLOCK // samples)
+    grid = np.empty((t + 1, min(x_block, n), samples), dtype=np.int64)
+    for rng, start, stop in _chunks(n, max(1, chunk // samples), seed, stream):
+        grid[1:] = rng.integers(0, n, size=(samples, t)).T[:, None, :]
+        for lo in range(start, stop, x_block):
+            hi = min(lo + x_block, stop)
+            grid[0, : hi - lo] = np.arange(lo, hi)[:, None]
+            cols = grid[:, : hi - lo].reshape(t + 1, (hi - lo) * samples)
+            out[lo:hi] = weight(cols).reshape(hi - lo, samples).mean(axis=1)
+    return out
 
 
 _PW_BLOCK = 128  # numpy's pairwise sum adds a node this size with no split

@@ -44,18 +44,17 @@ from .core import (
     CyclicGroup,
     GridFunction,
     GroupMismatchError,
-    _BLOCK,
     _SHIFT_BLOCK,
     _check_budget,
     _folded_correlation,
     _form_product,
+    _pointwise_mean,
     _smooth_length,
     _spectrum,
     _translates,
     _uniform_draw,
     expectation,
     mc_mean,
-    substream,
 )
 
 __all__ = [
@@ -72,7 +71,7 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**9
 
-_MC_CHUNK = 1 << 16
+_MC_CHUNK = 1 << 16  # part of the stream: chunk i draws from substream(seed, name, i)
 
 
 def _check_exact(n: int, d: int, budget: int, what: str) -> None:
@@ -293,37 +292,11 @@ def dual_function(
             raise ValueError("monte_carlo mode needs samples >= 100")
         _check_budget(2**d * samples * n, budget, f"sampled dual at N={n}, d={d}",
                       "lower d or samples")
-        return _dual_mc(F, d, samples, seed)
+        rows = [(1,) + om for om in itertools.product((0, 1), repeat=d) if any(om)]
+        weight = _form_product(F.values, rows, [0] * len(rows))  # columns (x, h)
+        means = _pointwise_mean(weight, n, d, samples, seed, "dual_mc", _MC_CHUNK)
+        return GridFunction(F.group, means)
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def _dual_mc(F: GridFunction, d: int, samples: int, seed: int) -> GridFunction:
-    """DF(x) from `samples` draws of h, shared by the x of one chunk.
-
-    Chunk i holds about _MC_CHUNK / samples points x and draws its h from
-    substream(seed, "dual_mc", i); the product runs on the rows (1, omega),
-    omega != 0, over the columns (x, h), x repeated once per draw of h.
-    The columns are built for about _BLOCK / samples points x at a time, in
-    one buffer whose h rows are written once per chunk.
-    """
-    n = F.group.modulus
-    rows = [(1,) + om for om in itertools.product((0, 1), repeat=d) if any(om)]
-    weight = _form_product(F.values, rows, [0] * len(rows))
-    out = np.empty(n)
-    x_chunk = max(1, _MC_CHUNK // samples)
-    x_block = max(1, _BLOCK // samples)
-    for ci, start in enumerate(range(0, n, x_chunk)):
-        stop = min(start + x_chunk, n)
-        h = substream(seed, "dual_mc", ci).integers(0, n, size=(samples, d))
-        grid = np.empty((d + 1, min(x_block, stop - start), samples), dtype=np.int64)
-        grid[1:] = h.T[:, None, :]
-        for lo in range(start, stop, x_block):
-            hi = min(lo + x_block, stop)
-            block = grid[:, : hi - lo]
-            block[0] = np.arange(lo, hi)[:, None]
-            cols = block.reshape(d + 1, (hi - lo) * samples)
-            out[lo:hi] = weight(cols).reshape(hi - lo, samples).mean(axis=1)
-    return GridFunction(F.group, out)
 
 
 def dual_function_u2_fourier(F: GridFunction) -> GridFunction:

@@ -61,7 +61,7 @@ __all__ = [
     "antiuniform_correlation",
 ]
 
-_MC_CHUNK = 1 << 17
+_MC_CHUNK = 1 << 17  # part of the stream: chunk i draws from substream(seed, name, i)
 
 
 def pseudorandom_condition_parameters(k: int) -> dict[str, int]:

@@ -421,13 +421,13 @@ def _cut_runs(frac: np.ndarray, grid: int, eta: float) -> tuple[np.ndarray, np.n
 
 
 def _level_alpha_index(
-    frac: np.ndarray, weights: np.ndarray, grid: int, eta: float
+    frac: np.ndarray, nu: np.ndarray, grid: int, eta: float
 ) -> int:
     """First grid index j at which the alpha search of `build_level_sigma`
     settles, found from the sorted events of the points' runs.
 
-    The mass at j, float(weights[_near_cut(frac, j)].sum()) / N, is constant
-    between events.  A run [lo, hi] that covers a cut adds +w at its start
+    The mass at j, float((nu[_near_cut(frac, j)] + 1).sum()) / N, is constant
+    between events.  A run [lo, hi] that covers a cut adds w = nu + 1 at its start
     lo mod grid and -w at its end, start + hi - lo + 1; a run that wraps
     past grid - 1 ends at end - grid instead and is also +w at 0, and an
     end at grid (a whole circle, say) is never reached.  One opener at 0
@@ -451,7 +451,8 @@ def _level_alpha_index(
     start = lo[runs] % grid
     end = start + (hi - lo + 1)[runs]
     del lo, hi
-    w = weights[runs]
+    w = nu[runs]
+    w += 1.0
     wrap = end > grid
     end[wrap] -= grid
     # events: each start, each end, 0 for each wrapping run, and the opener
@@ -489,7 +490,7 @@ def _level_alpha_index(
         if lower[k] >= best_mass - 1e-15:
             continue
         j = int(first_j[k])
-        exact = float(weights[_near_cut(frac, j, grid, eta)].sum()) / n
+        exact = float((nu[_near_cut(frac, j, grid, eta)] + 1.0).sum()) / n
         if exact < best_mass - 1e-15:
             best_mass = exact
             best_j = j
@@ -544,14 +545,15 @@ def build_level_sigma(
             )
     scaled = G.values / epsilon
     frac = scaled - np.floor(scaled)
-    best_alpha = _level_alpha_index(frac, nu.values + 1.0, alpha_grid, eta) / alpha_grid
+    best_alpha = _level_alpha_index(frac, nu.values, alpha_grid, eta) / alpha_grid
     labels = np.floor(scaled - best_alpha).astype(np.int64)
     return SigmaAlgebra.from_labels(G.group, labels), best_alpha
 
 
 def exceptional_set(sigma: SigmaAlgebra, nu: GridFunction, eta: float) -> np.ndarray:
     """Read-only mask of the union of the atoms whose (nu + 1)-mass is at
-    most sqrt(eta), 0 < eta < 1/2."""
+    most sqrt(eta), 0 < eta < 1/2.  nu + 1 is formed whole: np.bincount needs
+    a weights array, and each atom's sum of nu plus its size rounds otherwise."""
     if not 0 < eta < 0.5:
         raise ValueError("eta must lie in (0, 1/2)")
     sigma._check_same_group(nu)
@@ -691,7 +693,6 @@ def kvn_decompose(
     dual_bound = float(2 ** (2 ** (config.k - 1)))
     sigma = SigmaAlgebra.trivial(group)
     omega = np.zeros(group.modulus, dtype=bool)
-    nu_plus = nu.values + 1.0
     log: list[dict] = []
     iterations = 0
     success = False
@@ -707,7 +708,7 @@ def kvn_decompose(
             "uniformity": est.norm_value,
             "uniformity_stderr": est.std_error,
             "atom_count": sigma.atom_count,
-            "omega_mass": float(nu_plus[omega].sum() / group.modulus),
+            "omega_mass": float((nu.values[omega] + 1.0).sum() / group.modulus),
             "chosen_alpha": None,
         }
         log.append(record)

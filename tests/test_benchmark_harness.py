@@ -1,4 +1,5 @@
-"""The benchmark harness's traced run ends in one strict-JSON result line."""
+"""The benchmark harness's traced run over every workload ends in one strict-JSON
+result line."""
 
 import json
 import os
@@ -24,15 +25,16 @@ def _integers(value):
         yield value
 
 
-def test_traced_majorant_run_ends_in_a_strict_json_result():
+def test_traced_run_of_every_workload_ends_in_a_strict_json_result():
     # the harness only reads perfbench/, and writes no bytecode there
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "majorant", "--trace", "1",
+        [sys.executable, "perfbench/run.py", "--workload", "all", "--trace", "1",
          "--seconds", "1"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     last = proc.stdout.rstrip("\n").rsplit("\n", 1)[-1]
     result = json.loads(last, parse_constant=_reject_constant)
-    assert all(abs(v) < 2**63 for v in _integers(result))
+    # the tracer adds its counts in floats, so a count past 2^53 is already rounded
+    assert all(abs(v) < 2**53 for v in _integers(result))
     assert result["failed"] == 0

@@ -199,6 +199,27 @@ def test_invalid_parameters_exit_code(capsys):
     assert json.loads(out)["error"]["type"] == "invalid"
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (("gowers", "--n", "x", "--d", "2", "--input", "f.csv"), "invalid int value: 'x'"),
+    (("gowers", "--d", "2", "--input", "f.csv"), "required: --n"),
+    (("frobnicate",), "invalid choice: 'frobnicate'"),
+    (("gycheck", "--n", "101", "--box", "-5:5"), "--box: expected one argument"),
+])
+def test_argument_errors_print_the_json_error_object(capsys, argv, reason):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == EXIT_INVALID
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "invalid"
+    assert reason in error["message"]
+    assert captured.err.startswith("usage: znkit")
+
+
+def test_help_still_prints_usage_and_exits_zero(capsys):
+    assert main(["gowers", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: znkit gowers")
+
+
 def test_budget_specifically(capsys, tmp_path):
     path = os.path.join(tmp_path, "f.csv")
     with open(path, "w") as fh:

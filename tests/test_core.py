@@ -24,8 +24,8 @@ from znkit import (
     substream,
 )
 import znkit.core
-from znkit.core import (_BLOCK, _TILE_CAP, _box_sum, _form_product, _pairwise_sum,
-                        _uniform_draw, mc_mean)
+from znkit.core import (_BLOCK, _TILE_CAP, _box_sum, _chunks, _form_product, _pairwise_sum,
+                        _pointwise_mean, _uniform_draw, mc_mean)
 from conftest import (atoms_by_comparison, first_occurrence_labels, random_function,
                       random_partition)
 
@@ -494,6 +494,28 @@ class TestMonteCarloEngine:
             math.sqrt(np.var(vals, ddof=1) / samples), rel=1e-12
         )
         assert (est.samples, est.seed) == (samples, seed)
+
+    def test_chunk_i_draws_from_substream_i(self):
+        got = [(rng.integers(0, 2**32, size=4).tolist(), lo, hi)
+               for rng, lo, hi in _chunks(2337, 1000, 5, "engine")]
+        want = [(substream(5, "engine", i).integers(0, 2**32, size=4).tolist(), lo, hi)
+                for i, (lo, hi) in enumerate(((0, 1000), (1000, 2000), (2000, 2337)))]
+        assert got == want
+
+    @pytest.mark.parametrize("samples, chunk", [(3, 64), (5, 7), (100, 2**16), (400, 10**6)])
+    def test_pointwise_mean_matches_a_loop_over_chunks_and_points(self, samples, chunk):
+        # the x of one chunk share their draws of h; the blocks of x change nothing
+        n, t = 1009, 2
+        table = np.random.default_rng(2).normal(size=n)
+        weight = _form_product(table, [(1, 0, 1), (1, 1, 1)], [0, 0])
+        got = _pointwise_mean(weight, n, t, samples, 9, "pm", chunk)
+        x_chunk = max(1, chunk // samples)
+        want = np.empty(n)
+        for i, lo in enumerate(range(0, n, x_chunk)):
+            h = substream(9, "pm", i).integers(0, n, size=(samples, t))
+            for x in range(lo, min(lo + x_chunk, n)):
+                want[x] = np.mean(table[(x + h[:, 1]) % n] * table[(x + h[:, 0] + h[:, 1]) % n])
+        assert np.allclose(got, want, rtol=1e-14, atol=0)
 
 
 def old_form_product(table, mat, consts, x):

@@ -683,14 +683,28 @@ class TestLevelSigma:
         # the sorted event list and its cumulative sums, each freed once read
         n = 100003
         rng = np.random.default_rng(16)
-        frac, weights = rng.random(n), rng.uniform(1.0, 2.0, n)
+        frac, nu = rng.random(n), rng.uniform(0.0, 1.0, n)  # weights nu + 1
         tracemalloc.start()
         try:
-            znkit.transference._level_alpha_index(frac, weights, 10**5, 1e-5)
+            znkit.transference._level_alpha_index(frac, nu, 10**5, 1e-5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 160 * n
+
+    def test_level_search_never_forms_nu_plus_one(self):
+        # at N = 999983 nu + 1 would be 7.6 MiB more: 95.4 MiB peak with it, 87.7 without
+        n = 999983
+        g = CyclicGroup(n)
+        G = GridFunction(g, np.random.default_rng(7).uniform(-1, 1, n))
+        nu = GridFunction.constant(g, 1.0)
+        tracemalloc.start()
+        try:
+            build_level_sigma(G, 1e-4, 1e-5, nu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 91 * 2**20
 
     @pytest.mark.parametrize("alpha_grid", [0, -3, 2**53 + 1, 10**17])
     def test_unresolvable_grid_is_refused_first(self, alpha_grid):
@@ -857,6 +871,21 @@ def _partition_identity_holds(result, f):
 
 
 class TestDecomposition:
+    def test_decomposition_never_holds_nu_plus_one(self):
+        # the omega mass sums nu + 1 on omega only: 157.5 MiB peak with nu + 1 held, 142.2 without
+        n = 999983
+        g = CyclicGroup(n)
+        f = np.zeros(n)
+        f[: n // 2] = 1.0
+        tracemalloc.start()
+        try:
+            kvn_decompose(GridFunction(g, f), GridFunction.constant(g, 1.0),
+                          DecompositionConfig(k=3, epsilon=1e-4, eta=1e-5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 150 * 2**20
+
     def test_constant_function_stops_immediately(self):
         g = CyclicGroup(101)
         nu = GridFunction.constant(g, 1.0)
