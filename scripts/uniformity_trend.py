@@ -24,8 +24,8 @@ from znkit import (
     GridFunction,
     MajorantParams,
     build_majorant,
-    dual_function_u2_fourier,
-    gowers_norm_u2_fourier,
+    dual_function,
+    gowers_norm,
 )
 from znkit.core import substream
 from znkit.pseudo import antiuniform_correlation
@@ -51,13 +51,13 @@ def main() -> int:
             k=3, N=n, w=args.w, R_exponent=args.theta, epsilon_k=args.epsilon
         )
         nu = build_majorant(params)
-        dist = gowers_norm_u2_fourier(nu - 1.0).norm_value
+        dist = gowers_norm(nu - 1.0, 2).norm_value
 
         rng = substream(args.seed, "trend", n)
         duals = []
         for _ in range(2):
             F = GridFunction(nu.group, rng.uniform(-1, 1, size=n) * (nu.values + 1.0))
-            duals.append(dual_function_u2_fourier(F))
+            duals.append(dual_function(F, 2))
         poly = {(1, 0): 1.0, (0, 1): -0.5, (2, 1): 0.25, (0, 3): 0.1}
         corr = abs(antiuniform_correlation(nu, duals, poly))
         sup_phi = sum(

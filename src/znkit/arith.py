@@ -8,9 +8,9 @@ bool per odd number (primes_up_to, the tau moments of
 pseudo.verify_correlation, the k >= 4 progression scan), primes_up_to for
 the primes as integers, build_sieve for the Mobius and von Mangoldt tables
 over 0..limit, the private trial-division helper
-_distinct_prime_factors for a single integer (euler_phi, tau_weight, each
-pairwise difference of the GY shifts), and is_prime_64 for primality,
-including the primes p <= w behind W and phi(W).
+_distinct_prime_factors for a single integer (tau_weight, each pairwise
+difference of the GY shifts), and is_prime_64 for primality, including the
+primes p <= w behind W and phi(W).
 
 The majorant construction: fix a small-prime cutoff w, let W be the product
 of the primes up to w, and restrict attention to the progression W n + 1 so
@@ -34,7 +34,6 @@ n = 1..limit (a = 1, b = 0).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -52,11 +51,9 @@ __all__ = [
     "odd_prime_bits",
     "odd_prime_indicator",
     "is_prime_64",
-    "euler_phi",
     "lambda_tilde",
     "divisor_sums_on_progression",
     "build_majorant",
-    "write_tables_csv",
 ]
 
 _SIEVE_LIMIT_CAP = 50_000_000  # ~50M keeps the tables under ~1 GB
@@ -77,9 +74,6 @@ class SieveTables:
     primes: np.ndarray
     mobius: np.ndarray
     von_mangoldt: np.ndarray
-
-    def prime_count(self) -> int:
-        return int(self.primes.size)
 
 
 def odd_prime_bits(limit: int) -> np.ndarray:
@@ -225,16 +219,6 @@ def _distinct_prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-def euler_phi(n: int) -> int:
-    """Euler totient, from the trial-division factorization of n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    result = n
-    for p in _distinct_prime_factors(n):
-        result -= result // p
-    return result
 
 
 @dataclass(frozen=True)
@@ -386,23 +370,3 @@ def build_majorant(params: MajorantParams) -> GridFunction:
     lam[:] = (params.phi_W / params.W) * lam * lam / params.log_R
     return GridFunction(group, values)
 
-
-def write_tables_csv(
-    tables: SieveTables, lambda_r: np.ndarray, path: str, limit: int | None = None
-) -> None:
-    """Export (n, mu, lambda, lambda_r) rows for external verification."""
-    stop = min(tables.limit, lambda_r.size - 1)
-    if limit is not None:
-        stop = min(stop, limit)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "mu", "lambda", "lambda_r"])
-        for n in range(1, stop + 1):
-            writer.writerow(
-                [
-                    n,
-                    int(tables.mobius[n]),
-                    repr(float(tables.von_mangoldt[n])),
-                    repr(float(lambda_r[n])),
-                ]
-            )

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 invalid parameters, 3 cost budget exceeded,
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import itertools
 import json
@@ -44,10 +45,10 @@ from .gowers import (
 )
 from .arith import (
     MajorantParams,
+    SieveTables,
     build_majorant,
     build_sieve,
     divisor_sums_on_progression,
-    write_tables_csv,
 )
 from .pseudo import (
     LinearFormSystem,
@@ -437,17 +438,33 @@ def _system_from_args(spec: str) -> LinearFormSystem:
         raise ValueError(f"system file {spec}: {exc}") from exc
 
 
+def _write_tables_csv(tables: SieveTables, lambda_r: np.ndarray, path: str, limit: int) -> None:
+    """Write (n, mu, lambda, lambda_r) rows for n = 1..limit, floats as repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["n", "mu", "lambda", "lambda_r"])
+        for n in range(1, limit + 1):
+            writer.writerow(
+                [
+                    n,
+                    int(tables.mobius[n]),
+                    repr(float(tables.von_mangoldt[n])),
+                    repr(float(lambda_r[n])),
+                ]
+            )
+
+
 def _cmd_sieve(args) -> dict:
     tables = build_sieve(args.limit)
     lam = np.zeros(args.limit + 1)
     if args.r:
         lam[1:] = divisor_sums_on_progression(1, 0, 1, args.limit, args.r)
     if args.output:
-        write_tables_csv(tables, lam, args.output, limit=args.limit)
+        _write_tables_csv(tables, lam, args.output, args.limit)
     return {
         "limit": args.limit,
         "r": args.r,
-        "prime_count": tables.prime_count(),
+        "prime_count": tables.primes.size,
         "output": args.output,
     }
 

@@ -204,10 +204,6 @@ class GridFunction:
         object.__setattr__(self, "values", _freeze(vals))
 
     @classmethod
-    def from_values(cls, group: CyclicGroup, values: Iterable[float]) -> "GridFunction":
-        return cls(group, np.asarray(list(values) if not isinstance(values, np.ndarray) else values))
-
-    @classmethod
     def constant(cls, group: CyclicGroup, c: float) -> "GridFunction":
         """c at every residue, held as one float broadcast over Z_N."""
         return cls(group, np.broadcast_to(float(c), (group.modulus,)))
@@ -350,8 +346,9 @@ def mc_mean(
     Chunk i holds at most `chunk` values drawn from substream(seed, stream, i).
     The mean is the sum of the chunk sums over `samples`; the spread merges
     each chunk's (count, mean, M2) by Chan's parallel update, so no sum of
-    squares is ever differenced against n mean^2.  draw must return a new
-    array each time: its squared deviations are taken in place.
+    squares is ever differenced against n mean^2.  draw returns an array
+    mc_mean may overwrite, valid until the next draw: its squared deviations
+    are taken in place.
     """
     if samples < 2:
         raise ValueError(f"monte carlo needs at least 2 samples, got {samples}")
@@ -364,7 +361,7 @@ def mc_mean(
         np.subtract(dev, chunk_total / count, out=dev)
         np.multiply(dev, dev, out=dev)
         m2 += float(dev.sum())
-        del dev  # free this chunk's values before the next is drawn
+        del dev  # a fresh array is freed before the next is drawn
         if done:
             delta = chunk_total / count - total / done
             m2 += delta * delta * done * count / (done + count)
@@ -466,11 +463,16 @@ def _uniform_draw(weight: Callable[[np.ndarray], np.ndarray], n: int, t: int):
     The points are drawn _BLOCK at a time, so a chunk's int64 points are
     never held whole.  The values are those of one
     rng.integers(0, n, size=(count, t)) call, which fills its rows in order
-    from the same stream.
+    from the same stream.  Every draw writes into one buffer, sized by the
+    largest count asked for so far, and returns a view of it.
     """
+    buf = np.empty(0)
 
     def draw(rng: np.random.Generator, count: int) -> np.ndarray:
-        out = np.empty(count)
+        nonlocal buf
+        if buf.size < count:
+            buf = np.empty(count)
+        out = buf[:count]
         for start in range(0, count, _BLOCK):
             stop = min(start + _BLOCK, count)
             out[start:stop] = weight(rng.integers(0, n, size=(stop - start, t)).T)

@@ -49,8 +49,6 @@ from .arith import (MajorantParams, _distinct_prime_factors,
 __all__ = [
     "LinearFormSystem",
     "PseudorandomnessReport",
-    "pseudorandom_condition_parameters",
-    "halfway",
     "verify_linear_forms",
     "verify_correlation",
     "tau_weight",
@@ -62,16 +60,6 @@ __all__ = [
 ]
 
 _MC_CHUNK = 1 << 17  # part of the stream: chunk i draws from substream(seed, name, i)
-
-
-def pseudorandom_condition_parameters(k: int) -> dict[str, int]:
-    """Condition sizes adequate for progressions of length k."""
-    return {
-        "m0": k * 2 ** (k - 1),
-        "t0": 3 * k - 4,
-        "L0": k,
-        "correlation_m0": 2 ** (k - 1),
-    }
 
 
 def _as_fraction(x) -> Fraction:
@@ -232,13 +220,6 @@ class PseudorandomnessReport:
         if self.moments is not None:
             out["moments"] = {str(q): v for q, v in self.moments.items()}
         return out
-
-
-def halfway(nu: GridFunction) -> GridFunction:
-    """(nu + 1)/2: mixing toward the constant measure preserves pseudorandomness."""
-    if nu.values.min() < 0:
-        raise ValueError("nu must be nonnegative")
-    return GridFunction(nu.group, (nu.values + 1.0) / 2.0)
 
 
 def verify_linear_forms(
@@ -602,8 +583,13 @@ def gy_moment_check(
         size = box[0][1] - box[0][0] + 1
         return EstimatorResult(float(_box_sum(weight, box)) / size / denom, 0.0, size, seed)
 
+    # one buffer for every chunk's points; mc_mean itself refuses samples < 2
+    points = np.empty((system.t, min(max(samples, 0), _MC_CHUNK)), dtype=np.int64)
+
     def draw(rng, count):
-        return weight(np.stack([rng.integers(lo, hi + 1, size=count) for lo, hi in box]))
+        x = points[:, :count]
+        np.stack([rng.integers(lo, hi + 1, size=count) for lo, hi in box], out=x)
+        return weight(x)
 
     est = mc_mean(draw, samples, seed, "gy_moment", _MC_CHUNK)
     return EstimatorResult(est.value / denom, est.std_error / denom, samples, seed)

@@ -688,6 +688,7 @@ def kvn_decompose(
             "need 0 <= f <= nu pointwise; worst residue "
             f"{worst}: f = {f.values[worst]}, nu = {nu.values[worst]}"
         )
+    del gap
     group = f.group
     d = config.k - 1
     dual_bound = float(2 ** (2 ** (config.k - 1)))
@@ -701,6 +702,7 @@ def kvn_decompose(
         proj = conditional_expectation(f, sigma).values
         anti = np.where(omega, 0.0, proj)
         residual = GridFunction(group, np.where(omega, 0.0, f.values - proj))
+        del proj
         est = _estimate_uniformity(residual, d, config, iterations)
         record = {
             "K": iterations,

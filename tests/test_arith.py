@@ -16,14 +16,14 @@ from znkit import (
     build_majorant,
     build_sieve,
     divisor_sums_on_progression,
-    euler_phi,
     is_prime_64,
     lambda_tilde,
     odd_prime_bits,
     odd_prime_indicator,
     primes_up_to,
 )
-from znkit.arith import _read_bits, write_tables_csv
+from znkit.arith import _read_bits
+from znkit.cli import _write_tables_csv
 
 
 def whole_array_odd_prime_indicator(limit: int) -> np.ndarray:
@@ -38,6 +38,20 @@ def whole_array_odd_prime_indicator(limit: int) -> np.ndarray:
             p = 2 * a + 1
             is_p[p * p // 2 :: p] = False
     return is_p
+
+
+def euler_phi(n: int) -> int:
+    """Euler's totient by trial division: the oracle for MajorantParams.phi_W."""
+    result, p = n, 2
+    while p * p <= n:
+        if n % p == 0:
+            result -= result // p
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        result -= result // n
+    return result
 
 
 def lambda_r_table(limit: int, R: float) -> np.ndarray:
@@ -102,7 +116,7 @@ class TestSieve:
     def test_prime_count_100_against_trial_division(self):
         t = build_sieve(100)
         want = sum(trial_division_is_prime(n) for n in range(101))
-        assert t.prime_count() == want == 25
+        assert t.primes.size == want == 25
 
     def test_mobius_values(self, sieve_1e4):
         assert int(sieve_1e4.mobius[1]) == 1
@@ -639,7 +653,7 @@ class TestMajorant:
 def test_csv_export_round_trips(tmp_path, sieve_1e4):
     table = lambda_r_table(50, 10.0)
     path = os.path.join(tmp_path, "tables.csv")
-    write_tables_csv(sieve_1e4, table, path, limit=50)
+    _write_tables_csv(sieve_1e4, table, path, 50)
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         assert header == ["n", "mu", "lambda", "lambda_r"]

@@ -28,10 +28,11 @@ from znkit.cli import (
     _column_chunks,
     _read_column,
     _write_column,
+    _write_tables_csv,
     emit_report,
     main,
 )
-from znkit.arith import build_sieve, write_tables_csv
+from znkit.arith import build_sieve
 from test_arith import lambda_r_table
 
 
@@ -472,7 +473,7 @@ def test_sieve_r_csv_is_the_oracle_table(capsys, tmp_path):
     code, _ = run_cli(capsys, "sieve", "--limit", "5000", "--r", "30", "--output", str(path))
     assert code == EXIT_OK
     want = tmp_path / "oracle.csv"
-    write_tables_csv(build_sieve(5000), lambda_r_table(5000, 30.0), str(want), limit=5000)
+    _write_tables_csv(build_sieve(5000), lambda_r_table(5000, 30.0), str(want), 5000)
     assert path.read_bytes() == want.read_bytes()
 
 

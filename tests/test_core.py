@@ -31,7 +31,7 @@ from conftest import (atoms_by_comparison, first_occurrence_labels, random_funct
 
 
 def _grid(vals):
-    return GridFunction.from_values(CyclicGroup(len(vals)), vals)
+    return GridFunction(CyclicGroup(len(vals)), np.asarray(vals))
 
 
 class TestExpectation:

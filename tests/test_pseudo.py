@@ -22,7 +22,6 @@ from znkit import (
     gowers_norm_u2_fourier,
     gy2_correlation_check,
     gy_moment_check,
-    halfway,
     local_factor_omega,
     tau_weight,
     verify_correlation,
@@ -38,32 +37,10 @@ from znkit.pseudo import (
     _tau_leaf,
     _window_weight,
     antiuniform_correlation,
-    pseudorandom_condition_parameters,
 )
 import znkit.pseudo
 from conftest import two_pass_mc_mean
 from test_arith import lambda_r_table
-
-
-class TestHalfway:
-    def test_constant_fixed_point(self):
-        nu = GridFunction.constant(CyclicGroup(5), 1.0)
-        assert np.all(halfway(nu).values == 1.0)
-
-    def test_values(self):
-        nu = GridFunction.from_values(CyclicGroup(2), [0.0, 2.0])
-        assert halfway(nu).values.tolist() == [0.5, 1.5]
-
-    def test_mean_is_affine(self):
-        nu = bernoulli_measure(997, seed=0)
-        assert halfway(nu).values.mean() == pytest.approx(
-            (nu.values.mean() + 1) / 2, abs=1e-12
-        )
-
-    def test_rejects_negative(self):
-        bad = GridFunction.from_values(CyclicGroup(2), [-0.1, 1.0])
-        with pytest.raises(ValueError):
-            halfway(bad)
 
 
 class TestLinearFormSystem:
@@ -942,12 +919,6 @@ class TestBernoulliMeasure:
         a = bernoulli_measure(997, seed=9)
         b = bernoulli_measure(997, seed=9)
         assert np.array_equal(a.values, b.values)
-
-
-class TestConditionParameters:
-    def test_values_for_k3(self):
-        params = pseudorandom_condition_parameters(3)
-        assert params == {"m0": 12, "t0": 5, "L0": 3, "correlation_m0": 4}
 
 
 class TestStructuredCorrelations:
