@@ -144,9 +144,6 @@ def _folded_correlation(prod: np.ndarray, n: int) -> np.ndarray:
     return lin
 
 
-_SHIFT_BLOCK = 1 << 20  # floats in one block of translates (8 MiB)
-
-
 def _translates(values: np.ndarray) -> np.ndarray:
     """The view t[..., h, x] = values[..., (x + h) mod n], 0 <= h < n, on one copy."""
     n = values.shape[-1]

@@ -7,7 +7,7 @@ evaluation is one recursion on the last cube coordinate: for fixed h_d the
 2^d vertex functions pair up into the 2^(d-1) derivatives
 f_(omega',0) f_(omega',1)(. + h_d), and the d-cube average is the average
 over h_d of the (d-1)-cube averages of those derivatives.  A block of shifts
-(about 2^20 floats of derivatives) is read off the translates of a doubled
+(about 2^17 floats of derivatives) is read off the translates of a doubled
 array as a batch of rows.  A pair holding one array twice is multiplied
 once, so the norm costs one derivative per level; and as Delta_(-h) f is a
 translate of Delta_h f, a level whose vertices all hold one array (the
@@ -44,7 +44,7 @@ from .core import (
     CyclicGroup,
     GridFunction,
     GroupMismatchError,
-    _SHIFT_BLOCK,
+    _BOX_LEAF,
     _check_budget,
     _folded_correlation,
     _form_product,
@@ -139,7 +139,7 @@ class GowersEstimate:
 
 
 def _u2_leaf(fs: list, pointwise: bool):
-    """sum_h c_(f0,f1)(h) c_(f2,f3)(h) / N^3 summed over the rows, or pointwise
+    """sum_h c_(f0,f1)(h) c_(f2,f3)(h) / N^3 for each row, or pointwise
     f0(x) N^-2 sum_h c_(f2,f3)(h) f1(x + h), f0 = None the constant 1.  Each
     distinct array is transformed once, and each spectrum is dropped once its
     last product is formed."""
@@ -168,7 +168,7 @@ def _u2_leaf(fs: list, pointwise: bool):
     del hat
     c = _folded_correlation(prod, n)[..., :n]
     c0 = c if shared else _folded_correlation(prod0, n)[..., :n]
-    return float(np.sum(c0 * c)) / n**3
+    return np.add.reduce(c0 * c, axis=-1) / n**3
 
 
 def _product(hat: dict, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -180,8 +180,9 @@ def _product(hat: dict, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _derivative_recursion(fs: list, pointwise: bool = False):
     """E_(x,h) prod_omega fs[omega](x + omega.h), omega in itertools.product order,
-    summed over the rows of the (..., N) arrays fs; pointwise keeps x, with
-    fs[0] = None for the constant 1."""
+    one value per row of the (..., N) arrays fs; pointwise keeps x, with
+    fs[0] = None for the constant 1.  Each level reduces its per-shift values
+    once, by numpy's own reduction, so the block size changes no digit."""
     n = fs[-1].shape[-1]
     if len(fs) == 2:
         if pointwise:
@@ -192,29 +193,34 @@ def _derivative_recursion(fs: list, pointwise: bool = False):
     keys = [(id(a), id(b)) for a, b in zip(fs[0::2], fs[1::2])]
     pairs = dict(zip(keys, zip(fs[0::2], fs[1::2])))
     shifted = {id(b): _translates(b) for _, b in pairs.values()}
-    step = max(1, _SHIFT_BLOCK // fs[-1].size)
-    total = np.zeros(fs[-1].shape) if pointwise else 0.0
-    if all(a is fs[0] for a in fs):
-        # one array f at every vertex: Delta_(-h) f is Delta_h f translated by
-        # -h, so shifts h and N - h have one cube average; 0 < h < N/2 count
-        # twice, h = 0 and (even N) h = N/2 once
-        blocks = [(0, 1, 1.0)]
-        blocks += [(start, min(start + step, (n + 1) // 2), 2.0)
-                   for start in range(1, (n + 1) // 2, step)]
-        blocks += [(n // 2, n // 2 + 1, 1.0)] if n % 2 == 0 else []
+    rows = fs[-1].shape[:-1]
+    # one array f at every vertex: Delta_(-h) f is Delta_h f translated by -h,
+    # so shifts h and N - h have one cube average and only 0 <= h <= N/2 run
+    same = all(a is fs[0] for a in fs)
+    count = n // 2 + 1 if same else n
+    step = max(1, _BOX_LEAF // fs[-1].size)
+    if pointwise:
+        total = np.zeros(fs[-1].shape)
     else:
-        blocks = [(start, min(start + step, n), 1.0) for start in range(0, n, step)]
-    for start, stop, weight in blocks:
+        values = np.empty(rows + (count,))
+    for start in range(0, count, step):
+        stop = min(start + step, count)
         derivs = {}
         for key, (a, b) in pairs.items():
             tb = shifted[id(b)][..., start:stop, :]  # [..., h, x] = b(x + h)
             derivs[key] = (tb if a is None else a[..., None, :] * tb).reshape(-1, n)
         inner = _derivative_recursion([derivs[key] for key in keys], pointwise)
         if pointwise:
-            total += inner.reshape(*fs[-1].shape[:-1], stop - start, n).sum(axis=-2)
+            inner = inner.reshape(*rows, stop - start, n)
+            inner[..., 0, :] += total
+            np.add.reduce(inner, axis=-2, out=total)  # in order over all shifts
         else:
-            total += weight * inner
-    return total / n
+            values[..., start:stop] = inner.reshape(*rows, stop - start)
+    if pointwise:
+        return total / n
+    if same:
+        values[..., 1 : (n + 1) // 2] *= 2.0  # h = 0 and (even N) h = N/2 count once
+    return np.add.reduce(values, axis=-1) / n
 
 
 def gowers_inner(family: CubeFamily, budget: int = DEFAULT_BUDGET) -> float:
@@ -224,7 +230,7 @@ def gowers_inner(family: CubeFamily, budget: int = DEFAULT_BUDGET) -> float:
         return expectation(family.functions[()])
     _check_exact(family.group.modulus, d, budget, "cube average")
     verts = itertools.product((0, 1), repeat=d)
-    return _derivative_recursion([family.functions[om].values for om in verts])
+    return float(_derivative_recursion([family.functions[om].values for om in verts]))
 
 
 def gowers_norm(f: GridFunction, d: int, budget: int = DEFAULT_BUDGET) -> GowersEstimate:
@@ -232,7 +238,8 @@ def gowers_norm(f: GridFunction, d: int, budget: int = DEFAULT_BUDGET) -> Gowers
     if d < 1:
         raise ValueError("d must be a positive integer")
     _check_exact(f.group.modulus, d, budget, "uniformity norm")
-    return GowersEstimate.from_raised(_derivative_recursion([f.values] * 2**d), d, "exact")
+    raised = float(_derivative_recursion([f.values] * 2**d))
+    return GowersEstimate.from_raised(raised, d, "exact")
 
 
 def gowers_norm_u2_fourier(f: GridFunction) -> GowersEstimate:
@@ -241,7 +248,7 @@ def gowers_norm_u2_fourier(f: GridFunction) -> GowersEstimate:
     This equals sum_xi |fhat(xi)|^4, fhat(xi) = E(f(x) e(-x xi / N)), but c
     comes from padded real transforms; the same float as gowers_norm(f, 2).
     """
-    raised = _u2_leaf([f.values] * 4, pointwise=False)
+    raised = float(_u2_leaf([f.values] * 4, pointwise=False))
     return GowersEstimate.from_raised(raised, 2, "fourier")
 
 

@@ -721,11 +721,13 @@ def kvn_decompose(
         if iterations >= config.iteration_cap:
             final_est = est
             break
+        del anti  # both are rebuilt by the next pass before any break
         dual = dual_function(  # sampled: config.samples // 100 draws per point
             residual, d, mode=config.uniformity_mode,
             samples=max(100, config.samples // 100),
             seed=_step_seed(config.seed, iterations), budget=config.budget,
         )
+        del residual
         level, alpha = build_level_sigma(
             dual, config.epsilon, config.eta, nu, value_bound=dual_bound
         )

@@ -165,8 +165,8 @@ class TestDerivativeRecursion:
     @pytest.mark.parametrize("cap", ["one", "three_rows", "default"])
     @pytest.mark.parametrize("d, n", [(3, 7), (4, 5)])
     def test_blocks_match_brute_force(self, monkeypatch, cap, d, n):
-        sizes = {"one": 1, "three_rows": 3 * n, "default": znkit.gowers._SHIFT_BLOCK}
-        monkeypatch.setattr(znkit.gowers, "_SHIFT_BLOCK", sizes[cap])
+        sizes = {"one": 1, "three_rows": 3 * n, "default": znkit.gowers._BOX_LEAF}
+        monkeypatch.setattr(znkit.gowers, "_BOX_LEAF", sizes[cap])
         rng = np.random.default_rng(40 + d)
         g = CyclicGroup(n)
         F = random_function(g, rng)
@@ -194,8 +194,8 @@ class TestDerivativeRecursion:
         # Delta_(-h) F is a translate of Delta_h F: each level of the norm
         # runs 0 <= h <= N/2, weight 2 for 0 < h < N/2; an inner product whose
         # vertices differ, and the dual, keep all N shifts
-        sizes = {"one": 1, "three_rows": 3 * n, "default": znkit.gowers._SHIFT_BLOCK}
-        monkeypatch.setattr(znkit.gowers, "_SHIFT_BLOCK", sizes[cap])
+        sizes = {"one": 1, "three_rows": 3 * n, "default": znkit.gowers._BOX_LEAF}
+        monkeypatch.setattr(znkit.gowers, "_BOX_LEAF", sizes[cap])
         rows = []
         leaf = znkit.gowers._u2_leaf
 
@@ -222,9 +222,27 @@ class TestDerivativeRecursion:
         dual_function(F, d)
         assert sum(rows) == n ** (d - 2)
 
+    @pytest.mark.parametrize("d, n", [(3, 101), (4, 23)])
+    def test_results_do_not_depend_on_the_block(self, monkeypatch, d, n):
+        # each level reduces its dense per-shift values once, so the block
+        # size is a memory setting only: the floats agree bit for bit
+        rng = np.random.default_rng(60 + d)
+        g = CyclicGroup(n)
+        F = random_function(g, rng)
+        funcs = {om: random_function(g, rng) for om in itertools.product((0, 1), repeat=d)}
+        runs = []
+        for block in (1, 3 * n, znkit.gowers._BOX_LEAF):
+            monkeypatch.setattr(znkit.gowers, "_BOX_LEAF", block)
+            runs.append((gowers_norm(F, d).raised_value, dual_function(F, d).values,
+                         gowers_inner(CubeFamily(d, funcs))))
+        for norm, dual, inner in runs[1:]:
+            assert norm == runs[0][0]
+            assert np.array_equal(dual, runs[0][1])
+            assert inner == runs[0][2]
+
     def test_u3_at_n2003_stays_within_the_block_cap(self):
-        # one block of about 2^20 derivative floats (8 MiB) and the batched
-        # transforms it feeds; a doubled cap would pass both bounds
+        # one block of about 2^17 derivative floats (1 MiB) and the batched
+        # transforms it feeds; a block of 2^20 floats fails both bounds
         n = 2003
         F = GridFunction(CyclicGroup(n), np.random.default_rng(42).uniform(-1, 1, n))
         peaks = []
@@ -235,8 +253,8 @@ class TestDerivativeRecursion:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[0] < 80 * 2**20
-        assert peaks[1] < 120 * 2**20
+        assert peaks[0] < 10 * 2**20
+        assert peaks[1] < 15 * 2**20
 
 
 class TestNorm:
