@@ -135,35 +135,37 @@ def _to_json(obj, indent: int = 0) -> str:
 
 def _flatten(prefix: str, obj, out: dict) -> None:
     if isinstance(obj, dict):
-        for k in sorted(obj, key=str):
-            _flatten(f"{prefix}.{k}" if prefix else str(k), obj[k], out)
+        items = ((k, obj[k]) for k in sorted(obj, key=str))
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        items = enumerate(obj)
     else:
         out[prefix] = obj
+        return
+    for k, v in items:
+        _flatten(f"{prefix}.{k}" if prefix else str(k), v, out)
 
 
 def emit_report(result: dict, fmt: str, path: str | None) -> str:
     """Serialize a report; bit-stable for a fixed result object.
 
-    JSON keeps structure; CSV flattens nested keys with dots into one header
-    row plus one value row (RFC-4180 quoting via the csv module).
+    JSON keeps structure; CSV flattens nested keys and list indices with
+    dots into one header row plus one value row (RFC-4180 quoting via the
+    csv module).  Each CSV cell is its value's JSON text, except that
+    strings stay raw and None is an empty cell.
     """
     if fmt == "json":
         text = _to_json(result) + "\n"
     elif fmt == "csv":
-        import csv as _csv
         import io
 
         flat: dict = {}
         _flatten("", result, flat)
         buf = io.StringIO()
-        writer = _csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(list(flat.keys()))
         writer.writerow(
-            [
-                _fmt_float(v) if isinstance(v, (float, np.floating)) else
-                ("" if v is None else v)
-                for v in flat.values()
-            ]
+            [v if isinstance(v, str) else "" if v is None else _to_json(v)
+             for v in flat.values()]
         )
         text = buf.getvalue()
     else:

@@ -380,9 +380,12 @@ def count_prime_aps(k: int, limit: int, budget: int = 10**9) -> int:
     return count
 
 
-# Beyond 2^53 the grid points j / alpha_grid and the run ends
-# (frac +- eta) * alpha_grid no longer tell neighbouring j apart.
+# Above 2^53 neighbouring cuts j / alpha_grid near 1 lie closer together than
+# the float spacing of frac, so the near-cut test cannot tell them apart.
 _MAX_ALPHA_GRID = 2**53
+# The level search tries at most this many cuts, so its cost is at most this
+# many passes of N, whatever 1/eta is.
+_CUT_TRIES = 64
 
 
 def _near_cut(frac: np.ndarray, j, grid: int, eta: float) -> np.ndarray:
@@ -392,109 +395,21 @@ def _near_cut(frac: np.ndarray, j, grid: int, eta: float) -> np.ndarray:
     return np.minimum(dist, 1.0 - dist) <= eta
 
 
-def _cut_runs(frac: np.ndarray, grid: int, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per point, the run [lo, hi] of grid indices j whose cut it lies near.
-
-    The float distance from frac to j / grid falls, weakly, from the
-    antipode to the cut nearest frac and rises back, so the j that pass
-    `_near_cut` form one circular run.  Its ends start in closed form,
-    ceil((frac - eta) grid) and floor((frac + eta) grid) in unwrapped
-    coordinates, and are then moved a step at a time onto the test itself:
-    an end grows while its outer neighbour passes and shrinks while it
-    fails, and a run never grows past grid indices.  An empty run has
-    hi < lo; the whole circle is [0, grid - 1].
-    """
-    lo = np.ceil((frac - eta) * grid).astype(np.int64)
-    hi = np.floor((frac + eta) * grid).astype(np.int64)
-    moved = True
-    while moved:
-        grow = (hi - lo + 1 < grid) & _near_cut(frac, lo - 1, grid, eta)
-        shrink = ~grow & (lo <= hi) & ~_near_cut(frac, lo, grid, eta)
-        lo += shrink.astype(np.int64) - grow
-        moved = grow.any() or shrink.any()
-        grow = (hi - lo + 1 < grid) & _near_cut(frac, hi + 1, grid, eta)
-        shrink = ~grow & (lo <= hi) & ~_near_cut(frac, hi, grid, eta)
-        hi += grow.astype(np.int64) - shrink
-        moved = moved or grow.any() or shrink.any()
-    full = hi - lo + 1 >= grid
-    return np.where(full, 0, lo), np.where(full, grid - 1, hi)
-
-
 def _level_alpha_index(
     frac: np.ndarray, nu: np.ndarray, grid: int, eta: float
 ) -> int:
-    """First grid index j at which the alpha search of `build_level_sigma`
-    settles, found from the sorted events of the points' runs.
-
-    The mass at j, float((nu[_near_cut(frac, j)] + 1).sum()) / N, is constant
-    between events.  A run [lo, hi] that covers a cut adds w = nu + 1 at its start
-    lo mod grid and -w at its end, start + hi - lo + 1; a run that wraps
-    past grid - 1 ends at end - grid instead and is also +w at 0, and an
-    end at grid (a whole circle, say) is never reached.  One opener at 0
-    starts the first segment.  A cumulative sum over the events sorted by
-    position gives every constant segment, its first j and its mass to
-    within a running bound on the rounding of the sum and of the pairwise
-    sum the search takes.  The sort's order among equal positions does not
-    matter: a run that covers no cut adds no event, so every end lies
-    strictly past its own start, and the events before any index, in any
-    order, leave a set of active runs, whose partial sum is bounded by
-    their total |w|, the running `size` below.  The search keeps the first
-    j whose mass falls below the best so far by more than 1e-15, which only
-    a strict new minimum can do; so only segments whose lower bound lies
-    below every earlier upper bound are candidates, and those whose lower
-    bound clears the current threshold are skipped.  The rest get their
-    mass recomputed exactly as the search takes it, in increasing j.
-    """
+    """Grid index j of the cut `build_level_sigma` takes: the first
+    j = 0, 1, ... whose near-cut (nu + 1)-mass is at most the line, or else
+    the first of least mass among the `_CUT_TRIES` tried."""
     n = frac.size
-    lo, hi = _cut_runs(frac, grid, eta)
-    runs = lo <= hi  # a run that covers no cut adds no event
-    start = lo[runs] % grid
-    end = start + (hi - lo + 1)[runs]
-    del lo, hi
-    w = nu[runs]
-    w += 1.0
-    wrap = end > grid
-    end[wrap] -= grid
-    # events: each start, each end, 0 for each wrapping run, and the opener
-    wraps = int(wrap.sum())
-    pos = np.concatenate((start, end, np.zeros(wraps + 1, dtype=np.int64)))
-    del start, end
-    order = np.argsort(pos)
-    pos = pos[order]
-    sign = np.repeat(np.int8([1, -1, 1, 0]), (w.size, w.size, wraps, 1))[order]
-    delta = np.concatenate((w, -w, w[wrap], (0.0,)))[order]
-    del order, w, wrap
-    last = np.flatnonzero(np.diff(pos, append=grid))  # each position's last event
-    first_j = pos[last]
-    del pos
-    counts = np.cumsum(sign)[last]
-    mass = np.cumsum(delta)[last]
-    size = np.cumsum(sign * np.abs(delta))  # sum of |w| over the active runs
-    # twice the running bound u * sum |partial sums| on the cumulative sum,
-    # plus numpy's pairwise-sum bound on the search's own sum (count - 1
-    # sequential steps, or at most about 32 + log2(count)), plus the division
-    u = 2.0**-53
-    pairwise = np.minimum(counts, 32.0 + np.log2(np.maximum(counts, 1)))
-    slack = (2.0 * u * (np.cumsum(size)[last] + pairwise * size[last])
-             + 4.0 * u * np.abs(mass))
-    empty = counts == 0
-    mass[empty] = 0.0
-    slack[empty] = 0.0
-    lower = (mass - slack) / n
-    upper = (mass + slack) / n
-    candidate = np.ones(first_j.size, dtype=bool)
-    candidate[1:] = lower[1:] < np.minimum.accumulate(upper)[:-1]
-    best_j = 0
-    best_mass = math.inf
-    for k in np.flatnonzero(candidate).tolist():
-        if lower[k] >= best_mass - 1e-15:
-            continue
-        j = int(first_j[k])
-        exact = float((nu[_near_cut(frac, j, grid, eta)] + 1.0).sum()) / n
-        if exact < best_mass - 1e-15:
-            best_mass = exact
-            best_j = j
-    return best_j
+    line = 2.0 * (2.0 * eta + 1.0 / grid) * (float(nu.sum()) / n + 1.0)
+    masses = []
+    for j in range(min(grid, _CUT_TRIES)):
+        mass = float((nu[_near_cut(frac, j, grid, eta)] + 1.0).sum()) / n
+        if mass <= line:
+            return j
+        masses.append(mass)
+    return masses.index(min(masses))
 
 
 def build_level_sigma(
@@ -507,22 +422,18 @@ def build_level_sigma(
 ) -> tuple[SigmaAlgebra, float]:
     """Partition Z_N by the level sets G in [eps(n + alpha), eps(n + 1 + alpha)).
 
-    alpha is chosen from the grid j / alpha_grid, j = 0, ..., alpha_grid - 1
-    (default alpha_grid = ceil(1/eta)), to minimize the (nu + 1)-mass within
-    eta of the cut points; the minimum is no worse than the grid average,
-    which is O(eta) for any measure of mean O(1).  The choice is that of
-    trying every j in turn and keeping the first whose mass falls below the
-    best so far by more than 1e-15, but it is read off one list of at most
-    3N + 1 events: each point whose run of nearby cuts is not empty is +w
-    at the run's start and -w at its end (and +w at 0 if the run wraps).
-    Every end lies past its own start, so the default, unstable sort is
-    enough: any prefix of the sorted list is a set of active runs, and the
-    rounding bound on the running mass holds for every order of equal
-    positions.  Cost N log N for the sort, a few passes of N to settle the
-    run ends from their closed form (neither grows with alpha_grid or
-    1/eta), plus N for each near-minimal mass recomputed, and no array of
-    alpha_grid entries.  A grid below 1 or above 2^53 is refused.  Returns
-    the partition and the chosen alpha.
+    alpha is a cut j / alpha_grid (default alpha_grid = ceil(1/eta)) whose
+    (nu + 1)-mass within eta of the cut points is O(eta), found by the
+    averaging argument.  A point lies near at most 2 eta alpha_grid + 1 cuts,
+    so for a measure nu >= 0 the mass averaged over the whole grid is at most
+    (2 eta + 1/alpha_grid) E(nu + 1), and by Markov at least half the grid
+    has at most twice that, the line.  The search tries j = 0, 1, ... in grid
+    order, at most 64 of them, and takes the first j whose mass is at most
+    the line; if none is, it takes the first of least mass among those tried.
+    Each try is one pass of N, so the cost is at most 64 N whatever
+    alpha_grid or 1/eta, and no array of alpha_grid entries is formed.  A
+    grid below 1 or above 2^53 is refused.  Returns the partition and the
+    chosen alpha.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")

@@ -686,6 +686,14 @@ class TestEmitReport:
         assert header == "alpha,beta.gamma"
         assert row == "1,2"
 
+    def test_csv_indexes_lists_and_writes_json_scalars(self):
+        report = {"x": [0.1, {"y": True}], "z": None, "a": 1, "b": {"c": 2.0}}
+        header, row = emit_report(report, "csv", None).split("\n")[:2]
+        assert header == "a,b.c,x.0,x.1.y,z"
+        assert row == "1,2,0.10000000000000001,true,"
+        with pytest.raises(ValueError):
+            emit_report({"x": [float("nan"), True, None]}, "csv", None)
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             emit_report({"x": float("nan")}, "json", None)
