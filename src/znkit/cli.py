@@ -31,6 +31,7 @@ except ImportError:  # not on Windows
 
 from . import __version__
 from .core import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     CyclicGroup,
     GridFunction,
@@ -491,18 +492,21 @@ def _cmd_majorant(args) -> dict:
     }
 
 
+def _read_input(args) -> GridFunction:
+    """The --input column of gowers and dual, read once --mode and --d are known to agree."""
+    if args.mode == "fourier" and args.d != 2:
+        raise ValueError("fourier mode is available for d = 2 only")
+    return _read_column(args.input, args.n)
+
+
 def _cmd_gowers(args) -> dict:
-    f = _read_column(args.input, args.n)
+    f = _read_input(args)
     if args.mode == "exact":
         est = gowers_norm(f, args.d, budget=args.budget)
     elif args.mode == "fourier":
-        if args.d != 2:
-            raise ValueError("fourier mode is available for d = 2 only")
         est = gowers_norm_u2_fourier(f)
-    elif args.mode == "mc":
-        est = gowers_norm_mc(f, args.d, args.samples, args.seed, budget=args.budget)
     else:
-        raise ValueError(f"unknown mode {args.mode!r}")
+        est = gowers_norm_mc(f, args.d, args.samples, args.seed, budget=args.budget)
     return {
         "d": est.dimension,
         "mode": est.mode,
@@ -513,18 +517,14 @@ def _cmd_gowers(args) -> dict:
 
 
 def _cmd_dual(args) -> dict:
-    f = _read_column(args.input, args.n)
+    f = _read_input(args)
     if args.mode == "fourier":
-        if args.d != 2:
-            raise ValueError("fourier mode is available for d = 2 only")
         df = dual_function_u2_fourier(f)
     elif args.mode == "exact":
         df = dual_function(f, args.d, mode="exact", budget=args.budget)
-    elif args.mode == "mc":
+    else:
         df = dual_function(f, args.d, mode="monte_carlo", samples=args.samples,
                            seed=args.seed, budget=args.budget)
-    else:
-        raise ValueError(f"unknown mode {args.mode!r}")
     if args.output:
         _write_column(df.values, args.output)
     return {
@@ -534,6 +534,14 @@ def _cmd_dual(args) -> dict:
         "mean": float(df.values.mean()),
         "output": args.output,
     }
+
+
+def _verdict(report) -> dict:
+    """The report as a dict; a failed verdict raises it in a VerdictError (exit 4)."""
+    out = report.to_dict()
+    if not report.passed:
+        raise VerdictError(out)
+    return out
 
 
 def _cmd_linforms(args) -> dict:
@@ -548,10 +556,7 @@ def _cmd_linforms(args) -> dict:
         budget=args.budget,
         verdict_threshold=args.threshold,
     )
-    out = report.to_dict()
-    if not report.passed:
-        raise VerdictError(out)
-    return out
+    return _verdict(report)
 
 
 def _cmd_correlation(args) -> dict:
@@ -577,10 +582,7 @@ def _cmd_correlation(args) -> dict:
           f"{tau_leaves} tau leaves of at most {tau_leaf} residues, factor table of "
           f"{table} entries, {len(tuples)} of {args.tuples} tuples kept, measure: {held}",
           file=sys.stderr)
-    out = report.to_dict()
-    if not report.passed:
-        raise VerdictError(out)
-    return out
+    return _verdict(report)
 
 
 def _cmd_gycheck(args) -> dict:
@@ -730,7 +732,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exact", "fourier", "mc"), default="exact")
     p.add_argument("--samples", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=10**9)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_gowers)
 
     p = sub.add_parser("dual", help="dual function of a column-CSV function")
@@ -740,7 +742,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exact", "fourier", "mc"), default="exact")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=10**9)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_dual)
 
@@ -752,7 +754,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exact", "monte_carlo"), default="monte_carlo")
     p.add_argument("--samples", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=10**9)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--threshold", type=float, default=0.25)
     p.set_defaults(func=_cmd_linforms)
 

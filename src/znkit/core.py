@@ -35,6 +35,7 @@ import numpy as np
 from ._primality import is_prime_64
 
 __all__ = [
+    "DEFAULT_BUDGET",
     "GroupMismatchError",
     "BudgetExceededError",
     "CyclicGroup",
@@ -56,8 +57,19 @@ class GroupMismatchError(ValueError):
     """Operands live on different cyclic groups."""
 
 
+def _same_group(*items) -> None:
+    """Refuse operands (functions, algebras) that do not all live on one Z_N."""
+    moduli = dict.fromkeys(item.group.modulus for item in items)
+    if len(moduli) > 1:
+        raise GroupMismatchError("operands must share one group, got "
+                                 + " vs ".join(f"Z_{n}" for n in moduli))
+
+
 class BudgetExceededError(RuntimeError):
     """An exact enumeration would exceed the caller's cost budget."""
+
+
+DEFAULT_BUDGET = 10**9  # nominal operations an exact route may take unless told otherwise
 
 
 def _check_budget(cost: int, budget: int, what: str, remedy: str) -> None:
@@ -213,15 +225,9 @@ class GridFunction:
             vals[idx] = 1.0
         return cls(group, vals)
 
-    def _check_same_group(self, other: "GridFunction") -> None:
-        if self.group.modulus != other.group.modulus:
-            raise GroupMismatchError(
-                f"groups differ: Z_{self.group.modulus} vs Z_{other.group.modulus}"
-            )
-
     def __add__(self, other):
         if isinstance(other, GridFunction):
-            self._check_same_group(other)
+            _same_group(self, other)
             return GridFunction(self.group, self.values + other.values)
         return GridFunction(self.group, self.values + float(other))
 
@@ -229,7 +235,7 @@ class GridFunction:
 
     def __sub__(self, other):
         if isinstance(other, GridFunction):
-            self._check_same_group(other)
+            _same_group(self, other)
             return GridFunction(self.group, self.values - other.values)
         return GridFunction(self.group, self.values - float(other))
 
@@ -238,7 +244,7 @@ class GridFunction:
 
     def __mul__(self, other):
         if isinstance(other, GridFunction):
-            self._check_same_group(other)
+            _same_group(self, other)
             return GridFunction(self.group, self.values * other.values)
         return GridFunction(self.group, self.values * float(other))
 
@@ -297,12 +303,6 @@ class SigmaAlgebra:
     @classmethod
     def discrete(cls, group: CyclicGroup) -> "SigmaAlgebra":
         return cls(group, np.arange(group.modulus, dtype=np.int64), group.modulus)
-
-    def _check_same_group(self, f: GridFunction) -> None:
-        if self.group.modulus != f.group.modulus:
-            raise GroupMismatchError(
-                f"groups differ: Z_{self.group.modulus} vs Z_{f.group.modulus}"
-            )
 
 
 @dataclass(frozen=True)
@@ -545,7 +545,7 @@ def expectation(f: GridFunction) -> float:
 
 def inner_product(f: GridFunction, g: GridFunction) -> float:
     """E(f g) on a common group."""
-    f._check_same_group(g)
+    _same_group(f, g)
     return float((f.values * g.values).sum() / f.group.modulus)
 
 
@@ -560,7 +560,7 @@ def lq_norm(f: GridFunction, q: float) -> float:
 
 def conditional_expectation(f: GridFunction, algebra: SigmaAlgebra) -> GridFunction:
     """Replace f on each atom by its average over that atom."""
-    algebra._check_same_group(f)
+    _same_group(f, algebra)
     sums = np.bincount(algebra.atom_label, weights=f.values, minlength=algebra.atom_count)
     sizes = np.bincount(algebra.atom_label, minlength=algebra.atom_count)
     means = sums / sizes
@@ -588,9 +588,7 @@ def join_sigma(
         if group is None:
             raise ValueError("joining an empty list requires an explicit group")
         return SigmaAlgebra.trivial(group)
-    for other in algebras[1:]:
-        if other.group.modulus != algebras[0].group.modulus:
-            raise GroupMismatchError("all algebras must live on the same group")
+    _same_group(*algebras)
     factors = [a for a in algebras if a.atom_count > 1]
     if len(factors) < 2:
         return factors[0] if factors else algebras[0]

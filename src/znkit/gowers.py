@@ -41,14 +41,15 @@ from typing import Mapping
 import numpy as np
 
 from .core import (
+    DEFAULT_BUDGET,
     CyclicGroup,
     GridFunction,
-    GroupMismatchError,
     _BOX_LEAF,
     _check_budget,
     _folded_correlation,
     _form_product,
     _pointwise_mean,
+    _same_group,
     _smooth_length,
     _spectrum,
     _translates,
@@ -58,7 +59,6 @@ from .core import (
 )
 
 __all__ = [
-    "DEFAULT_BUDGET",
     "CubeFamily",
     "GowersEstimate",
     "gowers_inner",
@@ -68,8 +68,6 @@ __all__ = [
     "dual_function",
     "dual_function_u2_fourier",
 ]
-
-DEFAULT_BUDGET = 10**9
 
 _MC_CHUNK = 1 << 16  # part of the stream: chunk i draws from substream(seed, name, i)
 
@@ -97,9 +95,7 @@ class CubeFamily:
             raise ValueError(
                 f"need exactly the 2^{self.dimension} vertices of the cube as keys"
             )
-        mods = {f.group.modulus for f in self.functions.values()}
-        if len(mods) != 1:
-            raise GroupMismatchError("all vertex functions must share one group")
+        _same_group(*self.functions.values())
 
     @property
     def group(self) -> CyclicGroup:

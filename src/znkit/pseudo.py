@@ -31,6 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import (
+    DEFAULT_BUDGET,
     CyclicGroup,
     EstimatorResult,
     GridFunction,
@@ -228,7 +229,7 @@ def verify_linear_forms(
     mode: str = "exact",
     samples: int = 10**6,
     seed: int = 0,
-    budget: int = 10**9,
+    budget: int = DEFAULT_BUDGET,
     verdict_threshold: float = 0.25,
 ) -> PseudorandomnessReport:
     """Average nu(psi_1(x)) ... nu(psi_m(x)) over x in Z_N^t; target is 1.

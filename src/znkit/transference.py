@@ -19,14 +19,14 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    BudgetExceededError,
+    DEFAULT_BUDGET,
     GridFunction,
-    GroupMismatchError,
     SigmaAlgebra,
     _BOX_LEAF,
     _check_budget,
     _folded_correlation,
     _pairwise_sum,
+    _same_group,
     _smooth_length,
     _spectrum,
     _translates,
@@ -35,7 +35,6 @@ from .core import (
     substream,
 )
 from .gowers import (
-    DEFAULT_BUDGET,
     GowersEstimate,
     dual_function,
     gowers_norm,
@@ -81,12 +80,9 @@ def ap_expectation(fs: Sequence[GridFunction], cs: Sequence[int]) -> float:
         raise ValueError("need one coefficient per function")
     if len(set(cs)) != len(cs):
         raise ValueError("coefficients must be distinct")
-    group = fs[0].group
-    for f in fs[1:]:
-        if f.group.modulus != group.modulus:
-            raise GroupMismatchError("all functions must share one group")
-    group.ensure_prime()
-    n = group.modulus
+    _same_group(*fs)
+    fs[0].group.ensure_prime()
+    n = fs[0].group.modulus
     if len(cs) == 3 and len({c % n for c in cs}) == 3:
         lam = (cs[2] - cs[0]) * pow(int(cs[1] - cs[0]), -1, n) % n
         u = np.arange(n, dtype=np.int64)
@@ -322,7 +318,7 @@ def _count_aps_k3_convolution(bits: np.ndarray, limit: int) -> int:
     return total // 2 + special
 
 
-def count_prime_aps(k: int, limit: int, budget: int = 10**9) -> int:
+def count_prime_aps(k: int, limit: int, budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of k-term progressions of primes <= limit, difference >= 1.
 
     Every route reads the odd primes from one segmented sieve, bit a of
@@ -446,8 +442,7 @@ def build_level_sigma(
             f"alpha_grid must lie in [1, 2^53], got {alpha_grid}: beyond 2^53 "
             "neighbouring cuts j / alpha_grid cannot be told apart"
         )
-    if G.group.modulus != nu.group.modulus:
-        raise GroupMismatchError("G and nu must share a group")
+    _same_group(G, nu)
     if value_bound is not None:
         top = float(np.abs(G.values).max())
         if top > value_bound:
@@ -467,7 +462,7 @@ def exceptional_set(sigma: SigmaAlgebra, nu: GridFunction, eta: float) -> np.nda
     a weights array, and each atom's sum of nu plus its size rounds otherwise."""
     if not 0 < eta < 0.5:
         raise ValueError("eta must lie in (0, 1/2)")
-    sigma._check_same_group(nu)
+    _same_group(sigma, nu)
     n = sigma.group.modulus
     masses = (
         np.bincount(sigma.atom_label, weights=nu.values + 1.0, minlength=sigma.atom_count)
@@ -558,19 +553,6 @@ class DecompositionResult:
     iteration_log: tuple[dict, ...] = field(default=())
 
 
-def _estimate_uniformity(
-    f: GridFunction, d: int, config: DecompositionConfig, step: int
-) -> GowersEstimate:
-    if config.uniformity_mode == "exact":
-        try:
-            return gowers_norm(f, d, budget=config.budget)
-        except BudgetExceededError as exc:
-            raise BudgetExceededError(
-                f"{exc}; rerun with uniformity_mode='monte_carlo'"
-            ) from exc
-    return gowers_norm_mc(f, d, config.samples, _step_seed(config.seed, step), config.budget)
-
-
 def _step_seed(seed: int, step: int) -> int:
     return (seed * 1_000_003 + step) & 0xFFFFFFFFFFFFFFFF
 
@@ -590,8 +572,7 @@ def kvn_decompose(
     A hard cap on refinements marks the run unsuccessful instead of looping
     forever.
     """
-    if f.group.modulus != nu.group.modulus:
-        raise GroupMismatchError("f and nu must share a group")
+    _same_group(f, nu)
     gap = f.values - nu.values
     worst = int(np.argmax(gap))
     if f.values.min() < 0 or gap[worst] > 0:
@@ -614,7 +595,11 @@ def kvn_decompose(
         anti = np.where(omega, 0.0, proj)
         residual = GridFunction(group, np.where(omega, 0.0, f.values - proj))
         del proj
-        est = _estimate_uniformity(residual, d, config, iterations)
+        if config.uniformity_mode == "exact":
+            est = gowers_norm(residual, d, budget=config.budget)
+        else:
+            est = gowers_norm_mc(residual, d, config.samples,
+                                 _step_seed(config.seed, iterations), config.budget)
         record = {
             "K": iterations,
             "energy": float((anti * anti).mean()),

@@ -426,6 +426,48 @@ def test_correlation_with_no_distinct_tuple_is_refused(capsys):
     assert "m = 8" in message and "N = 7" in message
 
 
+@pytest.mark.parametrize("command", ["gowers", "dual"])
+@pytest.mark.parametrize("mode, d, reason", [
+    ("fourier", "3", "fourier mode is available for d = 2 only"),  # refused before the read
+    ("exact", "2", "five.csv holds 5 values, expected 7"),
+], ids=["fourier_d3", "wrong_length"])
+def test_column_commands_refuse_bad_input(capsys, tmp_path, command, mode, d, reason):
+    path = tmp_path / "five.csv"
+    path.write_text("1\n2\n3\n4\n5\n")
+    code, out = run_cli(capsys, command, "--n", "7", "--d", d, "--input", str(path),
+                        "--mode", mode)
+    assert code == EXIT_INVALID
+    error = json.loads(out)["error"]
+    assert error["type"] == "invalid"
+    assert reason in error["message"]
+
+
+def test_linforms_reads_nu_from_a_column(capsys, tmp_path):
+    path = tmp_path / "nu.csv"
+    path.write_text("1\n" * 101)
+    argv = ("linforms", "--n", "101", "--samples", "1000", "--seed", "1")
+    code, out = run_cli(capsys, *argv, "--nu", str(path))
+    assert code == EXIT_OK
+    _, constant = run_cli(capsys, *argv)
+    assert json.loads(out)["result"] == json.loads(constant)["result"]
+
+
+def test_correlation_verdict_exit_code(capsys):
+    code, out = run_cli(capsys, "correlation", "--n", "101", "--tuples", "5", "--seed", "1",
+                        "--threshold", "0.01")
+    assert code == EXIT_VERDICT
+    result = json.loads(out)["result"]
+    assert result["passed"] is False and result["verdict_threshold"] == 0.01
+
+
+def test_decompose_output_file_is_the_stdout_result(capsys, tmp_path):
+    path = tmp_path / "dec.json"
+    code, out = run_cli(capsys, "decompose", "--n", "101", "--f", "dense01",
+                        "--epsilon-dec", "0.05", "--output", str(path))
+    assert code == EXIT_OK
+    assert json.loads(path.read_text()) == json.loads(out)["result"]
+
+
 def test_correlation_needs_n_at_least_three(capsys):
     code, out = run_cli(capsys, "correlation", "--n", "2")
     assert code == EXIT_INVALID

@@ -10,16 +10,22 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from znkit import (
+    CubeFamily,
     CyclicGroup,
+    DecompositionConfig,
     GridFunction,
     GroupMismatchError,
     LinearFormSystem,
     SigmaAlgebra,
+    ap_expectation,
     atoms_of,
+    build_level_sigma,
     conditional_expectation,
+    exceptional_set,
     expectation,
     inner_product,
     join_sigma,
+    kvn_decompose,
     lq_norm,
     substream,
 )
@@ -425,6 +431,31 @@ class TestValidation:
     def test_noncanonical_labels_rejected(self):
         with pytest.raises(ValueError):
             SigmaAlgebra(CyclicGroup(3), np.array([1, 0, 0]), 2)
+
+
+_F5 = GridFunction.constant(CyclicGroup(5), 0.5)
+_F7 = GridFunction.constant(CyclicGroup(7), 0.5)
+_TWO_GROUPS = {
+    "add": lambda: _F5 + _F7,
+    "sub": lambda: _F5 - _F7,
+    "mul": lambda: _F5 * _F7,
+    "inner_product": lambda: inner_product(_F5, _F7),
+    "conditional_expectation": lambda: conditional_expectation(
+        _F5, SigmaAlgebra.trivial(CyclicGroup(7))),
+    "join_sigma": lambda: join_sigma([SigmaAlgebra.trivial(CyclicGroup(5)),
+                                      SigmaAlgebra.discrete(CyclicGroup(7))]),
+    "CubeFamily": lambda: CubeFamily(1, {(0,): _F5, (1,): _F7}),
+    "ap_expectation": lambda: ap_expectation([_F5, _F7, _F7], [0, 1, 2]),
+    "build_level_sigma": lambda: build_level_sigma(_F5, 0.5, 0.1, _F7),
+    "exceptional_set": lambda: exceptional_set(SigmaAlgebra.trivial(CyclicGroup(5)), _F7, 0.1),
+    "kvn_decompose": lambda: kvn_decompose(_F5, _F7, DecompositionConfig(k=3, epsilon=0.5)),
+}
+
+
+@pytest.mark.parametrize("call", _TWO_GROUPS.values(), ids=_TWO_GROUPS)
+def test_mismatched_groups_are_refused_at_every_entry(call):
+    with pytest.raises(GroupMismatchError, match="share one group, got Z_5 vs Z_7"):
+        call()
 
 
 def test_substream_is_deterministic_and_keyed():

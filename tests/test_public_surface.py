@@ -1,4 +1,5 @@
-"""The package's public surface: one list of names, and no file I/O below the CLI."""
+"""The package's public surface: one list of names, no file I/O below the CLI, and one
+owner in core for the same-group rule and the default budget."""
 
 import ast
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import znkit
-from znkit import arith, core, gowers, pseudo, transference
+from znkit import arith, cli, core, gowers, pseudo, transference
 
 LAYERS = (core, gowers, arith, pseudo, transference)
 
@@ -29,3 +30,32 @@ def test_no_layer_opens_a_file(layer):
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id == "open"]
     assert opens == []
+
+
+def _owners(module, match):
+    """The top-level definition (its name, or an assignment's target) around each node
+    of the module's source that match accepts."""
+    owners = []
+    for top in ast.parse(Path(module.__file__).read_text()).body:
+        name = getattr(top, "name", None) or ast.unparse(getattr(top, "targets", [top])[0])
+        owners += [name for node in ast.walk(top) if match(node)]
+    return owners
+
+
+def _constructs_group_error(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "GroupMismatchError")
+
+
+def _is_ten_to_the_nine(node):
+    if isinstance(node, ast.BinOp):
+        return ast.unparse(node) == "10 ** 9"
+    return (isinstance(node, ast.Constant) and type(node.value) in (int, float)
+            and node.value == 10**9)
+
+
+@pytest.mark.parametrize("module", (*LAYERS, cli), ids=lambda module: module.__name__)
+def test_group_rule_and_default_budget_live_once_in_core(module):
+    owned = module is core
+    assert _owners(module, _constructs_group_error) == (["_same_group"] if owned else [])
+    assert _owners(module, _is_ten_to_the_nine) == (["DEFAULT_BUDGET"] if owned else [])
