@@ -250,12 +250,13 @@ class MajorantParams:
             object.__setattr__(
                 self, "R_exponent", float(Fraction(1, self.k * 2 ** (self.k + 4)))
             )
-        if self.R_exponent <= 0:
-            raise ValueError("R_exponent must be positive (R = N^theta > 1)")
         if self.epsilon_k == 0.0:
             object.__setattr__(
                 self, "epsilon_k", float(Fraction(1, 2**self.k * math.factorial(self.k + 4)))
             )
+        if not 0 < self.R_exponent < math.inf:
+            raise ValueError("R_exponent must be positive and finite (R = N^theta > 1), "
+                             f"got {self.R_exponent}")
         if not 0 < self.epsilon_k < math.inf:
             raise ValueError(f"epsilon_k must be positive and finite, got {self.epsilon_k}")
         lo, hi = self.window

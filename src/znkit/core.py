@@ -13,9 +13,10 @@ the product prod_i f((mat[i] . x + c_i) mod N) at columns x that the linear
 forms, window moments, sampled U^d norm and sampled dual all evaluate.  It
 builds each index by in-place adds, gathers from a table tiled so that small
 coefficients need no remainder, and multiplies in cache-sized blocks, fed
-uniform points a block at a time by _uniform_draw.  _pairwise_sum gives
-np.add.reduce of an array never formed whole, from sums over the leaves of
-numpy's pairwise-sum tree; on its leaves, _box_sum sums exact form averages.
+uniform points of a box a block at a time by _uniform_draw.  _pairwise_sum
+gives np.add.reduce of an array never formed whole, from sums over the leaves
+of numpy's pairwise-sum tree; on its leaves, _box_sum sums exact form averages
+over the same boxes.
 
 Exact cyclic correlations on Z_N share one private kernel: _spectrum, the
 rfft zero-padded to the least 5-smooth length L >= 2N - 1, and
@@ -47,7 +48,6 @@ __all__ = [
     "lq_norm",
     "conditional_expectation",
     "join_sigma",
-    "atoms_of",
     "substream",
     "mc_mean",
 ]
@@ -454,15 +454,24 @@ def _form_product(
     return product
 
 
-def _uniform_draw(weight: Callable[[np.ndarray], np.ndarray], n: int, t: int):
-    """draw(rng, count) for mc_mean: weight at count uniform points of Z_n^t.
+def _uniform_draw(weight: Callable[[np.ndarray], np.ndarray], box: Sequence[tuple[int, int]]):
+    """draw(rng, count) for mc_mean: weight at count uniform points of a box, one
+    inclusive (lo, hi) per variable as _box_sum takes it.
 
     The points are drawn _BLOCK at a time, so a chunk's int64 points are
     never held whole.  The values are those of one
-    rng.integers(0, n, size=(count, t)) call, which fills its rows in order
-    from the same stream.  Every draw writes into one buffer, sized by the
-    largest count asked for so far, and returns a view of it.
+    rng.integers(lows, highs + 1, size=(count, t)) call, which fills its rows
+    in order from the same stream.  A box with one interval for every
+    variable passes scalar bounds, the same values as the bound arrays and
+    about 3x faster in numpy.  Every draw writes into one buffer, sized by
+    the largest count asked for so far, and returns a view of it.
     """
+    t = len(box)
+    if len(set(map(tuple, box))) == 1:
+        lows, highs = box[0][0], box[0][1] + 1
+    else:
+        lows, highs = (np.array(ends, dtype=np.int64) for ends in zip(*box))
+        highs += 1
     buf = np.empty(0)
 
     def draw(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -472,7 +481,7 @@ def _uniform_draw(weight: Callable[[np.ndarray], np.ndarray], n: int, t: int):
         out = buf[:count]
         for start in range(0, count, _BLOCK):
             stop = min(start + _BLOCK, count)
-            out[start:stop] = weight(rng.integers(0, n, size=(stop - start, t)).T)
+            out[start:stop] = weight(rng.integers(lows, highs, size=(stop - start, t)).T)
         return out
 
     return draw
@@ -553,7 +562,7 @@ def lq_norm(f: GridFunction, q: float) -> float:
     """E(|f|^q)^(1/q); q = math.inf gives the sup norm."""
     if q == math.inf:
         return float(np.abs(f.values).max())
-    if q < 1:
+    if not q >= 1:  # refuses nan too
         raise ValueError(f"q must be >= 1 or inf, got {q}")
     return float((np.abs(f.values) ** q).mean() ** (1.0 / q))
 
@@ -567,9 +576,7 @@ def conditional_expectation(f: GridFunction, algebra: SigmaAlgebra) -> GridFunct
     return GridFunction(f.group, means[algebra.atom_label])
 
 
-def join_sigma(
-    algebras: Sequence[SigmaAlgebra], group: CyclicGroup | None = None
-) -> SigmaAlgebra:
+def join_sigma(algebras: Sequence[SigmaAlgebra]) -> SigmaAlgebra:
     """Common refinement: atoms are the nonempty intersections of input atoms.
 
     A factor with one atom is the identity of the join, so it is skipped:
@@ -579,15 +586,11 @@ def join_sigma(
     residue, label * other.atom_count + other label, and one canonicalising
     np.unique of those N keys: a join of m algebras with more than one atom
     sorts N keys m - 1 times, and the result's O(N) validity check sorts
-    nothing.  Labels stay below N, so the keys stay below N^2.  An empty
-    list yields the trivial algebra, in which case the group must be
-    supplied explicitly.
+    nothing.  Labels stay below N, so the keys stay below N^2.
     """
     algebras = list(algebras)
     if not algebras:
-        if group is None:
-            raise ValueError("joining an empty list requires an explicit group")
-        return SigmaAlgebra.trivial(group)
+        raise ValueError("join_sigma needs at least one algebra")
     _same_group(*algebras)
     factors = [a for a in algebras if a.atom_count > 1]
     if len(factors) < 2:
@@ -597,13 +600,3 @@ def join_sigma(
         labels, count = _canonical(labels * np.int64(other.atom_count) + other.atom_label)
     return SigmaAlgebra(factors[0].group, labels, count)
 
-
-def atoms_of(algebra: SigmaAlgebra) -> list[np.ndarray]:
-    """The atoms as sorted residue arrays; a disjoint cover of Z_N.
-
-    One stable argsort of the labels, split at the cumulative atom sizes.
-    """
-    labels = algebra.atom_label
-    order = np.argsort(labels, kind="stable")
-    sizes = np.bincount(labels, minlength=algebra.atom_count)
-    return np.split(order, np.cumsum(sizes)[:-1])

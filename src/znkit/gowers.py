@@ -265,7 +265,8 @@ def gowers_norm_mc(
     rows = [(1,) + om for om in itertools.product((0, 1), repeat=d)]
     weight = _form_product(f.values, rows, [0] * len(rows))
     # columns (x, h_1, ..., h_d)
-    est = mc_mean(_uniform_draw(weight, n, d + 1), samples, seed, "gowers_mc", _MC_CHUNK)
+    est = mc_mean(_uniform_draw(weight, [(0, n - 1)] * (d + 1)), samples, seed, "gowers_mc",
+                  _MC_CHUNK)
     return GowersEstimate.from_raised(est.value, d, "monte_carlo", est.std_error)
 
 

@@ -14,8 +14,9 @@ truncated divisor sums that power the majorant, plus the Bernoulli test
 measure.  Exact verdicts come from full enumeration; everything sampled
 reports a standard error, never a bare number.  Linear forms, exact or
 sampled, and both window moments take their products from one kernel,
-core._form_product; the exact correlation check sums in leaves of numpy's
-pairwise-sum tree, core._pairwise_sum.
+core._form_product; the sampled linear forms and window moments draw their
+points through core._uniform_draw, one box each; the exact correlation
+check sums in leaves of numpy's pairwise-sum tree, core._pairwise_sum.
 """
 
 from __future__ import annotations
@@ -162,9 +163,6 @@ class LinearFormSystem:
                 d = math.lcm(d, c.denominator)
         return d
 
-    def is_integral(self) -> bool:
-        return self.denominator_lcm == 1
-
     def residue_matrix(self, N: int) -> tuple[np.ndarray, np.ndarray]:
         """Coefficients and constants reduced into Z_N (denominators inverted)."""
         if self.denominator_lcm != 1 and not is_prime_64(N):
@@ -178,7 +176,7 @@ class LinearFormSystem:
         return mat, consts
 
     def integer_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        if not self.is_integral():
+        if self.denominator_lcm != 1:
             raise ValueError("system has non-integer coefficients")
         mat = np.asarray(
             [[int(c) for c in row] for row in self.coefficients], dtype=np.int64
@@ -258,8 +256,8 @@ def verify_linear_forms(
     elif mode == "monte_carlo":
         _check_budget(system.m * samples, budget, f"sampling {samples} points of "
                       f"{system.m} forms", "lower samples")
-        est = mc_mean(_uniform_draw(weight, N, system.t), samples, seed, "linforms",
-                      _MC_CHUNK)
+        est = mc_mean(_uniform_draw(weight, [(0, N - 1)] * system.t), samples, seed,
+                      "linforms", _MC_CHUNK)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     deviation = abs(est.value - 1.0)
@@ -289,6 +287,8 @@ def tau_weight(
     the same factors, (1 + p^(-1/2))^a_tau computed the same way, and
     multiply them in the same order, leaf by leaf.
     """
+    if N < 3:
+        raise ValueError(f"N = {N}: tau_weight needs log log N > 0, so N must be at least 3")
     if abs(n) > N:
         raise ValueError("|n| must be at most N")
     if a_tau is None:
@@ -583,16 +583,7 @@ def gy_moment_check(
     if mode == "exact":
         size = box[0][1] - box[0][0] + 1
         return EstimatorResult(float(_box_sum(weight, box)) / size / denom, 0.0, size, seed)
-
-    # one buffer for every chunk's points; mc_mean itself refuses samples < 2
-    points = np.empty((system.t, min(max(samples, 0), _MC_CHUNK)), dtype=np.int64)
-
-    def draw(rng, count):
-        x = points[:, :count]
-        np.stack([rng.integers(lo, hi + 1, size=count) for lo, hi in box], out=x)
-        return weight(x)
-
-    est = mc_mean(draw, samples, seed, "gy_moment", _MC_CHUNK)
+    est = mc_mean(_uniform_draw(weight, box), samples, seed, "gy_moment", _MC_CHUNK)
     return EstimatorResult(est.value / denom, est.std_error / denom, samples, seed)
 
 

@@ -51,7 +51,6 @@ __all__ = [
     "count_prime_aps",
     "build_level_sigma",
     "exceptional_set",
-    "energy",
     "kvn_decompose",
 ]
 
@@ -471,14 +470,6 @@ def exceptional_set(sigma: SigmaAlgebra, nu: GridFunction, eta: float) -> np.nda
     mask = (masses <= math.sqrt(eta))[sigma.atom_label]
     mask.setflags(write=False)
     return mask
-
-
-def energy(f: GridFunction, sigma: SigmaAlgebra, omega: np.ndarray) -> float:
-    """Squared L^2 norm of the conditional expectation outside the mask omega."""
-    if omega.dtype != bool or omega.shape != (f.group.modulus,):
-        raise ValueError("omega must be a boolean mask with one entry per residue")
-    proj = np.where(omega, 0.0, conditional_expectation(f, sigma).values)
-    return float((proj * proj).mean())
 
 
 @dataclass(frozen=True)

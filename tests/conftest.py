@@ -37,8 +37,8 @@ def first_occurrence_labels(keys) -> list[int]:
 
 
 def atoms_by_comparison(algebra: SigmaAlgebra) -> list[np.ndarray]:
-    """The atoms as sorted residue arrays, one N-length comparison per atom:
-    the oracle for core.atoms_of."""
+    """The atoms as sorted residue arrays, in label order, one N-length
+    comparison per atom."""
     return [np.flatnonzero(algebra.atom_label == k) for k in range(algebra.atom_count)]
 
 

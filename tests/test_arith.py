@@ -525,6 +525,12 @@ class TestMajorant:
         with pytest.raises(ValueError):
             MajorantParams(k=3, N=100)
 
+    def test_refuses_a_non_finite_or_negative_theta(self):
+        # nan passed a `<= 0` check and made R = nan deep in the divisor sums
+        for theta in (-0.25, math.inf, math.nan):
+            with pytest.raises(ValueError, match="R_exponent must be positive and finite"):
+                MajorantParams(k=3, N=101, w=2, R_exponent=theta)
+
     def test_refuses_a_window_that_reaches_n(self):
         # epsilon_k = 1/2 would give the window [51, 101] at N = 101; 101 is no residue
         with pytest.raises(ValueError, match=r"epsilon_k = 0\.5 .*\[51, 101\] at N = 101"):

@@ -144,6 +144,16 @@ def test_linforms_refuses_a_malformed_system_file(capsys, tmp_path, data, reason
     assert str(path) in error["message"] and reason in error["message"]
 
 
+@pytest.mark.parametrize("theta", ["nan", "inf"])
+def test_non_finite_theta_is_refused(capsys, theta):
+    code, out = run_cli(capsys, "majorant", "--n", "1009", "--theta", theta,
+                        "--epsilon", "0.25")
+    assert code == EXIT_INVALID
+    error = json.loads(out)["error"]
+    assert error["type"] == "invalid"
+    assert "R_exponent must be positive" in error["message"]
+
+
 @pytest.mark.parametrize("command", ["majorant", "gycheck"])
 def test_window_past_n_is_refused(capsys, command):
     # epsilon_k = 1/2 puts the window's top at N = 101, which is no residue
@@ -324,7 +334,7 @@ def test_benchmark_tracer_counters_read_their_parameters(capsys, tmp_path):
 def test_decompose_report_is_the_join_of_every_factor(capsys, monkeypatch, tmp_path, argv):
     # skipping one-atom factors in join_sigma leaves the report byte-identical
     # to a join that folds in and re-canonicalises every factor
-    def join_every_factor(algebras, group=None):
+    def join_every_factor(algebras):
         labels = algebras[0].atom_label
         for other in algebras[1:]:
             keys = labels * np.int64(other.atom_count) + other.atom_label

@@ -18,7 +18,6 @@ from znkit import (
     LinearFormSystem,
     SigmaAlgebra,
     ap_expectation,
-    atoms_of,
     build_level_sigma,
     conditional_expectation,
     exceptional_set,
@@ -95,6 +94,10 @@ class TestLqNorm:
         with pytest.raises(ValueError):
             lq_norm(_grid([1, 2]), 0.5)
 
+    def test_rejects_nan_q(self):
+        with pytest.raises(ValueError, match="q must be >= 1"):
+            lq_norm(_grid([1, 2]), math.nan)
+
 
 class TestConditionalExpectation:
     def test_atom_averages(self):
@@ -125,7 +128,7 @@ class TestJoin:
         a = SigmaAlgebra.from_labels(g, np.array([0, 0, 1, 1, 1]))
         b = SigmaAlgebra.from_labels(g, np.array([0, 1, 1, 1, 1]))
         joined = join_sigma([a, b])
-        got = [set(atom.tolist()) for atom in atoms_of(joined)]
+        got = [set(atom.tolist()) for atom in atoms_by_comparison(joined)]
         assert got == [{0}, {1}, {2, 3, 4}]
 
     def test_idempotent(self):
@@ -152,29 +155,25 @@ class TestJoin:
             assert joined.atom_count == s.atom_count
         assert join_sigma([trivial, trivial]).atom_count == 1
 
-    def test_empty_join_is_trivial(self):
-        g = CyclicGroup(6)
-        assert join_sigma([], group=g).atom_count == 1
-
-    def test_empty_join_needs_group(self):
-        with pytest.raises(ValueError):
+    def test_empty_join_is_refused(self):
+        with pytest.raises(ValueError, match="at least one algebra"):
             join_sigma([])
 
 
 class TestAtoms:
     def test_trivial(self):
-        atoms = atoms_of(SigmaAlgebra.trivial(CyclicGroup(3)))
+        atoms = atoms_by_comparison(SigmaAlgebra.trivial(CyclicGroup(3)))
         assert [a.tolist() for a in atoms] == [[0, 1, 2]]
 
     def test_discrete(self):
-        atoms = atoms_of(SigmaAlgebra.discrete(CyclicGroup(3)))
+        atoms = atoms_by_comparison(SigmaAlgebra.discrete(CyclicGroup(3)))
         assert [a.tolist() for a in atoms] == [[0], [1], [2]]
 
     def test_cover_is_disjoint(self):
         rng = np.random.default_rng(4)
         g = CyclicGroup(50)
         algebra = random_partition(g, rng, 7)
-        atoms = atoms_of(algebra)
+        atoms = atoms_by_comparison(algebra)
         merged = np.sort(np.concatenate(atoms))
         assert np.array_equal(merged, np.arange(50))
 
@@ -197,7 +196,7 @@ _raw_labels = st.lists(st.integers(-2, 6), min_size=2, max_size=9)
 
 
 class TestCanonicalLabels:
-    """from_labels, join_sigma and atoms_of against pure-Python oracles."""
+    """from_labels and join_sigma against pure-Python oracles."""
 
     @given(st.lists(st.lists(st.integers(-3, 10**12), min_size=1, max_size=12),
                     min_size=1, max_size=4),
@@ -219,10 +218,10 @@ class TestCanonicalLabels:
         keys = list(zip(*(f.atom_label.tolist() for f in factors)))
         assert joined.atom_label.tolist() == first_occurrence_labels(keys)
         assert joined.atom_count == len(set(keys))
-        atoms = atoms_of(joined)
-        expect = atoms_by_comparison(joined)
-        assert len(atoms) == len(expect)
-        assert all(np.array_equal(a, b) for a, b in zip(atoms, expect))
+        atoms: dict = {}
+        for x, key in enumerate(keys):
+            atoms.setdefault(key, []).append(x)
+        assert [a.tolist() for a in atoms_by_comparison(joined)] == list(atoms.values())
 
     @given(_raw_labels, st.integers(-1, 8), st.booleans())
     @settings(max_examples=200, deadline=None)
@@ -334,7 +333,7 @@ class TestOperatorLaws:
         f = random_function(g, rng)
         algebra = random_partition(g, rng, 11)
         resid = f - conditional_expectation(f, algebra)
-        for atom in atoms_of(algebra):
+        for atom in atoms_by_comparison(algebra):
             assert abs(resid.values[atom].mean()) < 1e-12
 
 
@@ -357,7 +356,7 @@ def test_join_refines_both_factors(n, seed):
     b = random_partition(g, rng, 4)
     joined = join_sigma([a, b])
     # every joined atom sits inside one atom of each factor
-    for atom in atoms_of(joined):
+    for atom in atoms_by_comparison(joined):
         assert len(set(a.atom_label[atom].tolist())) == 1
         assert len(set(b.atom_label[atom].tolist())) == 1
 
@@ -491,8 +490,19 @@ def test_substream_golden_values(name):
 @pytest.mark.parametrize("n", [101, 10007, 999983, 2**31 - 1, 2**32 + 15])
 @pytest.mark.parametrize("t", [1, 3, 4])
 def test_uniform_draw_takes_the_values_of_one_integers_call(n, t):
-    # block by block, the points are those of one (count, t) draw; the
-    # identity table makes the product a function of the points' first row
+    # block by block, the points of a box with one interval per variable are
+    # those of one (count, t) draw with scalar bounds
+    _check_box_draw([(0, n - 1)] * t, lambda rng, count: rng.integers(0, n, size=(count, t)))
+
+
+def test_uniform_draw_over_unequal_intervals_takes_the_values_of_one_integers_call():
+    box = [(5, 17), (0, 2**32 + 14), (-3, 40), (5, 17)]
+    lows, highs = np.array(box).T
+    _check_box_draw(box, lambda rng, count: rng.integers(lows, highs + 1, size=(count, 4)))
+
+
+def _check_box_draw(box, one_call):
+    # the weight records each block of points and returns their first row
     count = 2 * _BLOCK + 77
     seen = []
 
@@ -500,8 +510,8 @@ def test_uniform_draw_takes_the_values_of_one_integers_call(n, t):
         seen.append(x.T.copy())
         return x[0].astype(np.float64)
 
-    got = _uniform_draw(weight, n, t)(substream(3, "blocks", 0), count)
-    want = substream(3, "blocks", 0).integers(0, n, size=(count, t))
+    got = _uniform_draw(weight, box)(substream(3, "blocks", 0), count)
+    want = one_call(substream(3, "blocks", 0), count)
     assert [x.shape[0] for x in seen] == [_BLOCK, _BLOCK, 77]
     assert np.array_equal(np.concatenate(seen), want)
     assert np.array_equal(got, want[:, 0].astype(np.float64))

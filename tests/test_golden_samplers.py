@@ -10,6 +10,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import warnings
 
 import numpy as np
@@ -55,17 +56,29 @@ def test_sampled_linear_forms_golden_value():
     assert repr((est.value, est.std_error)) == "(1.055762224769374, 0.15915073690520304)"
 
 
-@pytest.mark.parametrize("rows, box, want", [
-    ([(1,)], [(1000, 5000)], "(0.7267753403424173, 0.000784195517340065)"),
-    ([(1, 0), (1, 1)], [(10, 500), (10, 500)], "(0.5252786716952057, 0.0008710728711043637)"),
-])
-def test_sampled_window_moment_golden_values(rows, box, want):
+def _sampled_window_moment(rows, box):
     params = MajorantParams(k=3, N=10007, w=2, R_exponent=0.25, epsilon_k=0.25)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the boxes are shorter than R^(10 m)
-        est = gy_moment_check(params, LinearFormSystem.from_rows(rows), box,
-                              mode="monte_carlo", samples=300_000, seed=1)
+        return gy_moment_check(params, LinearFormSystem.from_rows(rows), box,
+                               mode="monte_carlo", samples=300_000, seed=1)
+
+
+@pytest.mark.parametrize("rows, box, want", [
+    ([(1,)], [(1000, 5000)], "(0.7267753403424173, 0.000784195517340065)"),
+])
+def test_sampled_window_moment_golden_values(rows, box, want):
+    est = _sampled_window_moment(rows, box)
     assert repr((est.value, est.std_error)) == want
+
+
+def test_sampled_two_variable_window_moment_golden_value():
+    # recorded when each point's coordinates came to be drawn together; the
+    # value drawn one variable at a time lies within 4 combined std errors
+    est = _sampled_window_moment([(1, 0), (1, 1)], [(10, 500), (10, 500)])
+    assert repr((est.value, est.std_error)) == "(0.525681416746986, 0.0008721621255991492)"
+    old_value, old_error = 0.5252786716952057, 0.0008710728711043637
+    assert abs(est.value - old_value) <= 4 * math.hypot(est.std_error, old_error)
 
 
 def test_sampled_decomposition_golden_values():

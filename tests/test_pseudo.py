@@ -290,6 +290,12 @@ class TestTauWeight:
         with pytest.raises(ValueError):
             tau_weight(200, 2, 101)
 
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_refuses_n_below_three(self, N):
+        # log log 2 < 0 shrank the spike at n = 0 below c_tau; log log 1 died
+        with pytest.raises(ValueError, match=f"N = {N}: .*at least 3"):
+            tau_weight(0, 2, N)
+
 
 def dense_verify_correlation(nu, m, h_tuples, q_list, c_tau, a_tau):
     """The dense route, the oracle of verify_correlation's leaves: each
@@ -661,8 +667,9 @@ class TestWindowMoments:
 
 def _table_moment(params, system, box, mode, samples=0, seed=0):
     """(value, std error) by the full-table route: lambda_r_table indexed by
-    the value W psi_i(x) + 1.  Monte Carlo goes through the same sampling
-    engine as gy_moment_check: the subject here is the divisor-sum route."""
+    the value W psi_i(x) + 1.  Monte Carlo draws each chunk's points, their
+    coordinates together, in one rng.integers call and averages on the same
+    mc_mean as gy_moment_check: the subject here is the divisor-sum route."""
     mat, consts = system.integer_matrix()
     W = params.W
     top = max(
@@ -684,8 +691,10 @@ def _table_moment(params, system, box, mode, samples=0, seed=0):
         xs = np.arange(box[0][0], box[0][1] + 1, dtype=np.int64)[None, :]
         return float(products(xs).mean()) / denom, 0.0
 
+    lows, highs = np.array(box).T
+
     def draw(rng, count):
-        return products(np.stack([rng.integers(lo, hi + 1, size=count) for lo, hi in box]))
+        return products(rng.integers(lows, highs + 1, size=(count, len(box))).T)
 
     est = mc_mean(draw, samples, seed, "gy_moment", _MC_CHUNK)
     return est.value / denom, est.std_error / denom
@@ -760,7 +769,8 @@ def test_window_weight_holds_only_its_table(shifts):
 
 class TestSamplersMatchOldFormulas:
     """The samplers' estimates and std errors, bit for bit, against the draws
-    as first written (a matmul and a full % N per form) and the two-pass engine."""
+    as first written (a matmul and a full % N per form), each chunk's points
+    from one rng.integers call, and the two-pass engine."""
 
     @pytest.mark.parametrize("N, system", [
         (101, LinearFormSystem.cube(2)),
@@ -796,8 +806,10 @@ class TestSamplersMatchOldFormulas:
             lams.append(divisor_sums_on_progression(W, W * c + 1, k_lo, k_hi, params.R))
             k_min.append(k_lo)
 
+        lows, highs = np.array(box).T
+
         def draw(rng, count):
-            x = np.stack([rng.integers(lo, hi + 1, size=count) for lo, hi in box])
+            x = rng.integers(lows, highs + 1, size=(count, len(box))).T
             prod = np.ones(count)
             for i in range(system.m):
                 lam = lams[i][mat[i] @ x - k_min[i]]

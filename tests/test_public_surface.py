@@ -1,5 +1,6 @@
-"""The package's public surface: one list of names, no file I/O below the CLI, and one
-owner in core for the same-group rule and the default budget."""
+"""The package's public surface: one list of names, each with a caller outside the
+tests, no file I/O below the CLI, and one owner in core for the same-group rule and
+the default budget."""
 
 import ast
 from pathlib import Path
@@ -21,6 +22,41 @@ def test_package_all_is_the_layers_all_lists_joined():
 def test_every_listed_name_is_its_layers_own_object(layer):
     for name in layer.__all__:
         assert getattr(znkit, name) is getattr(layer, name)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# public names whose only callers are tests, each kept for the reason given
+TEST_ONLY_NAMES = {
+    "lq_norm": "acceptance criterion 11",
+    "gowers_inner": "the multilinear cube average, tested against enumeration",
+    "lambda_tilde": "the oracle for ROADMAP item 1's lambda-tilde array",
+    "local_factor_omega": "acceptance criterion 8 and ROADMAP item 3",
+}
+
+
+def _referenced_names():
+    """Every name the library (but its __init__), scripts/ and perfbench/ read:
+    loaded names, attributes and imported names."""
+    files = [path for path in (ROOT / "src" / "znkit").glob("*.py")
+             if path.name != "__init__.py"]
+    files += [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    names = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    return names
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    orphans = set(znkit.__all__) - _referenced_names() - set(TEST_ONLY_NAMES)
+    assert sorted(orphans) == []
+    assert set(TEST_ONLY_NAMES) <= set(znkit.__all__)
 
 
 @pytest.mark.parametrize("layer", LAYERS, ids=lambda layer: layer.__name__)

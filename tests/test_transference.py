@@ -18,9 +18,7 @@ from znkit import (
     build_sieve,
     conditional_expectation,
     count_prime_aps,
-    energy,
     exceptional_set,
-    expectation,
     gvn_check,
     is_prime_64,
     kvn_decompose,
@@ -28,7 +26,7 @@ from znkit import (
 import znkit.arith
 import znkit.transference
 from znkit.core import BudgetExceededError, _smooth_length
-from conftest import random_function, random_partition
+from conftest import random_function
 
 
 def brute_ap_expectation(fs, cs, n):
@@ -779,31 +777,6 @@ class TestExceptionalSet:
             exceptional_set(SigmaAlgebra.discrete(g), nu, eta)
 
 
-class TestEnergy:
-    def test_trivial_algebra(self):
-        rng = np.random.default_rng(6)
-        g = CyclicGroup(31)
-        f = random_function(g, rng)
-        assert energy(f, SigmaAlgebra.trivial(g), np.zeros(31, bool)) == pytest.approx(
-            expectation(f) ** 2, abs=1e-13
-        )
-
-    def test_discrete_algebra(self):
-        rng = np.random.default_rng(7)
-        g = CyclicGroup(31)
-        f = random_function(g, rng)
-        assert energy(f, SigmaAlgebra.discrete(g), np.zeros(31, bool)) == pytest.approx(
-            float((f.values**2).mean()), abs=1e-13
-        )
-
-    def test_full_exceptional_set_kills_energy(self):
-        rng = np.random.default_rng(8)
-        g = CyclicGroup(20)
-        f = random_function(g, rng)
-        algebra = random_partition(g, rng, 4)
-        assert energy(f, algebra, np.ones(20, bool)) == 0.0
-
-
 def _partition_identity_holds(result, f):
     lhs = result.f_uniform.values + result.f_antiuniform.values
     return np.abs(lhs - np.where(result.omega, 0.0, f.values)).max() <= 1e-12
@@ -964,8 +937,8 @@ class TestDecomposition:
         res = kvn_decompose(f, nu, config)
         assert res.iterations >= 1
         assert conditional_expectation(f, res.sigma).values[res.omega].any()
-        assert res.energy_trace[-1] == energy(f, res.sigma, res.omega)
         want = np.where(res.omega, 0, conditional_expectation(f, res.sigma).values)
+        assert res.energy_trace[-1] == float((want * want).mean())
         assert np.array_equal(res.f_antiuniform.values, want)
 
 
